@@ -2,7 +2,7 @@
 candidate-ensemble random forests, and the evaluation harness around them."""
 
 from .tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                      min_max_normalize, undersample, validate)
+                      undersample, validate)
 from .aggregate import (AggregateSpec, BinaryStat, ContingencyTable,
                         ContinuousStat, UndefinedOddsRatioError,
                         contingency_table, odds_ratio, summarize)
@@ -10,8 +10,7 @@ from .reconstruct import (CandidateSet, CellSolution, InfeasibleSpecError,
                           PartialCandidateSetError, generate_candidates,
                           reconstruct, solve_cells)
 from .similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY, RowMatching,
-                         exact_match_fraction, match_rows, row_distance,
-                         similarity)
+                         exact_match_fraction, match_rows, similarity)
 from .synth import (GroundTruthConfig, atc_schema, builtin_configs,
                     generate_ground_truth)
 from .forest import (EnsembleModel, ForestParams, Metrics, RandomForest,

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .aggregate import AggregateSpec, summarize
 from .forest import (EnsembleModel, ForestParams, ensemble_predict, evaluate,
                      load_ensemble, save_ensemble, train_forest)
@@ -24,7 +22,7 @@ from .reconstruct import generate_candidates, save_candidates
 from .similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
                          exact_match_fraction, match_rows)
 from .synth import (builtin_configs, configs_from_json, configs_to_json,
-                    generate_ground_truth)
+                    generate_ground_truth, with_overrides)
 from .tabular import Dataset
 
 
@@ -136,10 +134,8 @@ def _load_config(args):
     else:
         cfg = configs_from_json(args.config)[0]
     if getattr(args, "n", None):
-        from .synth import with_overrides
         cfg = with_overrides(cfg, n=args.n)
     if getattr(args, "seed", None) is not None:
-        from .synth import with_overrides
         cfg = with_overrides(cfg, seed=args.seed)
     return cfg
 
@@ -224,11 +220,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _experiment_plan(args, base_seed: int) -> ExperimentPlan:
+def _experiment_plan(args, base_seed: int, out: Path) -> ExperimentPlan:
+    """The plan of one `experiment` run or `sweep`, writing under out."""
     workers = args.workers if args.workers else default_workers()
     kwargs = dict(n_candidates=args.candidates, delta=args.delta,
                   forest=_forest_params(args, seed=base_seed + 1),
-                  out_dir=args.out, base_seed=base_seed, workers=workers)
+                  undersample_rate=getattr(args, "rate", None),
+                  rates=getattr(args, "rates", None),
+                  out_dir=out, base_seed=base_seed, workers=workers)
     if getattr(args, "spec", None) is not None:
         spec = AggregateSpec.from_json(args.spec)
         truth = Dataset.from_csv(args.truth) if args.truth else None
@@ -240,17 +239,12 @@ def _cmd_experiment(args) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     if args.repeats == 1:
-        plan = _experiment_plan(args, args.seed)
-        plan.undersample_rate = args.rate
-        report = run_experiment(plan)
+        report = run_experiment(_experiment_plan(args, args.seed, args.out))
     else:
         accs = []
         for rep in range(args.repeats):
-            a = argparse.Namespace(**vars(args))
-            a.out = args.out / f"rep_{rep}"
-            plan = _experiment_plan(a, args.seed + 7919 * rep)
-            plan.undersample_rate = args.rate
-            report = run_experiment(plan)
+            report = run_experiment(_experiment_plan(
+                args, args.seed + 7919 * rep, args.out / f"rep_{rep}"))
             accs.append(report.ensemble_metrics)
         summary = {"repeats": args.repeats, "ensemble_metrics": accs}
         with open(args.out / "summary.json", "w", encoding="utf-8") as fh:
@@ -266,9 +260,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    plan = _experiment_plan(args, args.seed)
+    plan = _experiment_plan(args, args.seed, args.out)
     if args.rates:
-        plan.rates = args.rates
         reports = run_undersampling_sweep(plan)
         print(f"{len(reports)} undersampling reports written to {args.out}")
     elif args.parameter and args.values:

@@ -1,34 +1,32 @@
 """From-scratch CART random forest, ensemble aggregation, and evaluation
 metrics.
 
-Trees split on Gini impurity over a random subset of features per node,
-each tree trained on a seeded bootstrap resample. The positive class is the
-dead outcome (encoded 0) and all prediction ties resolve toward it: in the
-trauma setting a false negative is worse than a false positive.
+Trees split on Gini impurity over ceil(sqrt(n_features)) random features
+per node, each tree trained on a seeded bootstrap resample. The positive
+class is the dead outcome (encoded 0) and all prediction ties resolve
+toward it: in the trauma setting a false negative is worse than a false
+positive.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .tabular import Dataset, Schema, SchemaError
+from .tabular import Dataset, SchemaError
 
 POSITIVE_CLASS = 0  # dead / abnormal
+MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
 
 
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 50
     max_depth: int = 8
-    min_samples_split: int = 2
-    features_per_split: int | None = None  # default ceil(sqrt(n_features))
-    bootstrap: bool = True
-    max_thresholds: int = 32  # continuous-feature split candidates per node
     seed: int = 0
 
     def __post_init__(self):
@@ -107,8 +105,8 @@ def _leaf(nodes: list[TreeNode], y: np.ndarray) -> int:
     return len(nodes) - 1
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray,
-                max_thresholds: int) -> tuple[int, float] | None:
+def _best_split(X: np.ndarray, y: np.ndarray,
+                features: np.ndarray) -> tuple[int, float] | None:
     """Minimum weighted-Gini (feature, threshold) over the candidates, or
     None when no split separates the node."""
     n = len(y)
@@ -123,8 +121,8 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray,
         if len(uniq) < 2:
             continue
         mids = (uniq[1:] + uniq[:-1]) / 2.0
-        if len(mids) > max_thresholds:
-            pick = np.linspace(0, len(mids) - 1, max_thresholds).astype(int)
+        if len(mids) > MAX_THRESHOLDS:
+            pick = np.linspace(0, len(mids) - 1, MAX_THRESHOLDS).astype(int)
             mids = mids[pick]
         left = v[:, None] <= mids[None, :]
         n_l = left.sum(axis=0).astype(np.float64)
@@ -145,18 +143,15 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray,
 
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
           rng: np.random.Generator) -> DecisionTree:
-    k = params.features_per_split or math.ceil(math.sqrt(X.shape[1]))
-    k = min(k, X.shape[1])
+    k = math.ceil(math.sqrt(X.shape[1]))
     nodes: list[TreeNode] = []
 
     def build(idx: np.ndarray, depth: int) -> int:
         ynode = y[idx]
-        pure = (ynode == ynode[0]).all()
-        if depth >= params.max_depth or pure or \
-                len(idx) < params.min_samples_split:
+        if depth >= params.max_depth or (ynode == ynode[0]).all():
             return _leaf(nodes, ynode)
         feats = rng.choice(X.shape[1], size=k, replace=False)
-        split = _best_split(X[idx], ynode, feats, params.max_thresholds)
+        split = _best_split(X[idx], ynode, feats)
         if split is None:
             return _leaf(nodes, ynode)
         f, t = split
@@ -181,12 +176,7 @@ class RandomForest:
         self.feature_names = feature_names
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(len(X), dtype=np.int64)
-        for tree in self.trees:
-            votes += (tree.predict(X) == POSITIVE_CLASS)
-        # tie toward the positive (dead) class
-        return np.where(2 * votes >= len(self.trees), POSITIVE_CLASS,
-                        1 - POSITIVE_CLASS)
+        return majority_vote([tree.predict(X) for tree in self.trees])
 
     def to_dict(self) -> dict:
         return {"params": asdict(self.params),
@@ -195,7 +185,11 @@ class RandomForest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForest":
-        return cls(params=ForestParams(**d["params"]),
+        # Older model files also carry four training settings that are now
+        # constants; they do not affect prediction.
+        known = {f.name for f in fields(ForestParams)}
+        params = {k: v for k, v in d["params"].items() if k in known}
+        return cls(params=ForestParams(**params),
                    trees=[DecisionTree.from_dict(t) for t in d["trees"]],
                    feature_names=list(d["feature_names"]))
 
@@ -212,7 +206,7 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForest:
     n = len(y)
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         trees.append(_grow(X[idx], y[idx], params, rng))
     return RandomForest(params, trees, names)
 
@@ -230,8 +224,13 @@ def predict(forest: RandomForest, data: Dataset | np.ndarray) -> np.ndarray:
     return forest.predict(X)
 
 
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
+def majority_vote(labels) -> np.ndarray:
+    """Per-row majority of a (voters, rows) label matrix, or of a list of
+    equal-length label arrays; ties go to the positive (dead) class."""
+    labels = np.asarray(labels)
+    positive = (labels == POSITIVE_CLASS).sum(axis=0)
+    return np.where(2 * positive >= len(labels), POSITIVE_CLASS,
+                    1 - POSITIVE_CLASS)
 
 
 @dataclass
@@ -239,24 +238,16 @@ class EnsembleModel:
     """One trained model per candidate dataset, aggregated at predict time."""
 
     models: list[RandomForest]
-    task: str = CLASSIFICATION
 
     def __post_init__(self):
         if not self.models:
             raise ValueError("ensemble needs at least one model")
-        if self.task not in (CLASSIFICATION, REGRESSION):
-            raise ValueError(f"unknown task {self.task!r}")
 
 
-def ensemble_predict(ensemble: EnsembleModel, data: Dataset | np.ndarray):
-    """Mode of per-model labels (classification, ties toward the positive
-    class) or arithmetic mean of per-model outputs (regression)."""
-    outputs = np.stack([predict(m, data) for m in ensemble.models])
-    if ensemble.task == REGRESSION:
-        return outputs.mean(axis=0)
-    pos_votes = (outputs == POSITIVE_CLASS).sum(axis=0)
-    return np.where(2 * pos_votes >= len(ensemble.models), POSITIVE_CLASS,
-                    1 - POSITIVE_CLASS)
+def ensemble_predict(ensemble: EnsembleModel,
+                     data: Dataset | np.ndarray) -> np.ndarray:
+    """Majority of the per-model labels, ties toward the positive class."""
+    return majority_vote([predict(m, data) for m in ensemble.models])
 
 
 @dataclass(frozen=True)
@@ -293,16 +284,15 @@ def evaluate(predicted, truth, positive_class: int = POSITIVE_CLASS) -> Metrics:
 
 
 def save_ensemble(ensemble: EnsembleModel, path: str | Path) -> None:
-    payload = {"task": ensemble.task,
-               "models": [m.to_dict() for m in ensemble.models]}
+    payload = {"models": [m.to_dict() for m in ensemble.models]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
 def load_ensemble(path: str | Path) -> EnsembleModel:
+    """Load a saved ensemble; the "task" key of older files is ignored."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     return EnsembleModel(models=[RandomForest.from_dict(m)
-                                 for m in payload["models"]],
-                         task=payload["task"])
+                                 for m in payload["models"]])

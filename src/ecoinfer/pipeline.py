@@ -22,8 +22,7 @@ import numpy as np
 from .similarity import (GREEDY_RANK, exact_match_fraction, match_rows,
                          similarity as similarity_score)
 from .aggregate import AggregateSpec, summarize
-from .forest import (ForestParams, EnsembleModel, Metrics, RandomForest,
-                     ensemble_predict, evaluate, train_forest)
+from .forest import ForestParams, Metrics, evaluate, majority_vote, train_forest
 from .reconstruct import CandidateSet, derived_seed, generate_candidates
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
 from .tabular import Dataset, undersample
@@ -46,10 +45,18 @@ class StageError(RuntimeError):
 
 
 def default_workers() -> int:
+    """Worker count from ECOINFER_WORKERS (a positive integer), else 1."""
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, "
+                         f"got {env!r}")
+    return workers
 
 
 @dataclass
@@ -64,8 +71,6 @@ class ExperimentPlan:
     forest: ForestParams = field(default_factory=ForestParams)
     undersample_rate: float | None = None
     rates: list[float] | None = None           # undersampling sweep
-    sweep_parameter: str | None = None         # controlled sweep
-    sweep_values: list[float] | None = None
     out_dir: Path | None = None
     base_seed: int = 2000
     workers: int = field(default_factory=default_workers)
@@ -78,8 +83,6 @@ class ExperimentPlan:
             raise ValueError("plan needs a config or an aggregate spec")
         if self.rates is not None and not self.rates:
             raise ValueError("rates list must be non-empty when present")
-        if self.sweep_values is not None and not self.sweep_values:
-            raise ValueError("sweep values must be non-empty when present")
 
 
 @dataclass
@@ -199,9 +202,7 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None, cs: CandidateSet,
 
         y_true = truth.outcome
         per_cand = [evaluate(p, y_true) for p in predictions]
-        votes = np.stack(predictions)
-        pos = (votes == 0).sum(axis=0)
-        ens_pred = np.where(2 * pos >= len(predictions), 0, 1)
+        ens_pred = majority_vote(predictions)
         ensemble_metrics = evaluate(ens_pred, y_true)
 
     report = EvalReport(

@@ -175,23 +175,6 @@ def reconstruct(spec: AggregateSpec, seed: int) -> Dataset:
     return Dataset(spec.schema, columns, seed=seed)
 
 
-def solve_all_cells(spec: AggregateSpec) -> dict[str, CellSolution]:
-    """Cell solutions for every binary feature (scalar-valued specs only)."""
-    r1 = spec.class_fraction
-    if isinstance(r1, tuple):
-        raise ValueError("ranged class_fraction has no single cell solution")
-    out = {}
-    for name in spec.schema.binary_feature_names:
-        stat = spec.binary[name]
-        if isinstance(stat.odds_ratio, tuple) or \
-                isinstance(stat.occurrence_fraction, tuple):
-            raise ValueError(f"ranged stats for {name!r} have no single "
-                             "cell solution")
-        out[name] = solve_cells(stat.odds_ratio, r1,
-                                stat.occurrence_fraction, spec.n)
-    return out
-
-
 def derived_seed(base_seed: int, k: int) -> int:
     return (base_seed + k * SEED_STRIDE) % _SEED_MOD
 
@@ -211,7 +194,9 @@ def _greedy_binary_distance(a: Dataset, b: Dataset) -> float:
     """Greedy rank-sum average distance over binary columns (incl. outcome).
 
     Binary 0/1 columns need no normalization, so this is a fast path of the
-    similarity module's greedy matcher used for the delta check.
+    similarity module's greedy matcher used for the delta check. It stays
+    separate from match_rows: that path divides by m and n in turn, which
+    moves some distances by one ulp, and it is slower.
     """
     names = a.schema.binary_columns()
     ma = a.to_matrix(names)
@@ -245,12 +230,16 @@ def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
     if len(kept) < n_candidates:
         raise PartialCandidateSetError(kept, attempts)
 
-    deviations = {}
-    try:
-        deviations = {name: sol.or_deviation
-                      for name, sol in solve_all_cells(spec).items()}
-    except ValueError:
-        pass  # ranged spec: per-candidate deviations differ, none recorded
+    # A ranged spec draws different cells per candidate: none are recorded.
+    stats = {name: spec.binary[name]
+             for name in spec.schema.binary_feature_names}
+    ranged = isinstance(spec.class_fraction, tuple) or any(
+        isinstance(v, tuple) for stat in stats.values()
+        for v in (stat.odds_ratio, stat.occurrence_fraction))
+    deviations = {} if ranged else {
+        name: solve_cells(stat.odds_ratio, spec.class_fraction,
+                          stat.occurrence_fraction, spec.n).or_deviation
+        for name, stat in stats.items()}
     return CandidateSet(spec=spec, delta=delta, candidates=kept,
                         attempts_used=attempts, or_deviations=deviations)
 

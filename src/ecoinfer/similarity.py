@@ -35,16 +35,6 @@ class RowMatching:
     average_distance: float
 
 
-def row_distance(a, b) -> float:
-    """Manhattan distance between two (jointly normalized) rows, scaled by
-    the inverse of the number of attributes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise SchemaError(f"row shapes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).mean())
-
-
 def joint_normalize(a: Dataset, b: Dataset,
                     feature_subset: list[str] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Core tabular dataset model: schema, validation, normalization, undersampling.
+"""Core tabular dataset model: schema, validation, undersampling.
 
 Binary columns are encoded as 0/1 integers with 0 the "positive" value
 (abnormal lab result, dead outcome) and 1 the "negative" value (normal,
@@ -238,28 +238,6 @@ def validate(dataset: Dataset) -> ValidationResult:
             violations += [f"column {name!r} row {int(i)}: non-finite value"
                            for i in bad]
     return ValidationResult(ok=not violations, violations=violations)
-
-
-def min_max_normalize(dataset: Dataset,
-                      feature_subset: list[str] | None = None) -> np.ndarray:
-    """Per-column min-max scaling into [0, 1].
-
-    Constant columns map to all zeros (the only choice that contributes
-    nothing to pairwise distances). Binary 0/1 columns with both values
-    present are unchanged.
-    """
-    if dataset.n_rows < 1:
-        raise ValueError("cannot normalize an empty dataset")
-    names = feature_subset if feature_subset is not None \
-        else dataset.schema.column_names
-    mat = dataset.to_matrix(list(names))
-    lo = mat.min(axis=0)
-    hi = mat.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(mat)
-    nz = span > 0
-    out[:, nz] = (mat[:, nz] - lo[nz]) / span[nz]
-    return out
 
 
 def undersample(dataset: Dataset, majority_class: int, rate: float,

@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from ecoinfer.forest import (CLASSIFICATION, REGRESSION, DecisionTree,
-                             EnsembleModel, ForestParams, Metrics, RandomForest,
-                             TreeNode, ensemble_predict, evaluate,
-                             load_ensemble, predict, save_ensemble,
+from ecoinfer.forest import (DecisionTree, EnsembleModel, ForestParams,
+                             Metrics, RandomForest, TreeNode, ensemble_predict,
+                             evaluate, load_ensemble, predict, save_ensemble,
                              train_forest)
 from ecoinfer.tabular import Dataset, FeatureSpec, Schema, SchemaError
 
@@ -123,12 +124,6 @@ class TestEnsemble:
         ens = EnsembleModel(models=models)
         assert ensemble_predict(ens, np.array([[1.0]])).tolist() == [0]
 
-    def test_regression_mean(self):
-        models = [constant_forest(v) for v in (0, 1, 1)]
-        ens = EnsembleModel(models=models, task=REGRESSION)
-        assert ensemble_predict(ens, np.array([[1.0]])).tolist() == \
-            pytest.approx([2 / 3])
-
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
             EnsembleModel(models=[])
@@ -179,19 +174,46 @@ class TestEvaluate:
         assert m2 == m
 
 
+def trained_ensemble(rng):
+    x = rng.integers(0, 2, 200)
+    z = rng.normal(0, 1, 200)
+    y = (x ^ (z > 0).astype(int))
+    ds = labeled_dataset(x, y, z)
+    return EnsembleModel(models=[
+        train_forest(ds, ForestParams(n_trees=5, seed=s)) for s in (1, 2)])
+
+
 class TestSerialization:
     def test_ensemble_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        x = rng.integers(0, 2, 200)
-        z = rng.normal(0, 1, 200)
-        y = (x ^ (z > 0).astype(int))
-        ds = labeled_dataset(x, y, z)
-        ens = EnsembleModel(models=[
-            train_forest(ds, ForestParams(n_trees=5, seed=s))
-            for s in (1, 2)])
+        ens = trained_ensemble(rng)
         path = tmp_path / "model.json"
         save_ensemble(ens, path)
         back = load_ensemble(path)
         probe = np.column_stack([rng.integers(0, 2, 30), rng.normal(0, 1, 30)])
+        assert np.array_equal(ensemble_predict(back, probe),
+                              ensemble_predict(ens, probe))
+
+    def test_loads_older_format(self, tmp_path):
+        # Older model files carry a "task" key and four more training
+        # settings per forest; both are ignored on load.
+        rng = np.random.default_rng(12)
+        ens = trained_ensemble(rng)
+        path = tmp_path / "model.json"
+        save_ensemble(ens, path)
+        payload = json.loads(path.read_text())
+        payload["task"] = "classification"
+        for model in payload["models"]:
+            model["params"].update(min_samples_split=2,
+                                   features_per_split=None, bootstrap=True,
+                                   max_thresholds=32)
+        path.write_text(json.dumps(payload))
+        back = load_ensemble(path)
+        assert [m.params for m in back.models] == \
+            [m.params for m in ens.models]
+        probe = np.column_stack([rng.integers(0, 2, 30), rng.normal(0, 1, 30)])
+        for loaded, trained in zip(back.models, ens.models):
+            assert np.array_equal(predict(loaded, probe),
+                                  predict(trained, probe))
         assert np.array_equal(ensemble_predict(back, probe),
                               ensemble_predict(ens, probe))

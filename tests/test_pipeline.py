@@ -5,8 +5,9 @@ import pytest
 
 from ecoinfer.cli import main
 from ecoinfer.forest import ForestParams
-from ecoinfer.pipeline import (ExperimentPlan, StageError, run_controlled_sweep,
-                               run_experiment, run_undersampling_sweep)
+from ecoinfer.pipeline import (ExperimentPlan, StageError, default_workers,
+                               run_controlled_sweep, run_experiment,
+                               run_undersampling_sweep)
 from ecoinfer.synth import builtin_configs, with_overrides
 
 
@@ -103,6 +104,24 @@ class TestRunExperiment:
             small_plan(rates=[])
 
 
+class TestDefaultWorkers:
+    def test_unset_is_one(self, monkeypatch):
+        monkeypatch.delenv("ECOINFER_WORKERS", raising=False)
+        assert default_workers() == 1
+
+    def test_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("ECOINFER_WORKERS", "2")
+        assert default_workers() == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("ECOINFER_WORKERS", value)
+        with pytest.raises(ValueError) as err:
+            default_workers()
+        assert "ECOINFER_WORKERS" in str(err.value)
+        assert repr(value) in str(err.value)
+
+
 class TestSweeps:
     def test_undersampling_sweep(self, tmp_path):
         out = tmp_path / "sweep"
@@ -172,6 +191,18 @@ class TestCli:
                      "--depth", "4", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["n_candidates"] == 2
+
+    def test_experiment_repeats(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--builtin", "1", "--n", "400",
+                     "--candidates", "2", "--delta", "0.0", "--trees", "3",
+                     "--depth", "4", "--repeats", "2", "--out", str(out)]) == 0
+        assert (out / "rep_0" / "report.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["repeats"] == 2
+        assert len(summary["ensemble_metrics"]) == 2
+        report = json.loads((out / "rep_1" / "report.json").read_text())
+        assert report["seeds"]["base_seed"] == 2000 + 7919
 
     def test_sweep_command(self, tmp_path):
         out = tmp_path / "sweep"

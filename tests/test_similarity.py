@@ -5,8 +5,9 @@ import pytest
 
 from ecoinfer.similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
                                  exact_match_fraction, joint_normalize,
-                                 match_rows, row_distance, similarity)
-from ecoinfer.tabular import Dataset, SchemaError
+                                 match_rows, similarity)
+from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
+                              SchemaError)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -17,23 +18,6 @@ def random_pair(rng, n_rows, n_features=3):
         rows = rng.integers(0, 2, size=(n_rows, n_features + 1))
         return dataset_from_rows(schema, rows)
     return make(), make()
-
-
-class TestRowDistance:
-    def test_identical_rows(self):
-        assert row_distance([0, 0, 1, 1], [0, 0, 1, 1]) == 0.0
-
-    def test_one_attribute_differs(self):
-        assert row_distance([1, 0, 1, 1], [0, 0, 1, 1]) == 0.25
-
-    def test_self_distance_zero(self):
-        rng = np.random.default_rng(0)
-        r = rng.random(6)
-        assert row_distance(r, r) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(SchemaError):
-            row_distance([1, 0], [1, 0, 1])
 
 
 class TestMatchRows:
@@ -155,3 +139,29 @@ class TestJointNormalization:
         # scale is min 0 / max 20 over the concatenation
         assert na[:, 0] == pytest.approx([0.0, 0.5])
         assert nb[:, 0] == pytest.approx([1.0, 0.25])
+
+    @pytest.mark.parametrize("a_col, b_col, a_out, b_out", [
+        ([5.0, 5.0], [5.0, 5.0], [0, 0], [0, 0]),  # constant column -> 0
+        ([0, 1], [1, 1], [0, 1], [1, 1]),          # 0/1 column unchanged
+    ], ids=["constant", "binary"])
+    def test_fixed_points(self, a_col, b_col, a_out, b_out):
+        a, b = continuous_pair(a_col, b_col)
+        na, nb = joint_normalize(a, b, ["v"])
+        assert na[:, 0].tolist() == a_out
+        assert nb[:, 0].tolist() == b_out
+
+    @pytest.mark.parametrize("a_col, b_col, names", [
+        ([0.0, 1.0], [1.0, 0.0], ["nope"]),  # unknown column
+        ([], [], None),                      # empty datasets
+    ], ids=["unknown-column", "empty"])
+    def test_rejected(self, a_col, b_col, names):
+        a, b = continuous_pair(a_col, b_col)
+        with pytest.raises(SchemaError):
+            joint_normalize(a, b, names)
+
+
+def continuous_pair(a_col, b_col):
+    schema = Schema(features=(FeatureSpec("v", CONTINUOUS),),
+                    outcome=FeatureSpec("y"))
+    return (Dataset(schema, {"v": a_col, "y": [0, 1][:len(a_col)]}),
+            Dataset(schema, {"v": b_col, "y": [1, 0][:len(b_col)]}))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              SchemaError, min_max_normalize, undersample,
-                              validate)
+                              SchemaError, undersample, validate)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -51,46 +50,6 @@ class TestValidate:
         ds = Dataset(mixed_schema(), {"flag": [0, 1], "value": [1.0, np.inf],
                                       "y": [0, 1]})
         assert not validate(ds).ok
-
-
-class TestMinMaxNormalize:
-    def test_linear_scaling(self):
-        ds = Dataset(mixed_schema(), {"flag": [0, 1, 0],
-                                      "value": [10.0, 20.0, 30.0],
-                                      "y": [0, 1, 1]})
-        out = min_max_normalize(ds, ["value"])
-        assert np.allclose(out[:, 0], [0, 0.5, 1])
-
-    def test_binary_column_unchanged(self):
-        schema = small_schema(1, names=("x",))
-        ds = Dataset(schema, {"x": [0, 1, 1, 0], "Dead": [1, 1, 0, 0]})
-        out = min_max_normalize(ds, ["x"])
-        assert np.array_equal(out[:, 0], [0, 1, 1, 0])
-
-    def test_constant_column_maps_to_zero(self):
-        ds = Dataset(mixed_schema(), {"flag": [0, 1, 0],
-                                      "value": [5.0, 5.0, 5.0],
-                                      "y": [0, 1, 1]})
-        out = min_max_normalize(ds, ["value"])
-        assert np.array_equal(out[:, 0], [0, 0, 0])
-
-    def test_all_cells_in_unit_interval(self):
-        rng = np.random.default_rng(3)
-        ds = Dataset(mixed_schema(), {"flag": rng.integers(0, 2, 50),
-                                      "value": rng.normal(0, 100, 50),
-                                      "y": rng.integers(0, 2, 50)})
-        out = min_max_normalize(ds)
-        assert out.min() >= 0 and out.max() <= 1
-
-    def test_unknown_feature_rejected(self, table_s1):
-        with pytest.raises(SchemaError):
-            min_max_normalize(table_s1, ["nope"])
-
-    def test_empty_dataset_rejected(self):
-        schema = small_schema(1, names=("x",))
-        ds = Dataset(schema, {"x": [], "Dead": []})
-        with pytest.raises(ValueError):
-            min_max_normalize(ds)
 
 
 def imbalanced_dataset():
