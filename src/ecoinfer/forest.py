@@ -36,35 +36,25 @@ class ForestParams:
             raise ValueError("max_depth must be >= 1")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (counts/pred)."""
-
-    feature: int | None = None
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    counts: tuple[int, int] = (0, 0)  # (positive=0 labels, negative=1 labels)
-    pred: int = 1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+# One tree node per record. A leaf has feature -1 and its bootstrap class
+# counts (positive, negative); an internal node keeps counts (0, 0) and
+# pred 1, the values every saved model file carries for it.
+NODE_DTYPE = np.dtype([("feature", np.int64), ("threshold", np.float64),
+                       ("left", np.int64), ("right", np.int64),
+                       ("counts", np.int64, (2,)), ("pred", np.int64)])
 
 
 class DecisionTree:
-    """One CART tree stored as a flat node array."""
+    """One CART tree: a record array of nodes in depth-first, left-first
+    order, the root first."""
 
-    def __init__(self, nodes: list[TreeNode]):
+    def __init__(self, nodes: np.ndarray):
         self.nodes = nodes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         nodes = self.nodes
-        feat = np.array([-1 if n.feature is None else n.feature for n in nodes])
-        thr = np.array([n.threshold for n in nodes])
-        left = np.array([n.left for n in nodes])
-        right = np.array([n.right for n in nodes])
-        pred = np.array([n.pred for n in nodes])
+        feat, thr = nodes["feature"], nodes["threshold"]
+        left, right = nodes["left"], nodes["right"]
         cur = np.zeros(len(X), dtype=np.int64)
         while True:
             internal = feat[cur] >= 0
@@ -74,96 +64,156 @@ class DecisionTree:
             f = feat[cur[rows]]
             go_left = X[rows, f] <= thr[cur[rows]]
             cur[rows] = np.where(go_left, left[cur[rows]], right[cur[rows]])
-        return pred[cur]
+        return nodes["pred"][cur]
 
     def depth(self) -> int:
-        def walk(i, d):
-            n = self.nodes[i]
-            if n.is_leaf:
-                return d
-            return max(walk(n.left, d + 1), walk(n.right, d + 1))
-        return walk(0, 0)
+        """Edges on the longest root-to-leaf path."""
+        feat, left, right = (self.nodes[k] for k in ("feature", "left", "right"))
+        level, depth = np.zeros(1, dtype=np.int64), 0
+        while True:
+            inner = level[feat[level] >= 0]
+            if not inner.size:
+                return depth
+            level = np.concatenate([left[inner], right[inner]])
+            depth += 1
 
     def to_dict(self) -> dict:
-        return {"nodes": [asdict(n) for n in self.nodes]}
+        nodes = self.nodes
+        return {"nodes": [
+            {"feature": None if f < 0 else f, "threshold": t, "left": l,
+             "right": r, "counts": c, "pred": p}
+            for f, t, l, r, c, p in zip(
+                *(nodes[k].tolist() for k in NODE_DTYPE.names))]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        nodes = []
-        for nd in d["nodes"]:
-            nd = dict(nd)
-            nd["counts"] = tuple(nd["counts"])
-            nodes.append(TreeNode(**nd))
-        return cls(nodes)
+        return cls(np.array(
+            [(-1 if nd["feature"] is None else nd["feature"], nd["threshold"],
+              nd["left"], nd["right"], tuple(nd["counts"]), nd["pred"])
+             for nd in d["nodes"]], dtype=NODE_DTYPE))
 
 
-def _leaf(nodes: list[TreeNode], y: np.ndarray) -> int:
-    n_pos = int(np.count_nonzero(y == POSITIVE_CLASS))
-    n_neg = len(y) - n_pos
-    pred = POSITIVE_CLASS if n_pos >= n_neg else 1 - POSITIVE_CLASS
-    nodes.append(TreeNode(counts=(n_pos, n_neg), pred=pred))
-    return len(nodes) - 1
+class _Patterns:
+    """A training set's distinct (features, outcome) rows, binned once.
 
+    A bootstrap becomes a weight per pattern, and a node's class counts
+    per feature value become one weighted ``bincount`` over global bins.
+    Every count is an integer, exact in float64, so each split scores
+    exactly as it would on the expanded bootstrap rows.
+    """
 
-def _best_split(X: np.ndarray, y: np.ndarray,
-                features: np.ndarray) -> tuple[int, float] | None:
-    """Minimum weighted-Gini (feature, threshold) over the candidates, or
-    None when no split separates the node."""
-    n = len(y)
-    is_pos = (y == POSITIVE_CLASS).astype(np.float64)
-    n_pos = is_pos.sum()
-    parent_gini = 1.0 - ((n_pos / n) ** 2 + ((n - n_pos) / n) ** 2)
-    best = None
-    best_score = parent_gini - 1e-12
-    for f in features:
-        v = X[:, f]
-        uniq = np.unique(v)
-        if len(uniq) < 2:
-            continue
-        mids = (uniq[1:] + uniq[:-1]) / 2.0
-        if len(mids) > MAX_THRESHOLDS:
-            pick = np.linspace(0, len(mids) - 1, MAX_THRESHOLDS).astype(int)
-            mids = mids[pick]
-        left = v[:, None] <= mids[None, :]
-        n_l = left.sum(axis=0).astype(np.float64)
-        pos_l = is_pos @ left
-        n_r = n - n_l
-        pos_r = n_pos - pos_l
-        with np.errstate(divide="ignore", invalid="ignore"):
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.n_features = X.shape[1]
+        self.bins = []  # per feature: its sorted distinct values
+        codes = []
+        negative = y != POSITIVE_CLASS
+        # Number the distinct rows one column at a time; renumbering after
+        # each column keeps the key below n * (values in the column).
+        key = negative.astype(np.int64)
+        for f in range(self.n_features):
+            bins, code = np.unique(X[:, f], return_inverse=True)
+            self.bins.append(bins)
+            codes.append(code)
+            key = np.unique(key * len(bins) + code, return_inverse=True)[1]
+        self.inverse = key
+        example = np.empty(key.max() + 1, dtype=np.int64)  # a row per pattern
+        example[key] = np.arange(len(key))
+        self.negative = negative[example]
+        # per pattern and feature: its value, and 2 * bin + (1 if negative)
+        self.values = [bins[code[example]]
+                       for bins, code in zip(self.bins, codes)]
+        self.slots = [2 * code[example] + self.negative for code in codes]
+        self.picks: dict[int, np.ndarray] = {}
+
+    def bootstrap(self, rng: np.random.Generator) -> np.ndarray:
+        """Pattern weights of one bootstrap resample of the training rows."""
+        n = len(self.inverse)
+        return np.bincount(self.inverse[rng.integers(0, n, size=n)],
+                           minlength=len(self.negative)).astype(np.float64)
+
+    def pick(self, n_mids: int) -> np.ndarray:
+        """Indices of the MAX_THRESHOLDS midpoints kept out of n_mids."""
+        if n_mids not in self.picks:
+            self.picks[n_mids] = np.linspace(0, n_mids - 1,
+                                             MAX_THRESHOLDS).astype(int)
+        return self.picks[n_mids]
+
+    def best_split(self, pats: np.ndarray, w: np.ndarray, n: float,
+                   n_pos: float, features: np.ndarray):
+        """Minimum weighted-Gini split of a node's patterns over the
+        candidate features, as (feature, threshold, left weight, left
+        positive weight), or None when no split separates the node.
+
+        Thresholds are midpoints of adjacent values present at the node.
+        A midpoint of two adjacent floats can round onto the upper one,
+        so the left side is everything ``<= mid``, found by search."""
+        parent_gini = 1.0 - ((n_pos / n) ** 2 + ((n - n_pos) / n) ** 2)
+        best = None
+        best_score = parent_gini - 1e-12
+        for f in features:
+            bins = self.bins[f]
+            hist = np.bincount(self.slots[f][pats], weights=w,
+                               minlength=2 * len(bins))
+            pos = hist[0::2]
+            total = pos + hist[1::2]
+            present = total.nonzero()[0]
+            if len(present) < 2:
+                continue
+            uniq = bins[present]
+            mids = (uniq[1:] + uniq[:-1]) / 2.0
+            if len(mids) > MAX_THRESHOLDS:
+                mids = mids[self.pick(len(mids))]
+            at = uniq.searchsorted(mids, side="right") - 1
+            n_l = total[present].cumsum()[at]
+            pos_l = pos[present].cumsum()[at]
+            n_r = n - n_l
+            pos_r = n_pos - pos_l
             g_l = 1.0 - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l ** 2
             g_r = 1.0 - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r ** 2
             score = (n_l * g_l + n_r * g_r) / n
-        score[(n_l == 0) | (n_r == 0)] = np.inf
-        j = int(np.argmin(score))
-        if score[j] < best_score:
-            best_score = score[j]
-            best = (int(f), float(mids[j]))
-    return best
+            score[n_r == 0] = np.inf
+            j = score.argmin()
+            if score[j] < best_score:
+                best_score = score[j]
+                best = (int(f), float(mids[j]), n_l[j], pos_l[j])
+        return best
 
+    def grow(self, max_depth: int, rng: np.random.Generator) -> DecisionTree:
+        """One tree on a bootstrap drawn from ``rng``, which then draws one
+        feature subset per split node in depth-first, left-first order."""
+        weights = self.bootstrap(rng)
+        d = self.n_features
+        k = math.ceil(math.sqrt(d))
+        rows: list[list] = []
 
-def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
-          rng: np.random.Generator) -> DecisionTree:
-    k = math.ceil(math.sqrt(X.shape[1]))
-    nodes: list[TreeNode] = []
+        def leaf(n, n_pos):
+            n_pos, n_neg = int(n_pos), int(n - n_pos)
+            pred = POSITIVE_CLASS if n_pos >= n_neg else 1 - POSITIVE_CLASS
+            rows.append([-1, 0.0, -1, -1, (n_pos, n_neg), pred])
+            return len(rows) - 1
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        ynode = y[idx]
-        if depth >= params.max_depth or (ynode == ynode[0]).all():
-            return _leaf(nodes, ynode)
-        feats = rng.choice(X.shape[1], size=k, replace=False)
-        split = _best_split(X[idx], ynode, feats)
-        if split is None:
-            return _leaf(nodes, ynode)
-        f, t = split
-        go_left = X[idx, f] <= t
-        node_id = len(nodes)
-        nodes.append(TreeNode(feature=f, threshold=t))
-        nodes[node_id].left = build(idx[go_left], depth + 1)
-        nodes[node_id].right = build(idx[~go_left], depth + 1)
-        return node_id
+        def build(pats, depth, n, n_pos):
+            if depth >= max_depth or n_pos == 0 or n_pos == n:
+                return leaf(n, n_pos)
+            feats = rng.choice(d, size=k, replace=False)
+            split = self.best_split(pats, weights[pats], n, n_pos, feats)
+            if split is None:
+                return leaf(n, n_pos)
+            f, t, n_l, pos_l = split
+            go_left = self.values[f][pats] <= t
+            node = len(rows)
+            rows.append([f, t, -1, -1, (0, 0), 1])
+            rows[node][2] = build(pats[go_left], depth + 1, n_l, pos_l)
+            rows[node][3] = build(pats[~go_left], depth + 1, n - n_l,
+                                  n_pos - pos_l)
+            return node
 
-    build(np.arange(len(y)), 0)
-    return DecisionTree(nodes)
+        # a threshold above every value leaves no weight right: 0 / 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            build(np.flatnonzero(weights), 0, weights.sum(),
+                  weights[~self.negative].sum())
+        return DecisionTree(np.array([tuple(r) for r in rows],
+                                     dtype=NODE_DTYPE))
 
 
 class RandomForest:
@@ -201,13 +251,10 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForest:
     y = data.outcome
     if len(np.unique(y)) < 2:
         raise ValueError("training data contains a single outcome class")
+    patterns = _Patterns(X, y)
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees = []
-    n = len(y)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        idx = rng.integers(0, n, size=n)
-        trees.append(_grow(X[idx], y[idx], params, rng))
+    trees = [patterns.grow(params.max_depth, np.random.default_rng(ss))
+             for ss in seeds]
     return RandomForest(params, trees, names)
 
 

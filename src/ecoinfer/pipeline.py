@@ -319,9 +319,9 @@ def _write_predictions_csv(path: Path, predictions: list[np.ndarray],
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         heads = [f"candidate_{k}" for k in range(len(predictions))]
         fh.write(",".join(heads + ["ensemble", "truth"]) + "\n")
-        mat = np.column_stack(predictions + [ens_pred, truth])
-        for row in mat:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        columns = [c.tolist() for c in predictions + [ens_pred, truth]]
+        row = ",".join(["%d"] * len(columns)) + "\n"
+        fh.writelines(row % cells for cells in zip(*columns))
 
 
 def _write_sweep_csv(path: Path, key: str, values: list[float],

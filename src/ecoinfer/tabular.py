@@ -176,16 +176,14 @@ class Dataset:
     def to_csv(self, path: str | Path) -> None:
         """Write the dataset as UTF-8 CSV with a JSON schema sidecar."""
         path = Path(path)
-        names = self.schema.column_names
+        specs = (*self.schema.features, self.schema.outcome)
+        # %d formats an int as str() does, %r a float as repr() does
+        row = ",".join("%d" if spec.kind == BINARY else "%r"
+                       for spec in specs) + "\n"
+        columns = [self.columns[spec.name].tolist() for spec in specs]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(names) + "\n")
-            for i in range(self.n_rows):
-                cells = []
-                for n in names:
-                    v = self.columns[n][i]
-                    cells.append(str(int(v)) if self.schema.spec_for(n).kind == BINARY
-                                 else repr(float(v)))
-                fh.write(",".join(cells) + "\n")
+            fh.write(",".join(spec.name for spec in specs) + "\n")
+            fh.writelines(row % cells for cells in zip(*columns))
         sidecar = {"schema": self.schema.to_dict(), "seed": self.seed}
         with open(sidecar_path(path), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2)

@@ -1,13 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ecoinfer.forest import (DecisionTree, EnsembleModel, ForestParams,
-                             Metrics, RandomForest, TreeNode, ensemble_predict,
-                             evaluate, load_ensemble, predict, save_ensemble,
-                             train_forest)
-from ecoinfer.tabular import Dataset, FeatureSpec, Schema, SchemaError
+from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, EnsembleModel,
+                             ForestParams, Metrics, RandomForest,
+                             ensemble_predict, evaluate, load_ensemble,
+                             predict, save_ensemble, train_forest)
+from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
+                              SchemaError)
 
 from conftest import small_schema
 
@@ -22,8 +24,20 @@ def labeled_dataset(x, y, extra=None):
     return Dataset(schema, cols)
 
 
+def continuous_dataset(columns, y):
+    schema = Schema(features=tuple(FeatureSpec(name, CONTINUOUS)
+                                   for name in columns),
+                    outcome=FeatureSpec("Dead"))
+    return Dataset(schema, {**columns, "Dead": y})
+
+
+def leaf_node(counts, pred):
+    return {"feature": None, "threshold": 0.0, "left": -1, "right": -1,
+            "counts": list(counts), "pred": pred}
+
+
 def constant_tree(label):
-    return DecisionTree([TreeNode(counts=(1, 1), pred=label)])
+    return DecisionTree.from_dict({"nodes": [leaf_node((1, 1), label)]})
 
 
 def constant_forest(label, feature_names=("x",)):
@@ -77,7 +91,9 @@ class TestTrainForest:
                              rng.normal(0, 1, n))
         params = ForestParams(n_trees=8, max_depth=3, seed=0)
         forest = train_forest(ds, params)
-        assert all(t.depth() <= 3 for t in forest.trees)
+        depths = [t.depth() for t in forest.trees]
+        assert depths == [reference_depth(t.nodes) for t in forest.trees]
+        assert max(depths) == 3
 
     def test_leaves_never_empty(self):
         rng = np.random.default_rng(7)
@@ -86,9 +102,134 @@ class TestTrainForest:
                              rng.normal(0, 1, n))
         forest = train_forest(ds, ForestParams(n_trees=5, seed=1))
         for tree in forest.trees:
-            for node in tree.nodes:
-                if node.is_leaf:
-                    assert sum(node.counts) > 0
+            leaves = tree.nodes[tree.nodes["feature"] < 0]
+            assert len(leaves) > 1
+            assert (leaves["counts"].sum(axis=1) > 0).all()
+
+    def test_midpoint_rounding_onto_upper_value_never_splits(self):
+        # The midpoint of two adjacent floats rounds onto the upper one, so
+        # "x <= mid" holds for every row and no threshold separates them.
+        a = 1 + 2.0 ** -52
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        ds = continuous_dataset({"x": [a] * 50 + [b] * 50}, [0] * 50 + [1] * 50)
+        forest = train_forest(ds, ForestParams(n_trees=10, seed=0))
+        assert all(len(t.nodes) == 1 for t in forest.trees)
+
+
+def reference_depth(nodes, i=0):
+    if nodes["feature"][i] < 0:
+        return 0
+    return 1 + max(reference_depth(nodes, nodes["left"][i]),
+                   reference_depth(nodes, nodes["right"][i]))
+
+
+def reference_best_split(X, y, features):
+    """Dense split search on the expanded bootstrap rows of one node."""
+    n = len(y)
+    is_pos = (y == 0).astype(np.float64)
+    n_pos = is_pos.sum()
+    best = None
+    best_score = 1.0 - ((n_pos / n) ** 2 + ((n - n_pos) / n) ** 2) - 1e-12
+    for f in features:
+        v = X[:, f]
+        uniq = np.unique(v)
+        if len(uniq) < 2:
+            continue
+        mids = (uniq[1:] + uniq[:-1]) / 2.0
+        if len(mids) > MAX_THRESHOLDS:
+            mids = mids[np.linspace(0, len(mids) - 1,
+                                    MAX_THRESHOLDS).astype(int)]
+        left = v[:, None] <= mids[None, :]
+        n_l = left.sum(axis=0).astype(np.float64)
+        pos_l = is_pos @ left
+        n_r = n - n_l
+        pos_r = n_pos - pos_l
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_l = 1.0 - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l ** 2
+            g_r = 1.0 - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r ** 2
+            score = (n_l * g_l + n_r * g_r) / n
+        score[(n_l == 0) | (n_r == 0)] = np.inf
+        j = int(np.argmin(score))
+        if score[j] < best_score:
+            best_score = score[j]
+            best = (int(f), float(mids[j]))
+    return best
+
+
+def reference_trees(X, y, params):
+    """Node lists of a forest grown row by row on each bootstrap, as the
+    trainer did before it worked on weighted distinct rows."""
+    k = math.ceil(math.sqrt(X.shape[1]))
+    trees = []
+    for ss in np.random.SeedSequence(params.seed).spawn(params.n_trees):
+        rng = np.random.default_rng(ss)
+        idx = rng.integers(0, len(y), size=len(y))
+        Xb, yb = X[idx], y[idx]
+        nodes = []
+
+        def leaf(yn):
+            n_pos = int(np.count_nonzero(yn == 0))
+            n_neg = len(yn) - n_pos
+            nodes.append(leaf_node((n_pos, n_neg), 0 if n_pos >= n_neg else 1))
+            return len(nodes) - 1
+
+        def build(rows, depth):
+            yn = yb[rows]
+            if depth >= params.max_depth or (yn == yn[0]).all():
+                return leaf(yn)
+            feats = rng.choice(X.shape[1], size=k, replace=False)
+            split = reference_best_split(Xb[rows], yn, feats)
+            if split is None:
+                return leaf(yn)
+            f, t = split
+            go_left = Xb[rows, f] <= t
+            node = len(nodes)
+            nodes.append({"feature": f, "threshold": t, "left": -1,
+                          "right": -1, "counts": [0, 0], "pred": 1})
+            nodes[node]["left"] = build(rows[go_left], depth + 1)
+            nodes[node]["right"] = build(rows[~go_left], depth + 1)
+            return node
+
+        build(np.arange(len(y)), 0)
+        trees.append({"nodes": nodes})
+    return trees
+
+
+def awkward_columns(rng, n):
+    a = 1 + 2.0 ** -52
+    return {
+        "adjacent": rng.choice([a, np.nextafter(a, 2.0), 1.0], n),
+        "tiny": rng.choice([0.1, 1e-300, -0.0, 0.0, 1 / 3, 5e-324], n),
+        "wide": rng.choice([-1e300, -1.0, 1e300, 2.0 ** 60], n),
+        "normal": rng.normal(0, 1, n),
+    }
+
+
+class TestSameTreesAsRowByRow:
+    """The pattern-weighted trainer grows the trees the row-by-row one
+    grew, node for node and bit for bit."""
+
+    @pytest.mark.parametrize("case", ["repeated", "many-values", "awkward"])
+    def test_same_trees(self, case):
+        rng = np.random.default_rng(13)
+        n = 400
+        if case == "repeated":
+            ds = labeled_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n),
+                                 np.round(rng.normal(40, 15, n)))
+        elif case == "many-values":
+            z = rng.normal(0, 1, n)
+            ds = continuous_dataset({"z": z, "r": np.round(z * 4),
+                                     "u": rng.random(n)},
+                                    (z + rng.normal(0, 1, n) > 0).astype(int))
+        else:
+            ds = continuous_dataset(awkward_columns(rng, n),
+                                    rng.integers(0, 2, n))
+        params = ForestParams(n_trees=6, max_depth=7, seed=5)
+        X = ds.to_matrix(ds.schema.feature_names)
+        got = [t.to_dict() for t in train_forest(ds, params).trees]
+        assert json.dumps(got) == \
+            json.dumps(reference_trees(X, ds.outcome, params))
 
 
 class TestPredict:

@@ -126,3 +126,13 @@ class TestCsvRoundTrip:
         ds.to_csv(p1)
         ds.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_exact_bytes(self, tmp_path):
+        # binary cells print as ints, continuous cells as repr(float)
+        ds = Dataset(mixed_schema(), {"flag": [0, 1, 1, 0],
+                                      "value": [0.1, 1e-300, -0.0, 1 / 3],
+                                      "y": [1, 0, 0, 1]})
+        path = tmp_path / "data.csv"
+        ds.to_csv(path)
+        assert path.read_bytes() == (b"flag,value,y\n0,0.1,1\n1,1e-300,0\n"
+                                     b"1,-0.0,0\n0,0.3333333333333333,1\n")
