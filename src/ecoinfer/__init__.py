@@ -2,7 +2,7 @@
 candidate-ensemble random forests, and the evaluation harness around them."""
 
 from .tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                      undersample, validate)
+                      undersample)
 from .aggregate import (AggregateSpec, BinaryStat, ContingencyTable,
                         ContinuousStat, UndefinedOddsRatioError,
                         contingency_table, odds_ratio, summarize)

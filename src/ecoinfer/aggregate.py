@@ -90,18 +90,11 @@ class ContinuousStat:
     stddev: float
 
 
-def _check_fraction(name: str, v: Value) -> None:
-    vals = v if isinstance(v, tuple) else (v, v)
-    for x in vals:
-        if not 0 < x < 1:
-            raise ValueError(f"{name} must be in (0, 1), got {v}")
-
-
-def _check_positive(name: str, v: Value) -> None:
-    vals = v if isinstance(v, tuple) else (v, v)
-    for x in vals:
-        if x <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+def _check_open(name: str, v: Value, lo: float, hi: float) -> None:
+    """A value, or each end of a range, must be in (lo, hi); NaN never is."""
+    for x in v if isinstance(v, tuple) else (v,):
+        if not lo < x < hi:
+            raise ValueError(f"{name} must be in ({lo}, {hi}), got {v}")
 
 
 @dataclass(frozen=True)
@@ -119,18 +112,23 @@ class AggregateSpec:
     continuous: dict[str, ContinuousStat] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        _check_fraction("class_fraction", self.class_fraction)
+        _check_open("n", self.n, 0, np.inf)
+        _check_open("class_fraction", self.class_fraction, 0, 1)
         for name in self.schema.binary_feature_names:
             if name not in self.binary:
                 raise ValueError(f"missing binary stats for {name!r}")
-            _check_positive(f"odds_ratio[{name}]", self.binary[name].odds_ratio)
-            _check_fraction(f"occurrence_fraction[{name}]",
-                            self.binary[name].occurrence_fraction)
+            _check_open(f"odds_ratio[{name}]", self.binary[name].odds_ratio,
+                        0, np.inf)
+            _check_open(f"occurrence_fraction[{name}]",
+                        self.binary[name].occurrence_fraction, 0, 1)
         for name in self.schema.continuous_feature_names:
             if name not in self.continuous:
                 raise ValueError(f"missing continuous stats for {name!r}")
+            s = self.continuous[name]  # drawn from a normal truncated at 0
+            _check_open(f"mean[{name}]", s.mean, -np.inf, np.inf)
+            if not 0 <= s.stddev < np.inf or s.stddev == 0 and s.mean < 0:
+                raise ValueError(f"stddev[{name}] must be finite, >= 0, and "
+                                 f"> 0 if the mean is < 0; got {s}")
 
     def to_dict(self) -> dict:
         def enc(v: Value):

@@ -79,8 +79,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
-        if self.config is None and self.spec is None:
-            raise ValueError("plan needs a config or an aggregate spec")
+        if (self.config is None) == (self.spec is None):
+            raise ValueError("plan needs exactly one of a config and an "
+                             "aggregate spec")
         if self.rates is not None and not self.rates:
             raise ValueError("rates list must be non-empty when present")
 
@@ -135,24 +136,22 @@ def _train_all(candidates: list[Dataset], params_list: list[ForestParams],
         return list(pool.map(_train_one, jobs))
 
 
+def _stage(name: str, fn, *args):
+    """fn(*args), with a failure tagged by the pipeline stage it hit."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        raise StageError(name, e) from e
+
+
 def _prepare(plan: ExperimentPlan) -> tuple[Dataset | None, AggregateSpec,
                                             CandidateSet]:
-    try:
-        if plan.config is not None:
-            truth = generate_ground_truth(plan.config)
-        else:
-            truth = plan.ground_truth
-    except Exception as e:
-        raise StageError("ground-truth", e) from e
-    try:
-        spec = summarize(truth) if truth is not None else plan.spec
-    except Exception as e:
-        raise StageError("summarize", e) from e
-    try:
-        cs = generate_candidates(spec, plan.n_candidates, plan.delta,
-                                 plan.base_seed, plan.max_attempts)
-    except Exception as e:
-        raise StageError("candidates", e) from e
+    truth, spec = plan.ground_truth, plan.spec  # a spec plan's inputs
+    if plan.config is not None:
+        truth = _stage("ground-truth", generate_ground_truth, plan.config)
+        spec = _stage("summarize", summarize, truth)
+    cs = _stage("candidates", generate_candidates, spec, plan.n_candidates,
+                plan.delta, plan.base_seed, plan.max_attempts)
     return truth, spec, cs
 
 
@@ -193,11 +192,8 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None, cs: CandidateSet,
 
         t0 = time.perf_counter()
         X_test = truth.to_matrix(truth.schema.feature_names)
-        try:
-            predictions = _train_all(train_sets, forest_params, X_test,
-                                     plan.workers)
-        except Exception as e:
-            raise StageError("training", e) from e
+        predictions = _stage("training", _train_all, train_sets,
+                             forest_params, X_test, plan.workers)
         timings["training_s"] = time.perf_counter() - t0
 
         y_true = truth.outcome

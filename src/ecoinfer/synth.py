@@ -57,14 +57,7 @@ class GroundTruthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gender_fraction", "pt_fraction", "ptt_fraction",
-                     "plate_fraction", "doa_fraction"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must be in (0,1), got {v}")
-        for name in ("gender_or", "pt_or", "ptt_or", "plate_or"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        self.to_spec()  # the spec checks every statistic and n
 
     def to_spec(self) -> AggregateSpec:
         return AggregateSpec(
@@ -114,16 +107,12 @@ def configs_to_json(configs: list[GroundTruthConfig], path: str | Path) -> None:
         fh.write("\n")
 
 
-def config_from_dict(d: dict) -> GroundTruthConfig:
-    return GroundTruthConfig(**d)
-
-
 def configs_from_json(path: str | Path) -> list[GroundTruthConfig]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
-    return [config_from_dict(d) for d in data]
+    return [GroundTruthConfig(**d) for d in data]
 
 
 def with_overrides(config: GroundTruthConfig, **kwargs) -> GroundTruthConfig:

@@ -1,4 +1,4 @@
-"""Core tabular dataset model: schema, validation, undersampling.
+"""Core tabular dataset model: schema, checked columns, CSV, undersampling.
 
 Binary columns are encoded as 0/1 integers with 0 the "positive" value
 (abnormal lab result, dead outcome) and 1 the "negative" value (normal,
@@ -9,7 +9,7 @@ immutable after construction so they can be shared freely across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +118,8 @@ class Dataset:
 
     Columns are numpy arrays marked read-only; all "mutation" is the
     construction of a new Dataset. ``seed`` records the RNG seed the data
-    was generated from, when applicable.
+    was generated from, when applicable. A cell that is not 0/1 (binary) or
+    finite (continuous) before the cast raises SchemaError naming its row.
     """
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
@@ -131,8 +132,12 @@ class Dataset:
             if name not in columns:
                 raise SchemaError(f"missing column {name!r}")
             kind = schema.spec_for(name).kind
-            dtype = np.int64 if kind == BINARY else np.float64
-            arr = np.asarray(columns[name], dtype=dtype).copy()
+            values = np.asarray(columns[name])
+            if (bad := _rejected(kind, values)).any():
+                row = int(np.argmax(bad))
+                raise SchemaError(f"column {name!r} row {row}: {values[row]} "
+                                  f"is not a valid {kind} cell")
+            arr = values.astype(np.int64 if kind == BINARY else np.float64)
             arr.setflags(write=False)
             cols[name] = arr
             lengths.add(len(arr))
@@ -190,52 +195,55 @@ class Dataset:
             fh.write("\n")
 
     @classmethod
-    def from_csv(cls, path: str | Path, schema: Schema | None = None) -> "Dataset":
+    def from_csv(cls, path: str | Path) -> "Dataset":
+        """Read to_csv's output; SchemaError names the line of a bad row."""
         path = Path(path)
-        if schema is None:
-            with open(sidecar_path(path), encoding="utf-8") as fh:
-                meta = json.load(fh)
-            schema = Schema.from_dict(meta["schema"])
-            seed = meta.get("seed")
-        else:
-            seed = None
+        with open(sidecar_path(path), encoding="utf-8") as fh:
+            meta = json.load(fh)
+        schema = Schema.from_dict(meta["schema"])
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             rows = [line.strip().split(",") for line in fh if line.strip()]
         if header != schema.column_names:
-            raise SchemaError(f"CSV header {header} does not match schema "
-                              f"{schema.column_names}")
-        raw = np.array(rows, dtype=np.float64) if rows else \
-            np.empty((0, len(header)))
-        columns = {n: raw[:, j] for j, n in enumerate(header)}
-        return cls(schema, columns, seed=seed)
+            raise SchemaError(f"{path}: line 1: header {header} does not "
+                              f"match schema {schema.column_names}")
+        try:
+            raw = np.array(rows, dtype=np.float64) if rows else \
+                np.empty((0, len(header)))
+            return cls(schema, dict(zip(header, raw.T, strict=True)),
+                       seed=meta.get("seed"))
+        except ValueError as e:
+            raise SchemaError(f"{path}: {_bad_line(path, schema) or e}") from e
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".schema.json")
 
 
-@dataclass
-class ValidationResult:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
+def _rejected(kind: str, values: np.ndarray) -> np.ndarray:
+    """Mask of the cells a column of this kind may not hold."""
+    return (values != 0) & (values != 1) if kind == BINARY \
+        else ~np.isfinite(values)
 
 
-def validate(dataset: Dataset) -> ValidationResult:
-    """Check Dataset invariants; violations are reported, not raised."""
-    violations = []
-    for name in dataset.schema.column_names:
-        col = dataset.column(name)
-        kind = dataset.schema.spec_for(name).kind
-        if kind == BINARY:
-            bad = np.flatnonzero((col != 0) & (col != 1))
-            violations += [f"column {name!r} row {int(i)}: non-binary value "
-                           f"{int(col[i])}" for i in bad]
-        else:
-            bad = np.flatnonzero(~np.isfinite(col))
-            violations += [f"column {name!r} row {int(i)}: non-finite value"
-                           for i in bad]
-    return ValidationResult(ok=not violations, violations=violations)
+def _bad_line(path: Path, schema: Schema) -> str | None:
+    """Error path of from_csv: read again to name the first line at fault."""
+    specs = (*schema.features, schema.outcome)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.strip().split(",")
+            if lineno == 1 or cells == [""]:
+                continue
+            if len(cells) != len(specs):
+                return f"line {lineno}: {len(cells)} cells, not {len(specs)}"
+            for spec, cell in zip(specs, cells):
+                try:
+                    bad = _rejected(spec.kind, np.float64(cell))
+                except ValueError:  # not a number
+                    bad = True
+                if bad:
+                    return (f"line {lineno}, column {spec.name!r}: "
+                            f"{cell!r} is not a valid {spec.kind} cell")
 
 
 def undersample(dataset: Dataset, majority_class: int, rate: float,

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContingencyTable,
-                                UndefinedOddsRatioError, contingency_table,
-                                odds_ratio, summarize)
+                                ContinuousStat, UndefinedOddsRatioError,
+                                contingency_table, odds_ratio, summarize)
 from ecoinfer.reconstruct import reconstruct
-from ecoinfer.tabular import Dataset, FeatureSpec, Schema, SchemaError
+from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
+                              SchemaError)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -120,9 +121,19 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError):
             AggregateSpec(schema=schema, n=10, class_fraction=0.0,
                           binary={"x": BinaryStat(1.0, 0.5)})
-        with pytest.raises(ValueError):
+        for bad_or in (-2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"odds_ratio\[x\]"):
+                AggregateSpec(schema=schema, n=10, class_fraction=0.5,
+                              binary={"x": BinaryStat(bad_or, 0.5)})
+
+    @pytest.mark.parametrize("mean, stddev", [
+        (np.nan, 1.0), (36.0, np.inf), (-1.0, -3.0), (-5.0, 0.0)])
+    def test_invalid_moments_rejected(self, mean, stddev):
+        schema = Schema(features=(FeatureSpec("Age", CONTINUOUS),),
+                        outcome=FeatureSpec("Dead"))
+        with pytest.raises(ValueError, match="Age"):
             AggregateSpec(schema=schema, n=10, class_fraction=0.5,
-                          binary={"x": BinaryStat(-2.0, 0.5)})
+                          continuous={"Age": ContinuousStat(mean, stddev)})
 
     def test_json_round_trip(self, tmp_path, trauma_cohort_pt):
         spec = summarize(trauma_cohort_pt)

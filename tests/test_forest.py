@@ -18,7 +18,7 @@ def labeled_dataset(x, y, extra=None):
     feats = [FeatureSpec("x")]
     cols = {"x": x, "Dead": y}
     if extra is not None:
-        feats.append(FeatureSpec("z"))
+        feats.append(FeatureSpec("z", CONTINUOUS))
         cols["z"] = extra
     schema = Schema(features=tuple(feats), outcome=FeatureSpec("Dead"))
     return Dataset(schema, cols)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ecoinfer import cli
 from ecoinfer.forest import (EnsembleModel, ForestParams, save_ensemble,
                              train_forest)
 from ecoinfer.pipeline import ExperimentPlan, run_experiment
@@ -77,6 +78,16 @@ def case_hashes(case: str, out: Path) -> dict[str, str]:
             for name in names}
 
 
+def cli_train_hash(out: Path) -> str:
+    """Hash of the model `ecoinfer train` writes from the candidate CSVs
+    case_hashes saved, with the forest settings it trained model.json with."""
+    paths = sorted(map(str, (out / "candidates").glob("candidate_*.csv")))
+    model = out / "cli_model.json"
+    assert cli.main(["train", *paths, "--trees", "10", "--depth", "8",
+                     "--seed", "0", "--out", str(model)]) == 0
+    return hashlib.sha256(model.read_bytes()).hexdigest()
+
+
 def numpy_major() -> int:
     return int(np.__version__.split(".")[0])
 
@@ -87,6 +98,9 @@ def test_golden_hashes(case, tmp_path):
     if expected is None:
         pytest.skip(f"no golden hashes recorded for numpy {np.__version__}")
     assert case_hashes(case, tmp_path) == expected[case]
+    if "model.json" in expected[case]:
+        # CSV read -> Dataset -> train_forest, through the CLI
+        assert cli_train_hash(tmp_path) == expected[case]["model.json"]
 
 
 if __name__ == "__main__":

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from ecoinfer.aggregate import summarize
 from ecoinfer.cli import main
 from ecoinfer.forest import ForestParams
 from ecoinfer.pipeline import (ExperimentPlan, StageError, default_workers,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
-from ecoinfer.synth import builtin_configs, with_overrides
+from ecoinfer.reconstruct import load_candidates
+from ecoinfer.synth import (builtin_configs, generate_ground_truth,
+                            with_overrides)
 
 
 def small_plan(**overrides):
@@ -80,8 +83,6 @@ class TestRunExperiment:
             report.ensemble_metrics["accuracy"])
 
     def test_spec_only_plan_skips_evaluation(self):
-        from ecoinfer.aggregate import summarize
-        from ecoinfer.synth import generate_ground_truth
         truth = generate_ground_truth(with_overrides(builtin_configs()[0],
                                                      n=400))
         report = run_experiment(small_plan(config=None, spec=summarize(truth)))
@@ -98,6 +99,9 @@ class TestRunExperiment:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             ExperimentPlan()
+        with pytest.raises(ValueError, match="exactly one"):
+            small_plan(spec=summarize(generate_ground_truth(
+                small_plan().config)))
         with pytest.raises(ValueError):
             small_plan(n_candidates=0)
         with pytest.raises(ValueError):
@@ -191,6 +195,23 @@ class TestCli:
                      "--depth", "4", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["n_candidates"] == 2
+
+    def test_experiment_spec_with_truth_uses_the_spec(self, tmp_path):
+        # the truth has 40 dead rows of 400; the spec asks for 120
+        gt, spec, out = tmp_path / "gt.csv", tmp_path / "spec.json", \
+            tmp_path / "exp"
+        assert main(["synth", "--builtin", "1", "--n", "400",
+                     "--out", str(gt)]) == 0
+        assert main(["summarize", str(gt), "--out", str(spec)]) == 0
+        spec.write_text(spec.read_text().replace(
+            '"class_fraction": 0.1,', '"class_fraction": 0.3,'))
+        assert main(["experiment", "--spec", str(spec), "--truth", str(gt),
+                     "--candidates", "2", "--delta", "0.0", "--trees", "3",
+                     "--depth", "4", "--out", str(out)]) == 0
+        candidates = load_candidates(out / "candidates").candidates
+        assert [int((c.outcome == 0).sum()) for c in candidates] == [120, 120]
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["per_candidate_metrics"]) == 2
 
     def test_experiment_repeats(self, tmp_path):
         out = tmp_path / "exp"

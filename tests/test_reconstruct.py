@@ -1,12 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 
-from ecoinfer.aggregate import (AggregateSpec, BinaryStat, contingency_table,
-                                summarize)
-from ecoinfer.reconstruct import (PartialCandidateSetError, derived_seed,
+from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
+                                contingency_table, summarize)
+from ecoinfer.reconstruct import (InfeasibleSpecError,
+                                  PartialCandidateSetError, derived_seed,
                                   generate_candidates, load_candidates,
                                   reconstruct, save_candidates, solve_cells)
-from ecoinfer.tabular import validate
+from ecoinfer.tabular import CONTINUOUS, FeatureSpec, Schema
 
 from conftest import small_schema
 
@@ -92,7 +95,6 @@ class TestReconstruct:
     def test_exact_margins_and_cells(self):
         spec = trio_spec()
         ds = reconstruct(spec, seed=9)
-        assert validate(ds).ok
         assert int((ds.outcome == 0).sum()) == round(0.25 * 400)
         for name, stat in spec.binary.items():
             t = contingency_table(ds, name)
@@ -114,6 +116,26 @@ class TestReconstruct:
                  for s in range(5)}
         assert len(fracs) > 1
         assert all(0.2 - 0.01 <= v <= 0.4 + 0.01 for v in fracs)
+
+
+def age_spec(mean, stddev, n=10):
+    schema = Schema(features=(FeatureSpec("Age", CONTINUOUS),),
+                    outcome=FeatureSpec("Dead"))
+    return AggregateSpec(schema=schema, n=n, class_fraction=0.5,
+                         continuous={"Age": ContinuousStat(mean, stddev)})
+
+
+class TestTruncatedNormal:
+    def test_no_mass_at_or_above_zero_raises(self):
+        # the uncapped redraw loop never ended here
+        t0 = time.perf_counter()
+        with pytest.raises(InfeasibleSpecError, match="Age"):
+            reconstruct(age_spec(-100.0, 1.0), seed=0)
+        assert time.perf_counter() - t0 < 10
+
+    def test_centred_at_zero_reconstructs(self):
+        ages = reconstruct(age_spec(0.0, 1.0, n=1000), seed=0).column("Age")
+        assert (ages >= 0).all() and (ages > 0).any()
 
 
 class TestRootFeasibility:

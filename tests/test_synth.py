@@ -5,7 +5,6 @@ from ecoinfer.aggregate import summarize
 from ecoinfer.synth import (GroundTruthConfig, atc_schema, builtin_configs,
                             configs_from_json, configs_to_json,
                             generate_ground_truth, with_overrides)
-from ecoinfer.tabular import validate
 
 
 class TestBuiltinConfigs:
@@ -33,6 +32,11 @@ class TestBuiltinConfigs:
             GroundTruthConfig(2, 0.6, 4, 0.3, 6, 0.2, 8, 0.1, 1.5)
         with pytest.raises(ValueError):
             GroundTruthConfig(-2, 0.6, 4, 0.3, 6, 0.2, 8, 0.1, 0.1)
+        # the statistics the config shares with its spec are checked there
+        for bad in (dict(n=0), dict(age_mean=np.nan), dict(age_sd=-3.0),
+                    dict(age_mean=-5.0, age_sd=0.0), dict(pt_or=np.inf)):
+            with pytest.raises(ValueError):
+                with_overrides(builtin_configs()[0], **bad)
 
 
 class TestGenerateGroundTruth:
@@ -40,7 +44,6 @@ class TestGenerateGroundTruth:
         ds = generate_ground_truth(builtin_configs()[0])
         assert ds.n_rows == 10_000
         assert int((ds.outcome == 0).sum()) == 1000
-        assert validate(ds).ok
 
     def test_config1_or_round_trip(self):
         ds = generate_ground_truth(builtin_configs()[0])
@@ -64,7 +67,6 @@ class TestGenerateGroundTruth:
         # acceptance suite
         cfg = with_overrides(builtin_configs()[idx], n=2000)
         ds = generate_ground_truth(cfg)
-        assert validate(ds).ok
         back = summarize(ds)
         assert back.n == 2000
 

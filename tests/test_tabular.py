@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              SchemaError, undersample, validate)
+                              SchemaError, undersample)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -31,25 +31,32 @@ class TestSchema:
 
 
 class TestValidate:
+    """The constructor checks cell values before casting them."""
+
     def test_candidate_table_ok(self, table_s1):
-        assert validate(table_s1).ok
+        # float 0.0/1.0 cells, as a CSV read gives them, are exact binaries
+        floats = {n: c.astype(np.float64) for n, c in table_s1.columns.items()}
+        ds = Dataset(table_s1.schema, floats)
+        assert ds == table_s1
+        assert ds.column("PTT").dtype == np.int64
 
     def test_binary_value_out_of_range(self):
         schema = small_schema(1, names=("x",))
-        ds = Dataset(schema, {"x": [0, 2, 1], "Dead": [0, 1, 1]})
-        result = validate(ds)
-        assert not result.ok
-        assert "row 1" in result.violations[0] and "'x'" in result.violations[0]
+        for bad in (2, 0.7, -1, np.nan):
+            with pytest.raises(SchemaError, match=r"'x' row 1: .* binary"):
+                Dataset(schema, {"x": [0, bad, 1], "Dead": [0, 1, 1]})
 
     def test_empty_dataset_ok(self):
         schema = small_schema(1, names=("x",))
         ds = Dataset(schema, {"x": [], "Dead": []})
-        assert validate(ds).ok
+        assert ds.n_rows == 0
 
     def test_non_finite_continuous_flagged(self):
-        ds = Dataset(mixed_schema(), {"flag": [0, 1], "value": [1.0, np.inf],
-                                      "y": [0, 1]})
-        assert not validate(ds).ok
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(SchemaError,
+                               match=r"'value' row 1: .* continuous cell"):
+                Dataset(mixed_schema(), {"flag": [0, 1], "value": [1.0, bad],
+                                         "y": [0, 1]})
 
 
 def imbalanced_dataset():
@@ -136,3 +143,26 @@ class TestCsvRoundTrip:
         ds.to_csv(path)
         assert path.read_bytes() == (b"flag,value,y\n0,0.1,1\n1,1e-300,0\n"
                                      b"1,-0.0,0\n0,0.3333333333333333,1\n")
+
+
+class TestCsvErrors:
+    # line 4 of a file whose line 3 is blank; what the error must name
+    @pytest.mark.parametrize("line, named", [
+        ("0,1.5", "line 4: 2 cells, not 3"),
+        ('0,"1.0",1', "line 4, column 'value': '\"1.0\"' is not a valid "
+                      "continuous cell"),
+        ("0.7,1.5,1", "line 4, column 'flag': '0.7' is not a valid binary "
+                      "cell"),
+        ("0,1.5,2", "line 4, column 'y': '2' is not a valid binary cell"),
+        ("0,nan,1", "line 4, column 'value': 'nan' is not a valid continuous "
+                    "cell"),
+    ], ids=["ragged", "quoted", "binary-0.7", "binary-2", "nan"])
+    def test_names_file_and_line(self, tmp_path, line, named):
+        path = tmp_path / "data.csv"
+        Dataset(mixed_schema(), {"flag": [0], "value": [1.5],
+                                 "y": [1]}).to_csv(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"\n{line}\n")
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == f"{path}: {named}"
