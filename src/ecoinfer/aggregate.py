@@ -24,9 +24,10 @@ Value = float | tuple[float, float]
 class UndefinedOddsRatioError(ValueError):
     """A zero cell makes the odds ratio undefined; carries the table."""
 
-    def __init__(self, table: "ContingencyTable"):
+    def __init__(self, table: "ContingencyTable", feature: str | None = None):
         self.table = table
-        super().__init__(f"odds ratio undefined for table {table}: "
+        of = f" of {feature!r}" if feature is not None else ""
+        super().__init__(f"odds ratio{of} undefined for table {table}: "
                          "zero denominator cell")
 
 
@@ -55,10 +56,10 @@ class ContingencyTable:
         return (self.l1, self.l2, self.l3, self.l4)
 
 
-def odds_ratio(t: ContingencyTable) -> float:
-    """(l1*l4) / (l2*l3)."""
+def odds_ratio(t: ContingencyTable, feature: str | None = None) -> float:
+    """(l1*l4) / (l2*l3); feature only names the table in the error."""
     if t.l2 * t.l3 == 0:
-        raise UndefinedOddsRatioError(t)
+        raise UndefinedOddsRatioError(t, feature)
     return (t.l1 * t.l4) / (t.l2 * t.l3)
 
 
@@ -192,7 +193,7 @@ def summarize(dataset: Dataset) -> AggregateSpec:
         if f.kind == BINARY:
             t = contingency_table(dataset, f.name)
             binary[f.name] = BinaryStat(
-                odds_ratio=odds_ratio(t),
+                odds_ratio=odds_ratio(t, f.name),
                 occurrence_fraction=float(np.count_nonzero(col == 0)) / n,
             )
         else:

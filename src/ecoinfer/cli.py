@@ -15,9 +15,8 @@ from pathlib import Path
 from .aggregate import AggregateSpec, summarize
 from .forest import (EnsembleModel, ForestParams, ensemble_predict, evaluate,
                      load_ensemble, save_ensemble, train_forest)
-from .pipeline import (ExperimentPlan, StageError, default_workers,
-                       run_controlled_sweep, run_experiment,
-                       run_undersampling_sweep, SWEEPABLE)
+from .pipeline import (ExperimentPlan, StageError, run_controlled_sweep,
+                       run_experiment, run_undersampling_sweep, SWEEPABLE)
 from .reconstruct import generate_candidates, save_candidates
 from .similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
                          exact_match_fraction, match_rows)
@@ -28,6 +27,23 @@ from .tabular import Dataset
 
 def _add_seed(p, default=0):
     p.add_argument("--seed", type=int, default=default)
+
+
+def _add_plan_args(p):
+    """The ExperimentPlan flags of experiment and sweep; returns the
+    required group that picks the plan's input."""
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--builtin", type=int, metavar="1-10")
+    g.add_argument("--config", type=Path)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--candidates", type=int, default=9)
+    p.add_argument("--delta", type=float, default=0.15)
+    p.add_argument("--trees", type=int, default=50)
+    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--out", type=Path, required=True)
+    _add_seed(p, default=2000)
+    return g
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,42 +102,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset has labels; also print metrics")
 
     p = sub.add_parser("experiment", help="full pipeline run")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--builtin", type=int, metavar="1-10")
-    g.add_argument("--config", type=Path)
+    g = _add_plan_args(p)
     g.add_argument("--spec", type=Path, help="aggregate spec JSON (no "
                    "ground-truth evaluation unless --truth is given)")
     p.add_argument("--truth", type=Path, default=None,
                    help="ground-truth CSV to evaluate a --spec run against")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--candidates", type=int, default=9)
-    p.add_argument("--delta", type=float, default=0.15)
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--depth", type=int, default=8)
     p.add_argument("--rate", type=float, default=None,
                    help="majority-class undersampling rate")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", type=Path, required=True)
-    _add_seed(p, default=2000)
 
     p = sub.add_parser("sweep", help="undersampling-rate or controlled sweep")
+    _add_plan_args(p)
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--builtin", type=int, metavar="1-10")
-    g.add_argument("--config", type=Path)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rates", type=float, nargs="+", default=None,
+    g.add_argument("--rates", type=float, nargs="+", default=None,
                    help="undersampling sweep rates")
-    p.add_argument("--parameter", choices=SWEEPABLE, default=None,
+    g.add_argument("--parameter", choices=SWEEPABLE, default=None,
                    help="controlled-sweep parameter")
-    p.add_argument("--values", type=float, nargs="+", default=None)
-    p.add_argument("--candidates", type=int, default=9)
-    p.add_argument("--delta", type=float, default=0.15)
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", type=Path, required=True)
-    _add_seed(p, default=2000)
+    p.add_argument("--values", type=float, nargs="+", default=None,
+                   help="controlled-sweep values (with --parameter only)")
     return ap
 
 
@@ -222,17 +220,15 @@ def _cmd_predict(args) -> int:
 
 def _experiment_plan(args, base_seed: int, out: Path) -> ExperimentPlan:
     """The plan of one `experiment` run or `sweep`, writing under out."""
-    workers = args.workers if args.workers else default_workers()
-    kwargs = dict(n_candidates=args.candidates, delta=args.delta,
-                  forest=_forest_params(args, seed=base_seed + 1),
-                  undersample_rate=getattr(args, "rate", None),
-                  rates=getattr(args, "rates", None),
-                  out_dir=out, base_seed=base_seed, workers=workers)
-    if getattr(args, "spec", None) is not None:
-        spec = AggregateSpec.from_json(args.spec)
-        truth = Dataset.from_csv(args.truth) if args.truth else None
-        return ExperimentPlan(spec=spec, ground_truth=truth, **kwargs)
-    return ExperimentPlan(config=_load_config(args), **kwargs)
+    spec, truth = getattr(args, "spec", None), getattr(args, "truth", None)
+    return ExperimentPlan(
+        config=None if spec else _load_config(args),
+        spec=AggregateSpec.from_json(spec) if spec else None,
+        ground_truth=Dataset.from_csv(truth) if truth else None,
+        n_candidates=args.candidates, delta=args.delta,
+        forest=_forest_params(args, seed=base_seed + 1),
+        undersample_rate=getattr(args, "rate", None),
+        out_dir=out, base_seed=base_seed, workers=args.workers)
 
 
 def _cmd_experiment(args) -> int:
@@ -260,16 +256,16 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if (args.parameter is None) != (args.values is None):
+        raise ValueError("--values goes with --parameter, and --parameter "
+                         "needs --values")
     plan = _experiment_plan(args, args.seed, args.out)
     if args.rates:
-        reports = run_undersampling_sweep(plan)
+        reports = run_undersampling_sweep(plan, args.rates)
         print(f"{len(reports)} undersampling reports written to {args.out}")
-    elif args.parameter and args.values:
-        reports = run_controlled_sweep(plan.config, args.parameter,
-                                       args.values, plan)
-        print(f"{len(reports)} controlled-sweep reports written to {args.out}")
     else:
-        raise ValueError("provide --rates, or --parameter with --values")
+        reports = run_controlled_sweep(plan, args.parameter, args.values)
+        print(f"{len(reports)} controlled-sweep reports written to {args.out}")
     return 0
 
 

@@ -23,7 +23,8 @@ from .similarity import (GREEDY_RANK, exact_match_fraction, match_rows,
                          similarity as similarity_score)
 from .aggregate import AggregateSpec, summarize
 from .forest import ForestParams, Metrics, evaluate, majority_vote, train_forest
-from .reconstruct import CandidateSet, derived_seed, generate_candidates
+from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
+                          save_candidates)
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
 from .tabular import Dataset, undersample
 
@@ -61,7 +62,8 @@ def default_workers() -> int:
 
 @dataclass
 class ExperimentPlan:
-    """Everything needed to run one experiment (or a sweep of them)."""
+    """Everything needed to run one experiment; a sweep varies one field.
+    workers=None means default_workers()."""
 
     config: GroundTruthConfig | None = None
     spec: AggregateSpec | None = None          # alternative input: aggregates only
@@ -70,11 +72,9 @@ class ExperimentPlan:
     delta: float = 0.15
     forest: ForestParams = field(default_factory=ForestParams)
     undersample_rate: float | None = None
-    rates: list[float] | None = None           # undersampling sweep
     out_dir: Path | None = None
     base_seed: int = 2000
-    workers: int = field(default_factory=default_workers)
-    max_attempts: int = 1000
+    workers: int | None = None
 
     def __post_init__(self):
         if self.n_candidates < 1:
@@ -82,8 +82,12 @@ class ExperimentPlan:
         if (self.config is None) == (self.spec is None):
             raise ValueError("plan needs exactly one of a config and an "
                              "aggregate spec")
-        if self.rates is not None and not self.rates:
-            raise ValueError("rates list must be non-empty when present")
+        if self.ground_truth is not None and self.config is not None:
+            raise ValueError("ground_truth goes with a spec, not a config")
+        if self.workers is None:
+            self.workers = default_workers()
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -144,31 +148,24 @@ def _stage(name: str, fn, *args):
         raise StageError(name, e) from e
 
 
-def _prepare(plan: ExperimentPlan) -> tuple[Dataset | None, AggregateSpec,
-                                            CandidateSet]:
+def _prepare(plan: ExperimentPlan) -> tuple[Dataset | None, CandidateSet]:
     truth, spec = plan.ground_truth, plan.spec  # a spec plan's inputs
     if plan.config is not None:
         truth = _stage("ground-truth", generate_ground_truth, plan.config)
         spec = _stage("summarize", summarize, truth)
     cs = _stage("candidates", generate_candidates, spec, plan.n_candidates,
-                plan.delta, plan.base_seed, plan.max_attempts)
-    return truth, spec, cs
+                plan.delta, plan.base_seed)
+    return truth, cs
 
 
-def _evaluate(plan: ExperimentPlan, truth: Dataset | None, cs: CandidateSet,
-              rate: float | None, out_dir: Path | None) -> EvalReport:
+def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
+              cs: CandidateSet) -> EvalReport:
     timings: dict[str, float] = {}
-
+    rate, out_dir = plan.undersample_rate, plan.out_dir
     train_sets = cs.candidates
-    if rate is not None and rate < 1.0:
-        resampled = []
-        for cand in train_sets:
-            y = cand.outcome
-            majority = 1 if np.count_nonzero(y == 1) >= np.count_nonzero(y == 0) \
-                else 0
-            resampled.append(undersample(cand, majority, rate,
-                                         derived_seed(cand.seed, 1)))
-        train_sets = resampled
+    if rate is not None:
+        train_sets = [undersample(c, rate, derived_seed(c.seed, 1))
+                      for c in train_sets]
 
     sim_binary: list[float] = []
     sim_all: list[float] = []
@@ -238,41 +235,45 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None, cs: CandidateSet,
 def run_experiment(plan: ExperimentPlan) -> EvalReport:
     """Full pipeline run; writes report.json and plot-ready CSVs if the plan
     has an output directory."""
-    truth, spec, cs = _prepare(plan)
+    truth, cs = _prepare(plan)
     if plan.out_dir is not None:
-        from .reconstruct import save_candidates
         plan.out_dir.mkdir(parents=True, exist_ok=True)
         save_candidates(cs, plan.out_dir / "candidates")
         if truth is not None:
             truth.to_csv(plan.out_dir / "ground_truth.csv")
-    return _evaluate(plan, truth, cs, plan.undersample_rate, plan.out_dir)
+    return _evaluate(plan, truth, cs)
 
 
-def run_undersampling_sweep(plan: ExperimentPlan) -> list[EvalReport]:
-    """One report per majority-class sampling rate, sharing candidates."""
-    if not plan.rates:
-        raise ValueError("plan.rates must be set for an undersampling sweep")
-    truth, spec, cs = _prepare(plan)
+def run_undersampling_sweep(plan: ExperimentPlan,
+                            rates: list[float]) -> list[EvalReport]:
+    """One report per majority-class sampling rate, sharing candidates: the
+    plan with its undersample_rate set to each rate in turn."""
+    if not rates:
+        raise ValueError("an undersampling sweep needs at least one rate")
+    truth, cs = _prepare(plan)
     reports = []
-    for rate in plan.rates:
+    for rate in rates:
         sub = plan.out_dir / f"rate_{rate:g}" if plan.out_dir else None
-        reports.append(_evaluate(plan, truth, cs, rate, sub))
+        reports.append(_evaluate(
+            replace(plan, undersample_rate=rate, out_dir=sub), truth, cs))
     if plan.out_dir is not None:
         _write_sweep_csv(plan.out_dir / "fig6_undersampling.csv",
-                         "rate", plan.rates, reports)
+                         "rate", rates, reports)
     return reports
 
 
-def run_controlled_sweep(base: GroundTruthConfig, parameter: str,
-                         values: list[float],
-                         plan: ExperimentPlan) -> list[EvalReport]:
-    """One experiment per parameter value, all else held fixed."""
+def run_controlled_sweep(plan: ExperimentPlan, parameter: str,
+                         values: list[float]) -> list[EvalReport]:
+    """One experiment per value of one parameter of plan.config, all else
+    held fixed."""
     if parameter not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
                          f"one of {SWEEPABLE}")
+    if plan.config is None:
+        raise ValueError("a controlled sweep needs a plan with a config")
     reports = []
     for v in values:
-        cfg = with_overrides(base, **{parameter: v})
+        cfg = with_overrides(plan.config, **{parameter: v})
         sub = plan.out_dir / f"{parameter}_{v:g}" if plan.out_dir else None
         reports.append(run_experiment(replace(plan, config=cfg, out_dir=sub)))
     if plan.out_dir is not None:

@@ -246,19 +246,18 @@ def _bad_line(path: Path, schema: Schema) -> str | None:
                             f"{cell!r} is not a valid {spec.kind} cell")
 
 
-def undersample(dataset: Dataset, majority_class: int, rate: float,
-                seed: int) -> Dataset:
+def undersample(dataset: Dataset, rate: float, seed: int) -> Dataset:
     """Keep all minority-class rows and a seeded uniform sample of the majority.
 
+    The majority class is the more frequent outcome, class 1 on a tie.
     floor(rate * majority_count) majority rows are kept; the original
     relative row order is preserved.
     """
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     y = dataset.outcome
+    majority_class = int(2 * np.count_nonzero(y) >= y.size)
     majority = np.flatnonzero(y == majority_class)
-    if majority.size == 0:
-        raise ValueError(f"majority class {majority_class} not present")
     if rate == 1.0:
         return dataset
     rng = np.random.default_rng(seed)

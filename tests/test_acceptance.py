@@ -46,8 +46,7 @@ def full_reports():
 @pytest.fixture(scope="session")
 def undersampling_reports():
     rates = [round(0.1 * k, 1) for k in range(1, 11)]
-    plan = _plan(builtin_configs()[0], rates=rates)
-    return rates, run_undersampling_sweep(plan)
+    return rates, run_undersampling_sweep(_plan(builtin_configs()[0]), rates)
 
 
 def test_criterion_01_odds_ratio_example():
@@ -188,17 +187,17 @@ def test_criterion_10_controlled_sweeps():
     plan = _plan(base)
     values = [0.1, 0.2, 0.3, 0.4, 0.5]
 
-    doa = run_controlled_sweep(base, "doa_fraction", values, plan)
+    doa = run_controlled_sweep(plan, "doa_fraction", values)
     rec = [r.ensemble_metrics["recall"] for r in doa]
     acc = [r.ensemble_metrics["accuracy"] for r in doa]
     assert all(b >= a - 0.03 for a, b in zip(rec, rec[1:]))
     assert max(acc) - acc[0] <= 0.03
 
-    ors = run_controlled_sweep(base, "pt_or", [2, 4, 6, 8, 10], plan)
+    ors = run_controlled_sweep(plan, "pt_or", [2, 4, 6, 8, 10])
     prec = [r.ensemble_metrics["precision"] for r in ors]
     assert prec[-1] >= prec[0]
 
-    frac = run_controlled_sweep(base, "pt_fraction", values, plan)
+    frac = run_controlled_sweep(plan, "pt_fraction", values)
     facc = [r.ensemble_metrics["accuracy"] for r in frac]
     assert max(facc) - min(facc) <= 0.05
     _pass(10, f"DOA sweep recall {rec[0]:.3f}->{rec[-1]:.3f} monotone, "

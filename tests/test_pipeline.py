@@ -13,6 +13,11 @@ from ecoinfer.reconstruct import load_candidates
 from ecoinfer.synth import (builtin_configs, generate_ground_truth,
                             with_overrides)
 
+from conftest import dataset_from_rows, small_schema
+
+SMALL_RUN = ["--n", "200", "--candidates", "2", "--delta", "0.0",
+             "--trees", "2", "--depth", "2"]
+
 
 def small_plan(**overrides):
     defaults = dict(
@@ -91,9 +96,8 @@ class TestRunExperiment:
         assert report.ensemble_metrics is None
 
     def test_candidate_stage_failure_is_tagged(self):
-        plan = small_plan(delta=0.99, max_attempts=5)
         with pytest.raises(StageError) as err:
-            run_experiment(plan)
+            run_experiment(small_plan(delta=0.99))
         assert err.value.stage == "candidates"
 
     def test_plan_validation(self):
@@ -104,8 +108,14 @@ class TestRunExperiment:
                 small_plan().config)))
         with pytest.raises(ValueError):
             small_plan(n_candidates=0)
-        with pytest.raises(ValueError):
-            small_plan(rates=[])
+        with pytest.raises(ValueError, match="ground_truth"):
+            small_plan(ground_truth=generate_ground_truth(small_plan().config))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, "
+                                             f"got {workers}"):
+            small_plan(workers=workers)
 
 
 class TestDefaultWorkers:
@@ -116,6 +126,8 @@ class TestDefaultWorkers:
     def test_positive_integer(self, monkeypatch):
         monkeypatch.setenv("ECOINFER_WORKERS", "2")
         assert default_workers() == 2
+        assert small_plan(workers=None).workers == 2
+        assert small_plan(workers=1).workers == 1
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_invalid_value_rejected(self, monkeypatch, value):
@@ -129,8 +141,7 @@ class TestDefaultWorkers:
 class TestSweeps:
     def test_undersampling_sweep(self, tmp_path):
         out = tmp_path / "sweep"
-        plan = small_plan(rates=[1.0, 0.5], out_dir=out)
-        reports = run_undersampling_sweep(plan)
+        reports = run_undersampling_sweep(small_plan(out_dir=out), [1.0, 0.5])
         assert [r.undersample_rate for r in reports] == [1.0, 0.5]
         # candidates are generated once and shared across rates
         assert len({r.attempts_used for r in reports}) == 1
@@ -141,16 +152,26 @@ class TestSweeps:
     def test_controlled_sweep(self, tmp_path):
         out = tmp_path / "ctrl"
         base = with_overrides(builtin_configs()[0], n=500)
-        plan = small_plan(out_dir=out)
-        reports = run_controlled_sweep(base, "doa_fraction", [0.1, 0.3], plan)
+        plan = small_plan(config=base, out_dir=out)
+        reports = run_controlled_sweep(plan, "doa_fraction", [0.1, 0.3])
         assert [r.config["doa_fraction"] for r in reports] == [0.1, 0.3]
+        assert [r.config["n"] for r in reports] == [500, 500]
         assert (out / "controlled_doa_fraction.csv").exists()
         assert (out / "doa_fraction_0.1" / "report.json").exists()
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
-            run_controlled_sweep(builtin_configs()[0], "age_mean", [30],
-                                 small_plan())
+            run_controlled_sweep(small_plan(), "age_mean", [30])
+
+    def test_controlled_sweep_needs_a_config(self):
+        spec = summarize(generate_ground_truth(small_plan().config))
+        with pytest.raises(ValueError, match="config"):
+            run_controlled_sweep(small_plan(config=None, spec=spec),
+                                 "doa_fraction", [0.1])
+
+    def test_undersampling_sweep_needs_rates(self):
+        with pytest.raises(ValueError, match="rate"):
+            run_undersampling_sweep(small_plan(), [])
 
 
 class TestCli:
@@ -232,6 +253,51 @@ class TestCli:
                      "--delta", "0.0", "--trees", "3", "--depth", "4",
                      "--out", str(out)]) == 0
         assert (out / "fig6_undersampling.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--rates", "1.0", "--values", "0.1"],
+                                       ["--parameter", "doa_fraction"]])
+    def test_sweep_values_go_with_parameter(self, tmp_path, capsys, flags):
+        code = main(["sweep", "--builtin", "1", *SMALL_RUN, *flags,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--rates", "1.0", "--parameter", "doa_fraction",
+             "--values", "0.1"]])
+    def test_sweep_needs_rates_or_parameter(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--builtin", "1", *SMALL_RUN, *flags,
+                  "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+
+    def test_experiment_truth_needs_a_spec(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        assert main(["synth", "--builtin", "2", "--n", "200",
+                     "--out", str(gt)]) == 0
+        code = main(["experiment", "--builtin", "1", *SMALL_RUN,
+                     "--truth", str(gt), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "ground_truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_experiment_workers_must_be_positive(self, tmp_path, capsys,
+                                                 workers):
+        code = main(["experiment", "--builtin", "1", *SMALL_RUN,
+                     "--workers", workers, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "workers" in capsys.readouterr().err
+
+    def test_summarize_names_feature_of_undefined_odds_ratio(self, tmp_path,
+                                                             capsys):
+        # PTT: no row is feature-positive (0) and alive (1), so l2 = 0
+        path = tmp_path / "zero.csv"
+        dataset_from_rows(small_schema(1), [[0, 0], [1, 0], [1, 1],
+                                            [1, 1]]).to_csv(path)
+        code = main(["summarize", str(path), "--out",
+                     str(tmp_path / "s.json")])
+        assert code == 1
+        assert "odds ratio of 'PTT' undefined" in capsys.readouterr().err
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = main(["summarize", str(tmp_path / "nope.csv"),

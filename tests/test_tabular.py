@@ -67,39 +67,49 @@ def imbalanced_dataset():
 
 class TestUndersample:
     def test_counts(self):
-        out = undersample(imbalanced_dataset(), majority_class=1, rate=0.1,
-                          seed=0)
+        out = undersample(imbalanced_dataset(), rate=0.1, seed=0)
         y = out.outcome
         assert int((y == 0).sum()) == 10
         assert int((y == 1).sum()) == 9
 
     def test_rate_one_is_identity(self):
         ds = imbalanced_dataset()
-        assert undersample(ds, 1, 1.0, seed=123) == ds
+        assert undersample(ds, 1.0, seed=123) == ds
 
     def test_seed_determinism(self):
         ds = imbalanced_dataset()
-        a = undersample(ds, 1, 0.3, seed=7)
-        b = undersample(ds, 1, 0.3, seed=7)
+        a = undersample(ds, 0.3, seed=7)
+        b = undersample(ds, 0.3, seed=7)
         assert a == b
 
     def test_minority_rows_never_removed(self):
         ds = imbalanced_dataset()
         for seed in range(5):
-            out = undersample(ds, 1, 0.2, seed=seed)
+            out = undersample(ds, 0.2, seed=seed)
             assert int((out.outcome == 0).sum()) == 10
 
     def test_size_formula(self):
         ds = imbalanced_dataset()
         for rate in (0.13, 0.5, 0.77):
-            out = undersample(ds, 1, rate, seed=1)
+            out = undersample(ds, rate, seed=1)
             assert out.n_rows == 10 + int(rate * 90)
 
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
-            undersample(imbalanced_dataset(), 1, 0.0, seed=0)
+            undersample(imbalanced_dataset(), 0.0, seed=0)
         with pytest.raises(ValueError):
-            undersample(imbalanced_dataset(), 1, 1.5, seed=0)
+            undersample(imbalanced_dataset(), 1.5, seed=0)
+
+    @pytest.mark.parametrize("zeros, ones, majority",
+                             [(10, 90, 1), (90, 10, 0), (50, 50, 1)])
+    def test_majority_class_worked_out(self, zeros, ones, majority):
+        y = np.repeat([0, 1], [zeros, ones])
+        ds = Dataset(small_schema(1, names=("x",)),
+                     {"x": np.zeros(y.size, dtype=int), "Dead": y})
+        out = undersample(ds, 0.5, seed=0).outcome
+        counts = {0: zeros, 1: ones}
+        assert int((out == majority).sum()) == int(0.5 * counts[majority])
+        assert int((out != majority).sum()) == counts[1 - majority]
 
     def test_row_order_preserved(self):
         # carry the original row index in a continuous column and check it
@@ -108,7 +118,7 @@ class TestUndersample:
                         outcome=FeatureSpec("Dead"))
         y = np.concatenate([np.zeros(10, dtype=int), np.ones(90, dtype=int)])
         ds = Dataset(schema, {"idx": np.arange(100.0), "Dead": y})
-        out = undersample(ds, 1, 0.5, seed=4)
+        out = undersample(ds, 0.5, seed=4)
         idx = out.column("idx")
         assert out.n_rows == 55
         assert (np.diff(idx) > 0).all()
