@@ -131,7 +131,7 @@ def _load_config(args):
         cfg = cfgs[args.builtin - 1]
     else:
         cfg = configs_from_json(args.config)[0]
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         cfg = with_overrides(cfg, n=args.n)
     if getattr(args, "seed", None) is not None:
         cfg = with_overrides(cfg, seed=args.seed)
@@ -221,6 +221,9 @@ def _cmd_predict(args) -> int:
 def _experiment_plan(args, base_seed: int, out: Path) -> ExperimentPlan:
     """The plan of one `experiment` run or `sweep`, writing under out."""
     spec, truth = getattr(args, "spec", None), getattr(args, "truth", None)
+    if spec and args.n is not None:
+        raise ValueError("--n goes with --builtin or --config; a --spec "
+                         "fixes its own n")
     return ExperimentPlan(
         config=None if spec else _load_config(args),
         spec=AggregateSpec.from_json(spec) if spec else None,

@@ -79,6 +79,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
+        rate = self.undersample_rate
+        if rate is not None and not 0 < rate <= 1:
+            raise ValueError(f"undersample_rate must be in (0, 1], got {rate}")
         if (self.config is None) == (self.spec is None):
             raise ValueError("plan needs exactly one of a config and an "
                              "aggregate spec")
@@ -188,9 +191,14 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
         timings["similarity_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        X_test = truth.to_matrix(truth.schema.feature_names)
-        predictions = _stage("training", _train_all, train_sets,
-                             forest_params, X_test, plan.workers)
+        # A forest labels each row by its values alone: predict every
+        # distinct truth row once and scatter the labels back.
+        X_rows, inverse = np.unique(
+            truth.to_matrix(truth.schema.feature_names), axis=0,
+            return_inverse=True)
+        predictions = [p[inverse.ravel()] for p in _stage(
+            "training", _train_all, train_sets, forest_params, X_rows,
+            plan.workers)]
         timings["training_s"] = time.perf_counter() - t0
 
         y_true = truth.outcome
@@ -250,12 +258,11 @@ def run_undersampling_sweep(plan: ExperimentPlan,
     plan with its undersample_rate set to each rate in turn."""
     if not rates:
         raise ValueError("an undersampling sweep needs at least one rate")
+    plans = [replace(plan, undersample_rate=rate,  # checks each rate
+                     out_dir=plan.out_dir / f"rate_{rate:g}"
+                     if plan.out_dir else None) for rate in rates]
     truth, cs = _prepare(plan)
-    reports = []
-    for rate in rates:
-        sub = plan.out_dir / f"rate_{rate:g}" if plan.out_dir else None
-        reports.append(_evaluate(
-            replace(plan, undersample_rate=rate, out_dir=sub), truth, cs))
+    reports = [_evaluate(p, truth, cs) for p in plans]
     if plan.out_dir is not None:
         _write_sweep_csv(plan.out_dir / "fig6_undersampling.csv",
                          "rate", rates, reports)

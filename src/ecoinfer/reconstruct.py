@@ -197,20 +197,25 @@ class CandidateSet:
     or_deviations: dict[str, float] = field(default_factory=dict)
 
 
-def _greedy_binary_distance(a: Dataset, b: Dataset) -> float:
-    """Greedy rank-sum average distance over binary columns (incl. outcome).
+def _rank_binary(ds: Dataset) -> np.ndarray:
+    """Binary columns (incl. outcome) as int8 rows in greedy rank order.
 
-    Binary 0/1 columns need no normalization, so this is a fast path of the
-    similarity module's greedy matcher used for the delta check. It stays
-    separate from match_rows: that path divides by m and n in turn, which
-    moves some distances by one ulp, and it is slower.
+    Rows are stably sorted by their sum, so row i of two ranked datasets is
+    the pair the similarity module's greedy matcher would form on binary
+    columns. Binary 0/1 columns need no normalization.
     """
-    names = a.schema.binary_columns()
-    ma = a.to_matrix(names)
-    mb = b.to_matrix(names)
-    ia = np.argsort(ma.sum(axis=1), kind="stable")
-    ib = np.argsort(mb.sum(axis=1), kind="stable")
-    return float(np.abs(ma[ia] - mb[ib]).sum() / (ma.shape[1] * ma.shape[0]))
+    names = ds.schema.binary_columns()
+    rows = np.column_stack([ds.column(c) for c in names]).astype(np.int8)
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+
+
+def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
+    """Greedy average distance of two _rank_binary matrices.
+
+    It stays separate from match_rows: that path divides by m and n in
+    turn, which moves some distances by one ulp, and it is slower.
+    """
+    return np.count_nonzero(r != o) / r.size
 
 
 def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
@@ -228,12 +233,15 @@ def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
 
     kept: list[Dataset] = []
+    ranked: list[np.ndarray] = []  # _rank_binary of each kept candidate
     attempts = 0
     while len(kept) < n_candidates and attempts < max_attempts:
         cand = reconstruct(spec, derived_seed(base_seed, attempts))
         attempts += 1
-        if all(_greedy_binary_distance(cand, other) >= delta for other in kept):
+        r = _rank_binary(cand)
+        if all(_ranked_distance(r, other) >= delta for other in ranked):
             kept.append(cand)
+            ranked.append(r)
     if len(kept) < n_candidates:
         raise PartialCandidateSetError(kept, attempts)
 

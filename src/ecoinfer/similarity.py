@@ -24,6 +24,9 @@ METHODS = (GREEDY_RANK, EXACT_ASSIGNMENT, IDENTITY)
 
 _ZERO_TOL = 1e-12
 
+# Elements of one block of the distinct-row cost tensor (8 MB of float64).
+_COST_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class RowMatching:
@@ -69,9 +72,10 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
 
     greedy_rank sorts both datasets by per-row attribute sums (ties broken
     by original row index) and pairs by rank. exact_assignment solves the
-    minimum-total-distance assignment on the dense n x n distance matrix;
-    O(n^3), intended for n up to a few hundred. identity pairs row i with
-    row i.
+    minimum-total-distance assignment on the dense n x n distance matrix,
+    gathered from the distances between distinct rows (see _exact_cost);
+    O(n^3) time and one n x n float matrix, intended for n up to a few
+    thousand. identity pairs row i with row i.
     """
     if method not in METHODS:
         raise ValueError(f"unknown matching method {method!r}")
@@ -85,13 +89,32 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
         perm = np.empty(n, dtype=np.int64)
         perm[ia] = ib
     else:
-        cost = np.abs(na[:, None, :] - nb[None, :, :]).sum(axis=2) / m
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = linear_sum_assignment(_exact_cost(na, nb))
         perm = np.empty(n, dtype=np.int64)
         perm[rows] = cols
     total = float(np.abs(na - nb[perm]).sum() / m)
     return RowMatching(permutation=perm, method=method,
                        total_distance=total, average_distance=total / n)
+
+
+def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """The n x n matrix of average row distances, na row i to nb row j.
+
+    Each distance is computed once per pair of distinct rows, in blocks of
+    rows of na so the temporary stays bounded, and then gathered. Every
+    entry is the same expression over the same m values as the dense
+    n x n x m form, so it is bitwise equal to it; summing one column at a
+    time would round differently once m >= 8 (numpy sums pairwise).
+    """
+    m = na.shape[1]
+    ua, ia = np.unique(na, axis=0, return_inverse=True)
+    ub, ib = np.unique(nb, axis=0, return_inverse=True)
+    cost = np.empty((len(ua), len(ub)))
+    step = max(1, _COST_BLOCK // max(1, len(ub) * m))
+    for s in range(0, len(ua), step):
+        cost[s:s + step] = np.abs(ua[s:s + step, None, :]
+                                  - ub[None, :, :]).sum(axis=2) / m
+    return cost[np.ix_(ia.ravel(), ib.ravel())]
 
 
 def similarity(a: Dataset, b: Dataset, method: str = GREEDY_RANK,

@@ -5,7 +5,7 @@ import pytest
 
 from ecoinfer.aggregate import summarize
 from ecoinfer.cli import main
-from ecoinfer.forest import ForestParams
+from ecoinfer.forest import ForestParams, RandomForest
 from ecoinfer.pipeline import (ExperimentPlan, StageError, default_workers,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
@@ -87,6 +87,19 @@ class TestRunExperiment:
         assert float((ens == truth).mean()) == pytest.approx(
             report.ensemble_metrics["accuracy"])
 
+    def test_each_distinct_truth_row_predicted_once(self, monkeypatch):
+        plan = small_plan()
+        truth = generate_ground_truth(plan.config)
+        distinct = len(np.unique(truth.to_matrix(truth.schema.feature_names),
+                                 axis=0))
+        predict, sizes = RandomForest.predict, []
+        def counted(forest, X):
+            sizes.append(len(X))
+            return predict(forest, X)
+        monkeypatch.setattr(RandomForest, "predict", counted)
+        run_experiment(plan)
+        assert sizes == [distinct] * 3 and distinct < truth.n_rows
+
     def test_spec_only_plan_skips_evaluation(self):
         truth = generate_ground_truth(with_overrides(builtin_configs()[0],
                                                      n=400))
@@ -110,6 +123,11 @@ class TestRunExperiment:
             small_plan(n_candidates=0)
         with pytest.raises(ValueError, match="ground_truth"):
             small_plan(ground_truth=generate_ground_truth(small_plan().config))
+
+    @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5])
+    def test_undersample_rate_checked_by_the_plan(self, rate):
+        with pytest.raises(ValueError, match="undersample_rate must be in"):
+            small_plan(undersample_rate=rate)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_must_be_positive(self, workers):
@@ -172,6 +190,12 @@ class TestSweeps:
     def test_undersampling_sweep_needs_rates(self):
         with pytest.raises(ValueError, match="rate"):
             run_undersampling_sweep(small_plan(), [])
+
+    def test_undersampling_sweep_checks_every_rate_first(self, tmp_path):
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="got 1.5"):
+            run_undersampling_sweep(small_plan(out_dir=out), [0.5, 1.5])
+        assert not out.exists()
 
 
 class TestCli:
@@ -279,6 +303,34 @@ class TestCli:
                      "--truth", str(gt), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "ground_truth" in capsys.readouterr().err
+
+    def test_experiment_n_does_not_go_with_spec(self, tmp_path, capsys):
+        gt, spec = tmp_path / "gt.csv", tmp_path / "spec.json"
+        assert main(["synth", "--builtin", "1", "--n", "300",
+                     "--out", str(gt)]) == 0
+        assert main(["summarize", str(gt), "--out", str(spec)]) == 0
+        capsys.readouterr()
+        code = main(["experiment", "--spec", str(spec), "--n", "50",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--n" in err and "--spec" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_experiment_n_zero_is_checked(self, tmp_path, capsys):
+        code = main(["experiment", "--builtin", "1", "--n", "0",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "n must be in (0, inf), got 0" in capsys.readouterr().err
+
+    def test_experiment_rate_checked_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["experiment", "--builtin", "1", "--n", "200",
+                     "--rate", "1.5", "--out", str(out)])
+        assert code == 1
+        assert "undersample_rate" in capsys.readouterr().err
+        assert not (out / "candidates").exists()
+        assert not (out / "ground_truth.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_experiment_workers_must_be_positive(self, tmp_path, capsys,

@@ -6,9 +6,11 @@ import pytest
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
                                 contingency_table, summarize)
 from ecoinfer.reconstruct import (InfeasibleSpecError,
-                                  PartialCandidateSetError, derived_seed,
+                                  PartialCandidateSetError, _rank_binary,
+                                  _ranked_distance, derived_seed,
                                   generate_candidates, load_candidates,
                                   reconstruct, save_candidates, solve_cells)
+from ecoinfer.synth import builtin_configs, generate_ground_truth
 from ecoinfer.tabular import CONTINUOUS, FeatureSpec, Schema
 
 from conftest import small_schema
@@ -151,6 +153,21 @@ class TestRootFeasibility:
             solve_cells(o, r1, f, n)  # raises if zero or two roots qualify
 
 
+def reference_distance(a, b):
+    """The delta check as first written: greedy rank-sum average distance
+    over binary columns (incl. outcome), re-sorting both datasets."""
+    names = a.schema.binary_columns()
+    ma = a.to_matrix(names)
+    mb = b.to_matrix(names)
+    ia = np.argsort(ma.sum(axis=1), kind="stable")
+    ib = np.argsort(mb.sum(axis=1), kind="stable")
+    return float(np.abs(ma[ia] - mb[ib]).sum() / (ma.shape[1] * ma.shape[0]))
+
+
+def config_spec(index, n):
+    return summarize(generate_ground_truth(builtin_configs(n=n)[index - 1]))
+
+
 class TestGenerateCandidates:
     def test_delta_separated_set(self):
         spec = trio_spec(n=500)
@@ -158,11 +175,34 @@ class TestGenerateCandidates:
                                  base_seed=31, max_attempts=500)
         assert len(cs.candidates) == 5
         assert cs.attempts_used <= 500
-        from ecoinfer.reconstruct import _greedy_binary_distance
         for i in range(5):
             for j in range(i + 1, 5):
-                assert _greedy_binary_distance(cs.candidates[i],
-                                               cs.candidates[j]) >= 0.05
+                assert reference_distance(cs.candidates[i],
+                                          cs.candidates[j]) >= 0.05
+
+    @pytest.mark.parametrize("config", [1, 10])
+    def test_ranked_distance_is_the_reference_bitwise(self, config):
+        spec = config_spec(config, n=1000)
+        cands = [reconstruct(spec, derived_seed(2000, k)) for k in range(12)]
+        ranked = [_rank_binary(c) for c in cands]
+        for i in range(12):
+            for j in range(12):
+                if i != j:
+                    assert _ranked_distance(ranked[i], ranked[j]) == \
+                        reference_distance(cands[i], cands[j])
+
+    def test_same_candidates_as_reference_loop(self):
+        # n=1000 at delta 0.2 rejects 26 of 31 attempts
+        spec, delta = config_spec(1, n=1000), 0.2
+        kept, attempts = [], 0
+        while len(kept) < 5:
+            cand = reconstruct(spec, derived_seed(7, attempts))
+            attempts += 1
+            if all(reference_distance(cand, o) >= delta for o in kept):
+                kept.append(cand)
+        cs = generate_candidates(spec, 5, delta, base_seed=7)
+        assert cs.attempts_used == attempts == 31
+        assert [c.seed for c in cs.candidates] == [c.seed for c in kept]
 
     def test_single_candidate_trivial(self):
         cs = generate_candidates(trio_spec(), 1, 0.5, base_seed=1)

@@ -1,7 +1,10 @@
+import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ecoinfer.similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
                                  exact_match_fraction, joint_normalize,
@@ -10,6 +13,9 @@ from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
 
 from conftest import dataset_from_rows, small_schema
+
+# the package exports a function of the same name as this module
+similarity_module = importlib.import_module("ecoinfer.similarity")
 
 
 def random_pair(rng, n_rows, n_features=3):
@@ -125,6 +131,70 @@ class TestOracles:
             ident = match_rows(a, b, IDENTITY).average_distance
             assert exact <= greedy + 1e-12
             assert exact <= ident + 1e-12
+
+
+def mixed_pair(rng, n_rows, n_binary, n_continuous, levels=None):
+    """Two datasets of n_binary binary features, n_continuous continuous
+    ones (normal, or integers below levels) and a binary outcome."""
+    schema = Schema(
+        features=tuple(FeatureSpec(f"b{j}") for j in range(n_binary))
+        + tuple(FeatureSpec(f"c{j}", CONTINUOUS)
+                for j in range(n_continuous)),
+        outcome=FeatureSpec("y"))
+    def make():
+        cols = {f"b{j}": rng.integers(0, 2, n_rows) for j in range(n_binary)}
+        for j in range(n_continuous):
+            cols[f"c{j}"] = (rng.integers(0, levels, n_rows).astype(float)
+                             if levels else rng.normal(50, 10, n_rows))
+        cols["y"] = rng.integers(0, 2, n_rows)
+        return Dataset(schema, cols)
+    return make(), make()
+
+
+class TestExactAssignmentFromDistinctRows:
+    """Exact matching must build, bit for bit, the cost matrix of the dense
+    n x n x m tensor it no longer builds, and return what
+    linear_sum_assignment returns on it."""
+
+    @staticmethod
+    def dense_cost(na, nb):
+        return np.abs(na[:, None, :] - nb[None, :, :]).sum(axis=2) \
+            / na.shape[1]
+
+    @pytest.mark.parametrize("n_binary, n_continuous, levels", [
+        (4, 0, None),    # binary, at most 32 distinct rows
+        (1, 9, None),    # continuous, every row distinct, m = 11
+        (3, 4, 3),       # a mix with few distinct values
+        (2, 6, None),    # a mix with distinct continuous values
+    ], ids=["binary-duplicates", "continuous-distinct", "mix-few",
+            "mix-distinct"])
+    @pytest.mark.parametrize("block", [None, 500], ids=["one-block",
+                                                       "many-blocks"])
+    def test_same_cost_and_permutation_as_dense(self, monkeypatch, n_binary,
+                                            n_continuous, levels, block):
+        if block:
+            monkeypatch.setattr(similarity_module, "_COST_BLOCK", block)
+        rng = np.random.default_rng(21)
+        for n_rows in (2, 17, 150):
+            a, b = mixed_pair(rng, n_rows, n_binary, n_continuous, levels)
+            na, nb = joint_normalize(a, b)
+            cost = self.dense_cost(na, nb)
+            assert np.array_equal(similarity_module._exact_cost(na, nb), cost)
+            rows, cols = linear_sum_assignment(cost)
+            assert np.array_equal(
+                match_rows(a, b, EXACT_ASSIGNMENT).permutation[rows], cols)
+
+    def test_memory_is_a_few_n_by_n_matrices(self):
+        # a 2,000 x 2,000 x 5 float tensor alone is 160 MB; three n x n
+        # float64 matrices are 96 MB
+        a, b = random_pair(np.random.default_rng(3), 2000, n_features=4)
+        tracemalloc.start()
+        try:
+            match_rows(a, b, EXACT_ASSIGNMENT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2000 * 2000 * 8
 
 
 class TestJointNormalization:
