@@ -18,8 +18,7 @@ from .forest import (EnsembleModel, ForestParams, ensemble_predict, evaluate,
 from .pipeline import (ExperimentPlan, StageError, run_controlled_sweep,
                        run_experiment, run_undersampling_sweep, SWEEPABLE)
 from .reconstruct import generate_candidates, save_candidates
-from .similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
-                         exact_match_fraction, match_rows)
+from .similarity import EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY, match_rows
 from .synth import (builtin_configs, configs_from_json, configs_to_json,
                     generate_ground_truth, with_overrides)
 from .tabular import Dataset
@@ -180,7 +179,7 @@ def _cmd_similarity(args) -> int:
         "method": method,
         "average_distance": matching.average_distance,
         "similarity": 1.0 - matching.average_distance,
-        "exact_match_fraction": exact_match_fraction(a, b, matching, subset),
+        "exact_match_fraction": matching.exact_match,
         "n_rows": a.n_rows,
         "feature_subset": subset,
     }

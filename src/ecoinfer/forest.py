@@ -333,7 +333,8 @@ def evaluate(predicted, truth, positive_class: int = POSITIVE_CLASS) -> Metrics:
 def save_ensemble(ensemble: EnsembleModel, path: str | Path) -> None:
     payload = {"models": [m.to_dict() for m in ensemble.models]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # json.dumps runs the C encoder; json.dump streams through Python.
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 

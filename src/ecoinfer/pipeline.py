@@ -13,14 +13,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .similarity import (GREEDY_RANK, exact_match_fraction, match_rows,
-                         similarity as similarity_score)
+from .similarity import GREEDY_RANK, match_rows, similarity as similarity_score
 from .aggregate import AggregateSpec, summarize
 from .forest import ForestParams, Metrics, evaluate, majority_vote, train_forest
 from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
@@ -139,6 +137,8 @@ def _train_all(candidates: list[Dataset], params_list: list[ForestParams],
     jobs = [(c, p, X_test) for c, p in zip(candidates, params_list)]
     if workers <= 1 or len(jobs) == 1:
         return [_train_one(j) for j in jobs]
+    # Local: the pool pulls in multiprocessing, which one worker never needs.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_train_one, jobs))
 
@@ -187,7 +187,7 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
                                                binary_cols))
             matching = match_rows(truth, cand, GREEDY_RANK)
             sim_all.append(1.0 - matching.average_distance)
-            exact.append(exact_match_fraction(truth, cand, matching))
+            exact.append(matching.exact_match)
         timings["similarity_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .tabular import Dataset, SchemaError
 
@@ -36,6 +35,7 @@ class RowMatching:
     method: str
     total_distance: float
     average_distance: float
+    exact_match: float  # fraction of matched pairs at distance zero
 
 
 def joint_normalize(a: Dataset, b: Dataset,
@@ -89,12 +89,17 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
         perm = np.empty(n, dtype=np.int64)
         perm[ia] = ib
     else:
+        # Local: scipy.optimize costs about 0.5 s to import, and only this
+        # branch needs it.
+        from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(_exact_cost(na, nb))
         perm = np.empty(n, dtype=np.int64)
         perm[rows] = cols
-    total = float(np.abs(na - nb[perm]).sum() / m)
+    diff = np.abs(na - nb[perm])
+    total = float(diff.sum() / m)
     return RowMatching(permutation=perm, method=method,
-                       total_distance=total, average_distance=total / n)
+                       total_distance=total, average_distance=total / n,
+                       exact_match=_zero_share(diff))
 
 
 def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -125,9 +130,17 @@ def similarity(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
 
 def exact_match_fraction(a: Dataset, b: Dataset, matching: RowMatching,
                          feature_subset: list[str] | None = None) -> float:
-    """Fraction of matched row pairs at distance zero."""
+    """Fraction of matched row pairs at distance zero under any matching
+    of a's rows to b's; match_rows reports it for its own as exact_match."""
     na, nb = joint_normalize(a, b, feature_subset)
     if len(matching.permutation) != na.shape[0]:
         raise SchemaError("matching size does not fit the datasets")
-    d = np.abs(na - nb[matching.permutation]).sum(axis=1)
-    return float(np.count_nonzero(d <= _ZERO_TOL * na.shape[1])) / na.shape[0]
+    return _zero_share(np.abs(na - nb[matching.permutation]))
+
+
+def _zero_share(diff: np.ndarray) -> float:
+    """Share of rows of an n x m matrix of normalized absolute differences
+    whose sum is zero up to rounding."""
+    n, m = diff.shape
+    d = diff.sum(axis=1)
+    return float(np.count_nonzero(d <= _ZERO_TOL * m)) / n

@@ -107,6 +107,16 @@ class TestExactMatchFraction:
         m = match_rows(base, flipped, EXACT_ASSIGNMENT)
         assert exact_match_fraction(base, flipped, m) == 0.0
 
+    @pytest.mark.parametrize("method", [GREEDY_RANK, EXACT_ASSIGNMENT,
+                                        IDENTITY])
+    @pytest.mark.parametrize("subset", [None, ["b0", "c0"]])
+    def test_matching_reports_its_own_fraction(self, method, subset):
+        rng = np.random.default_rng(31)
+        for n_rows in (1, 9, 80):
+            a, b = mixed_pair(rng, n_rows, 3, 1, levels=3)
+            m = match_rows(a, b, method, subset)
+            assert m.exact_match == exact_match_fraction(a, b, m, subset)
+
 
 class TestOracles:
     def test_exhaustive_minimum_small_n(self):
