@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import BINARY, CONTINUOUS, Dataset, Schema, SchemaError
+from .tabular import (BINARY, CONTINUOUS, Dataset, Schema, SchemaError,
+                      write_json)
 
 # A scalar statistic, or a (lo, hi) range to be drawn per candidate.
 Value = float | tuple[float, float]
@@ -171,9 +172,7 @@ class AggregateSpec:
                    binary=binary, continuous=continuous)
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AggregateSpec":

@@ -8,40 +8,57 @@ diagnostic and exits nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .aggregate import AggregateSpec, summarize
-from .forest import (EnsembleModel, ForestParams, ensemble_predict, evaluate,
-                     load_ensemble, save_ensemble, train_forest)
+from .forest import (ForestParams, ensemble_predict, evaluate, load_ensemble,
+                     save_ensemble, train_ensemble)
 from .pipeline import (ExperimentPlan, StageError, run_controlled_sweep,
                        run_experiment, run_undersampling_sweep, SWEEPABLE)
-from .reconstruct import generate_candidates, save_candidates
+from .reconstruct import MAX_ATTEMPTS, generate_candidates, save_candidates
 from .similarity import EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY, match_rows
 from .synth import (builtin_configs, configs_from_json, configs_to_json,
                     generate_ground_truth, with_overrides)
-from .tabular import Dataset
+from .tabular import Dataset, json_text, write_columns, write_json
 
 
 def _add_seed(p, default=0):
     p.add_argument("--seed", type=int, default=default)
 
 
+def _add_config_args(p):
+    """The flags that pick a GroundTruthConfig; returns the required group
+    of its sources."""
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--builtin", type=int, metavar="1-10",
+                   help="builtin parameter configuration index")
+    g.add_argument("--config", type=Path,
+                   help="JSON file holding one config")
+    p.add_argument("--n", type=int, default=None, help="override row count")
+    return g
+
+
+def _add_candidate_args(p):
+    p.add_argument("--candidates", type=int,
+                   default=ExperimentPlan.n_candidates)
+    p.add_argument("--delta", type=float, default=ExperimentPlan.delta)
+
+
+def _add_forest_args(p):
+    p.add_argument("--trees", type=int, default=ForestParams.n_trees)
+    p.add_argument("--depth", type=int, default=ForestParams.max_depth)
+
+
 def _add_plan_args(p):
     """The ExperimentPlan flags of experiment and sweep; returns the
     required group that picks the plan's input."""
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--builtin", type=int, metavar="1-10")
-    g.add_argument("--config", type=Path)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--candidates", type=int, default=9)
-    p.add_argument("--delta", type=float, default=0.15)
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--depth", type=int, default=8)
+    g = _add_config_args(p)
+    _add_candidate_args(p)
+    _add_forest_args(p)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
-    _add_seed(p, default=2000)
+    _add_seed(p, default=ExperimentPlan.base_seed)
     return g
 
 
@@ -53,11 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a ground-truth dataset")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--builtin", type=int, metavar="1-10",
-                   help="builtin parameter configuration index")
-    g.add_argument("--config", type=Path, help="JSON config file")
-    p.add_argument("--n", type=int, default=None, help="override row count")
+    _add_config_args(p)
     p.add_argument("--out", type=Path, required=True, help="output CSV")
     _add_seed(p, default=None)
     p.add_argument("--export-configs", action="store_true",
@@ -70,9 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct",
                        help="aggregate spec JSON -> candidate datasets")
     p.add_argument("spec", type=Path)
-    p.add_argument("--candidates", type=int, default=9)
-    p.add_argument("--delta", type=float, default=0.15)
-    p.add_argument("--max-attempts", type=int, default=1000)
+    _add_candidate_args(p)
+    p.add_argument("--max-attempts", type=int, default=MAX_ATTEMPTS)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     _add_seed(p)
 
@@ -88,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an ensemble on candidate CSVs")
     p.add_argument("candidates", type=Path, nargs="+")
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--depth", type=int, default=8)
+    _add_forest_args(p)
     p.add_argument("--out", type=Path, required=True, help="model JSON file")
     _add_seed(p)
 
@@ -123,16 +134,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    if getattr(args, "builtin", None) is not None:
+    if args.builtin is not None:
         cfgs = builtin_configs()
         if not 1 <= args.builtin <= len(cfgs):
             raise ValueError(f"builtin config index must be 1..{len(cfgs)}")
         cfg = cfgs[args.builtin - 1]
     else:
-        cfg = configs_from_json(args.config)[0]
-    if getattr(args, "n", None) is not None:
+        cfgs = configs_from_json(args.config)
+        if len(cfgs) != 1:
+            raise ValueError(f"{args.config} holds {len(cfgs)} configs; "
+                             "--config takes a file with exactly one")
+        cfg = cfgs[0]
+    if args.n is not None:
         cfg = with_overrides(cfg, n=args.n)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = with_overrides(cfg, seed=args.seed)
     return cfg
 
@@ -183,21 +198,18 @@ def _cmd_similarity(args) -> int:
         "n_rows": a.n_rows,
         "feature_subset": subset,
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        write_json(report, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(report))
     return 0
 
 
 def _cmd_train(args) -> int:
-    models = []
-    for k, path in enumerate(args.candidates):
-        ds = Dataset.from_csv(path)
-        models.append(train_forest(ds, _forest_params(args, args.seed + k)))
-    save_ensemble(EnsembleModel(models=models), args.out)
-    print(f"wrote ensemble of {len(models)} forests to {args.out}")
+    ensemble = train_ensemble((Dataset.from_csv(p) for p in args.candidates),
+                              _forest_params(args, args.seed))
+    save_ensemble(ensemble, args.out)
+    print(f"wrote ensemble of {len(ensemble.models)} forests to {args.out}")
     return 0
 
 
@@ -206,14 +218,11 @@ def _cmd_predict(args) -> int:
     ds = Dataset.from_csv(args.dataset)
     labels = ensemble_predict(ensemble, ds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("prediction\n")
-            fh.writelines(f"{int(v)}\n" for v in labels)
+        write_columns(args.out, ["prediction"], [labels.tolist()], ["%d"])
     else:
         print(",".join(str(int(v)) for v in labels))
     if args.truth:
-        m = evaluate(labels, ds.outcome)
-        print(json.dumps(m.to_dict(), indent=2, sort_keys=True))
+        sys.stdout.write(json_text(evaluate(labels, ds.outcome).to_dict()))
     return 0
 
 
@@ -244,10 +253,8 @@ def _cmd_experiment(args) -> int:
             report = run_experiment(_experiment_plan(
                 args, args.seed + 7919 * rep, args.out / f"rep_{rep}"))
             accs.append(report.ensemble_metrics)
-        summary = {"repeats": args.repeats, "ensemble_metrics": accs}
-        with open(args.out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"repeats": args.repeats, "ensemble_metrics": accs},
+                   args.out / "summary.json")
     if report.ensemble_metrics:
         m = report.ensemble_metrics
         print(f"ensemble accuracy={m['accuracy']:.4f} "

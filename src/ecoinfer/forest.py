@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from collections.abc import Iterable
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,30 @@ class EnsembleModel:
     def __post_init__(self):
         if not self.models:
             raise ValueError("ensemble needs at least one model")
+
+
+def member_params(params: ForestParams, k: int) -> ForestParams:
+    """Forest k of an ensemble trains with params seeded params.seed + k."""
+    return replace(params, seed=params.seed + k)
+
+
+def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
+                   workers: int = 1) -> EnsembleModel:
+    """One forest per dataset, forest k trained with member_params(params, k).
+
+    One worker reads the datasets one at a time, so a lazy iterable holds
+    one in memory; more workers train more than one dataset in a process
+    pool. The forests are the same either way."""
+    if workers > 1 and len(datasets := list(datasets)) > 1:
+        # Local: the pool pulls in multiprocessing, which one worker never needs.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            models = list(pool.map(train_forest, datasets, [
+                member_params(params, k) for k in range(len(datasets))]))
+    else:
+        models = [train_forest(data, member_params(params, k))
+                  for k, data in enumerate(datasets)]
+    return EnsembleModel(models=models)
 
 
 def ensemble_predict(ensemble: EnsembleModel,

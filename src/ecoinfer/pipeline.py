@@ -10,7 +10,6 @@ to a separate sidecar for the same reason.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace, asdict
@@ -20,11 +19,13 @@ import numpy as np
 
 from .similarity import GREEDY_RANK, match_rows, similarity as similarity_score
 from .aggregate import AggregateSpec, summarize
-from .forest import ForestParams, Metrics, evaluate, majority_vote, train_forest
+from .forest import (ForestParams, Metrics, evaluate, majority_vote,
+                     member_params, train_ensemble)
 from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
                           save_candidates)
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
-from .tabular import Dataset, undersample
+from .tabular import (Dataset, undersample, write_columns, write_json,
+                      write_rows)
 
 WORKERS_ENV = "ECOINFER_WORKERS"
 
@@ -120,27 +121,7 @@ class EvalReport:
         return d
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _train_one(args) -> np.ndarray:
-    """Worker: train one forest and return its labels on the test matrix."""
-    candidate, params, X_test = args
-    forest = train_forest(candidate, params)
-    return forest.predict(X_test)
-
-
-def _train_all(candidates: list[Dataset], params_list: list[ForestParams],
-               X_test: np.ndarray, workers: int) -> list[np.ndarray]:
-    jobs = [(c, p, X_test) for c, p in zip(candidates, params_list)]
-    if workers <= 1 or len(jobs) == 1:
-        return [_train_one(j) for j in jobs]
-    # Local: the pool pulls in multiprocessing, which one worker never needs.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_train_one, jobs))
+        write_json(self.to_dict(), path)
 
 
 def _stage(name: str, fn, *args):
@@ -175,8 +156,6 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
     exact: list[float] = []
     per_cand: list[Metrics] = []
     ensemble_metrics = None
-    forest_params = [replace(plan.forest, seed=plan.forest.seed + k)
-                     for k in range(len(train_sets))]
     predictions = None
 
     if truth is not None:
@@ -191,14 +170,15 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
         timings["similarity_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
+        ensemble = _stage("training", train_ensemble, train_sets,
+                          plan.forest, plan.workers)
         # A forest labels each row by its values alone: predict every
         # distinct truth row once and scatter the labels back.
         X_rows, inverse = np.unique(
             truth.to_matrix(truth.schema.feature_names), axis=0,
             return_inverse=True)
-        predictions = [p[inverse.ravel()] for p in _stage(
-            "training", _train_all, train_sets, forest_params, X_rows,
-            plan.workers)]
+        predictions = [m.predict(X_rows)[inverse.ravel()]
+                       for m in ensemble.models]
         timings["training_s"] = time.perf_counter() - t0
 
         y_true = truth.outcome
@@ -215,7 +195,8 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
             "base_seed": plan.base_seed,
             "truth_seed": truth.seed if truth is not None else None,
             "candidate_seeds": [c.seed for c in cs.candidates],
-            "forest_seeds": [p.seed for p in forest_params],
+            "forest_seeds": [member_params(plan.forest, k).seed
+                             for k in range(len(train_sets))],
         },
         or_deviations=cs.or_deviations,
         similarity_binary=sim_binary,
@@ -229,14 +210,23 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         report.to_json(out_dir / "report.json")
-        _write_similarity_csv(out_dir / "fig4_similarity.csv", report)
-        _write_metrics_csv(out_dir / "fig5_metrics.csv", report)
+        write_rows(out_dir / "fig4_similarity.csv",
+                   ["candidate", "similarity_binary", "similarity_all",
+                    "exact_match"],
+                   ([str(k), *cells] for k, cells in
+                    enumerate(zip(sim_binary, sim_all, exact))))
+        models = [(f"candidate_{k}", m)
+                  for k, m in enumerate(report.per_candidate_metrics)]
+        if report.ensemble_metrics:
+            models.append(("ensemble", report.ensemble_metrics))
+        _write_metrics_csv(out_dir / "fig5_metrics.csv", "model", models)
         if predictions is not None:
-            _write_predictions_csv(out_dir / "predictions.csv", predictions,
-                                   ens_pred, truth.outcome)
-        with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
-            json.dump(timings, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            columns = predictions + [ens_pred, truth.outcome]
+            write_columns(out_dir / "predictions.csv",
+                          [f"candidate_{k}" for k in range(len(predictions))]
+                          + ["ensemble", "truth"],
+                          [c.tolist() for c in columns], ["%d"] * len(columns))
+        write_json(timings, out_dir / "timings.json")
     return report
 
 
@@ -264,8 +254,9 @@ def run_undersampling_sweep(plan: ExperimentPlan,
     truth, cs = _prepare(plan)
     reports = [_evaluate(p, truth, cs) for p in plans]
     if plan.out_dir is not None:
-        _write_sweep_csv(plan.out_dir / "fig6_undersampling.csv",
-                         "rate", rates, reports)
+        _write_metrics_csv(plan.out_dir / "fig6_undersampling.csv", "rate",
+                           [(f"{r:g}", rep.ensemble_metrics)
+                            for r, rep in zip(rates, reports)])
     return reports
 
 
@@ -284,55 +275,19 @@ def run_controlled_sweep(plan: ExperimentPlan, parameter: str,
         sub = plan.out_dir / f"{parameter}_{v:g}" if plan.out_dir else None
         reports.append(run_experiment(replace(plan, config=cfg, out_dir=sub)))
     if plan.out_dir is not None:
-        _write_sweep_csv(plan.out_dir / f"controlled_{parameter}.csv",
-                         parameter, values, reports)
+        _write_metrics_csv(plan.out_dir / f"controlled_{parameter}.csv",
+                           parameter, [(f"{v:g}", rep.ensemble_metrics)
+                                       for v, rep in zip(values, reports)])
     return reports
 
 
 # --- plot-ready CSV outputs ----------------------------------------------
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
+_METRICS = ("accuracy", "precision", "recall")
 
 
-def _write_similarity_csv(path: Path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("candidate,similarity_binary,similarity_all,exact_match\n")
-        for k in range(len(report.similarity_binary)):
-            fh.write(f"{k},{_fmt(report.similarity_binary[k])},"
-                     f"{_fmt(report.similarity_all[k])},"
-                     f"{_fmt(report.exact_match[k])}\n")
-
-
-def _write_metrics_csv(path: Path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("model,accuracy,precision,recall\n")
-        for k, m in enumerate(report.per_candidate_metrics):
-            fh.write(f"candidate_{k},{_fmt(m['accuracy'])},"
-                     f"{_fmt(m['precision'])},{_fmt(m['recall'])}\n")
-        if report.ensemble_metrics:
-            m = report.ensemble_metrics
-            fh.write(f"ensemble,{_fmt(m['accuracy'])},{_fmt(m['precision'])},"
-                     f"{_fmt(m['recall'])}\n")
-
-
-def _write_predictions_csv(path: Path, predictions: list[np.ndarray],
-                           ens_pred: np.ndarray, truth: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        heads = [f"candidate_{k}" for k in range(len(predictions))]
-        fh.write(",".join(heads + ["ensemble", "truth"]) + "\n")
-        columns = [c.tolist() for c in predictions + [ens_pred, truth]]
-        row = ",".join(["%d"] * len(columns)) + "\n"
-        fh.writelines(row % cells for cells in zip(*columns))
-
-
-def _write_sweep_csv(path: Path, key: str, values: list[float],
-                     reports: list[EvalReport]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{key},accuracy,precision,recall\n")
-        for v, rep in zip(values, reports):
-            m = rep.ensemble_metrics or {}
-            fh.write(f"{v:g},{_fmt(m.get('accuracy'))},"
-                     f"{_fmt(m.get('precision'))},{_fmt(m.get('recall'))}\n")
+def _write_metrics_csv(path: Path, key: str, rows) -> None:
+    """One line per (label, metrics dict or None) row."""
+    write_rows(path, [key, *_METRICS],
+               ([label, *((m or {}).get(k) for k in _METRICS)]
+                for label, m in rows))

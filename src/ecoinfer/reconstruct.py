@@ -21,13 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import AggregateSpec, Value, _check_open
-from .tabular import BINARY, Dataset
+from .tabular import BINARY, Dataset, write_json
 
 # Seed stride for derived candidate seeds (golden-ratio increment).
 SEED_STRIDE = 0x9E3779B9
 _SEED_MOD = 2 ** 63
 
 _REL_TOL = 1e-9
+
+MAX_ATTEMPTS = 1000  # reconstructions generate_candidates draws at most
 
 # Truncated-normal draw rounds allowed: _REDRAW_BUDGET // (n + 2000). A round
 # of the uncapped loop this replaced cost about (n + 2000) * 4.5 ns on a 2-vCPU
@@ -38,10 +40,6 @@ _REDRAW_BUDGET = 10 ** 9
 
 class InfeasibleSpecError(ValueError):
     """No cell solution in the feasibility interval, or no mass >= 0."""
-
-
-class AmbiguousRootError(ValueError):
-    """Both quadratic roots are strictly inside the feasibility interval."""
 
 
 class PartialCandidateSetError(RuntimeError):
@@ -98,11 +96,6 @@ def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
         q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
         roots = [q / qa, qc / q] if q != 0 else [0.0, 0.0]
         inside = [r for r in roots if lo - tol <= r <= hi + tol]
-        strict = [r for r in roots if lo + tol < r < hi - tol]
-        if len(set(strict)) == 2:
-            raise AmbiguousRootError(
-                f"two roots {roots} inside [{lo}, {hi}] for o={o}, r1={r1}, "
-                f"f={f}, n={n}")
         if not inside:
             raise InfeasibleSpecError(
                 f"no root of {roots} in [{lo}, {hi}] for o={o}, r1={r1}, "
@@ -219,7 +212,8 @@ def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
 
 
 def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
-                        base_seed: int, max_attempts: int = 1000) -> CandidateSet:
+                        base_seed: int,
+                        max_attempts: int = MAX_ATTEMPTS) -> CandidateSet:
     """Produce n_candidates datasets whose pairwise greedy average distance
     (over binary columns) is at least delta.
 
@@ -275,9 +269,7 @@ def save_candidates(cs: CandidateSet, out_dir: str | Path) -> None:
         "or_deviations": cs.or_deviations,
         "n_candidates": len(cs.candidates),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out / "manifest.json")
 
 
 def load_candidates(in_dir: str | Path) -> CandidateSet:

@@ -32,7 +32,6 @@ class RowMatching:
     """A bijection row-index-of-A -> row-index-of-B and its cost."""
 
     permutation: np.ndarray  # permutation[i] = matched row of B for row i of A
-    method: str
     total_distance: float
     average_distance: float
     exact_match: float  # fraction of matched pairs at distance zero
@@ -97,9 +96,8 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
         perm[rows] = cols
     diff = np.abs(na - nb[perm])
     total = float(diff.sum() / m)
-    return RowMatching(permutation=perm, method=method,
-                       total_distance=total, average_distance=total / n,
-                       exact_match=_zero_share(diff))
+    return RowMatching(permutation=perm, total_distance=total,
+                       average_distance=total / n, exact_match=_zero_share(diff))
 
 
 def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:

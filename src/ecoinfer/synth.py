@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .aggregate import AggregateSpec, BinaryStat, ContinuousStat
 from .reconstruct import reconstruct
-from .tabular import BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema
+from .tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
+                      write_json)
 
 DEFAULT_N = 10_000
 AGE_MEAN = 36.0
@@ -102,9 +103,7 @@ def generate_ground_truth(config: GroundTruthConfig) -> Dataset:
 
 
 def configs_to_json(configs: list[GroundTruthConfig], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([asdict(c) for c in configs], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json([asdict(c) for c in configs], path)
 
 
 def configs_from_json(path: str | Path) -> list[GroundTruthConfig]:

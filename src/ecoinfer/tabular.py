@@ -163,11 +163,11 @@ class Dataset:
         return np.column_stack([self.column(n).astype(np.float64) for n in names]) \
             if names else np.empty((self.n_rows, 0))
 
-    def take(self, indices: np.ndarray, seed: int | None = None) -> "Dataset":
+    def take(self, indices: np.ndarray) -> "Dataset":
         """New dataset from a row-index selection (original order preserved by caller)."""
         return Dataset(self.schema,
                        {n: c[indices] for n, c in self.columns.items()},
-                       seed=seed if seed is not None else self.seed)
+                       seed=self.seed)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -182,17 +182,12 @@ class Dataset:
         """Write the dataset as UTF-8 CSV with a JSON schema sidecar."""
         path = Path(path)
         specs = (*self.schema.features, self.schema.outcome)
-        # %d formats an int as str() does, %r a float as repr() does
-        row = ",".join("%d" if spec.kind == BINARY else "%r"
-                       for spec in specs) + "\n"
-        columns = [self.columns[spec.name].tolist() for spec in specs]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(spec.name for spec in specs) + "\n")
-            fh.writelines(row % cells for cells in zip(*columns))
+        write_columns(path, [spec.name for spec in specs],
+                      [self.columns[spec.name].tolist() for spec in specs],
+                      ["%d" if spec.kind == BINARY else "%r" for spec in specs])
         sidecar = {"schema": self.schema.to_dict(), "seed": self.seed}
-        with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n",
+                                      encoding="utf-8")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -244,6 +239,36 @@ def _bad_line(path: Path, schema: Schema) -> str | None:
                 if bad:
                     return (f"line {lineno}, column {spec.name!r}: "
                             f"{cell!r} is not a valid {spec.kind} cell")
+
+
+def json_text(value) -> str:
+    """The layout of every JSON report, spec and manifest: indent 2, sorted
+    keys, a trailing newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(value, path: str | Path) -> None:
+    Path(path).write_text(json_text(value), encoding="utf-8")
+
+
+def write_columns(path: str | Path, header: list[str], columns: list[list],
+                  formats: list[str]) -> None:
+    """CSV of whole columns, one %-format per column: %d prints an int as
+    str() does, %r a float as repr() does."""
+    row = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % cells for cells in zip(*columns))
+
+
+def write_rows(path: str | Path, header: list[str], rows) -> None:
+    """CSV of figure rows: a str cell as it is, None as an empty cell, any
+    other cell as repr(float(cell))."""
+    def cell(v) -> str:
+        return v if isinstance(v, str) else "" if v is None else repr(float(v))
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(",".join(map(cell, r)) + "\n" for r in [header, *rows])
 
 
 def undersample(dataset: Dataset, rate: float, seed: int) -> Dataset:

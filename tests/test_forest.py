@@ -7,7 +7,8 @@ import pytest
 from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, EnsembleModel,
                              ForestParams, Metrics, RandomForest,
                              ensemble_predict, evaluate, load_ensemble,
-                             predict, save_ensemble, train_forest)
+                             predict, save_ensemble, train_ensemble,
+                             train_forest)
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
 
@@ -276,6 +277,34 @@ class TestEnsemble:
         votes = [m.predict(np.array([[0.0]]))[0] for m in models]
         expected = 0 if votes.count(0) > votes.count(1) else 1
         assert ensemble_predict(ens, np.array([[0.0]])).tolist() == [expected]
+
+
+class TestTrainEnsemble:
+    @staticmethod
+    def datasets(rng, count=3):
+        out = []
+        for _ in range(count):
+            x, z = rng.integers(0, 2, 120), rng.normal(0, 1, 120)
+            out.append(labeled_dataset(x, x ^ (z > 0).astype(int), z))
+        return out
+
+    def test_forest_k_seeded_seed_plus_k(self):
+        datasets = self.datasets(np.random.default_rng(13))
+        params = ForestParams(n_trees=3, max_depth=4, seed=40)
+        ens = train_ensemble(iter(datasets), params)
+        assert [m.params.seed for m in ens.models] == [40, 41, 42]
+        for k, (model, data) in enumerate(zip(ens.models, datasets)):
+            alone = train_forest(data, ForestParams(n_trees=3, max_depth=4,
+                                                    seed=40 + k))
+            assert model.to_dict() == alone.to_dict()
+
+    def test_same_forests_at_any_worker_count(self):
+        datasets = self.datasets(np.random.default_rng(14))
+        params = ForestParams(n_trees=4, max_depth=5, seed=7)
+        serial = train_ensemble(datasets, params, workers=1)
+        pooled = train_ensemble(datasets, params, workers=2)
+        assert [m.to_dict() for m in pooled.models] \
+            == [m.to_dict() for m in serial.models]
 
 
 class TestEvaluate:

@@ -19,7 +19,8 @@ import pytest
 from ecoinfer import cli
 from ecoinfer.forest import (EnsembleModel, ForestParams, save_ensemble,
                              train_forest)
-from ecoinfer.pipeline import ExperimentPlan, run_experiment
+from ecoinfer.pipeline import (ExperimentPlan, run_controlled_sweep,
+                               run_experiment, run_undersampling_sweep)
 from ecoinfer.reconstruct import load_candidates
 from ecoinfer.synth import builtin_configs
 
@@ -30,7 +31,12 @@ CASES = {
     "config1-undersample0.5": (1, 0.5),
 }
 PIPELINE_FILES = ("report.json", "predictions.csv", "fig4_similarity.csv",
-                  "fig5_metrics.csv")
+                  "fig5_metrics.csv", "candidates/manifest.json",
+                  "candidates/spec.json")
+# The sweeps' summary CSVs: config 1 at the cases' size, these rates, and
+# this parameter at these values.
+SWEEP_RATES = [0.5, 1.0]
+SWEEP_PARAMETER, SWEEP_VALUES = "doa_fraction", [0.1, 0.2]
 
 GOLDEN = {
     2: {
@@ -39,6 +45,8 @@ GOLDEN = {
             "predictions.csv": "043b04e08c1aefc6b2ca3d523575138ee0243fdbd121da23065c2bb1aa82c552",
             "fig4_similarity.csv": "60b61f6382af1686b8b4706735d3cdce0158d43f3f7d2c9ad24fd6fd22be8d90",
             "fig5_metrics.csv": "4a231bb8b737ac3e56fdf28a98edf96e3cdeefcef614d85feca611a0e0f3a969",
+            "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
+            "candidates/spec.json": "f38fd085fc82101effa09fd9f38ebd32c8781c2d4da3c4fe420e1760a58eb043",
             "model.json": "e33e2e90b33cd321f067e98914a93f7229afda7e7b4bfbe4c57996a0edc69fa3",
         },
         "config10": {
@@ -46,6 +54,8 @@ GOLDEN = {
             "predictions.csv": "11e213a575682a8b55f29391756dbab6868838f17d54d3920391adea81b413e5",
             "fig4_similarity.csv": "56ee158ccb15d78b245eabf77c9a18e7abd618f99931d2caa2e69984408891a1",
             "fig5_metrics.csv": "942df1dbe35ec7b329c971522c1974937aed44f3ad1984bb7b9ad2a695f417ab",
+            "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
+            "candidates/spec.json": "fcc8b0ea525710653620c83921117de635a7c806195d769bf10c8f2d8e6822d6",
             "model.json": "1f5a4e1e7013a6790b51499dc99e362b99db58ba7fe8095b6409d81fe7476b09",
         },
         "config1-undersample0.5": {
@@ -53,18 +63,33 @@ GOLDEN = {
             "predictions.csv": "b10220a4899f1908000bde7eb4d982767d6c734203e414d1742a1bd1d4d2962d",
             "fig4_similarity.csv": "60b61f6382af1686b8b4706735d3cdce0158d43f3f7d2c9ad24fd6fd22be8d90",
             "fig5_metrics.csv": "7b8f3ea163bd69c2784b2634183864347bb485046aed36860ebbfbe27ad9ebc5",
+            "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
+            "candidates/spec.json": "f38fd085fc82101effa09fd9f38ebd32c8781c2d4da3c4fe420e1760a58eb043",
+        },
+        "sweeps": {
+            "fig6_undersampling.csv": "56eca1558879b68cb709c7c42e0fb36ccc74ffbf124ece99bebadcb6adac8ccd",
+            "controlled_doa_fraction.csv": "3ba67fe89d4f3156aa3f9b1282edc1eabad4a2e4678f6deefb5a52ff30b17801",
         },
     },
 }
+
+
+def small_plan(config: int, out: Path, rate=None) -> ExperimentPlan:
+    return ExperimentPlan(config=builtin_configs(n=2000)[config - 1],
+                          n_candidates=3, forest=ForestParams(n_trees=10),
+                          undersample_rate=rate, out_dir=out, workers=1)
+
+
+def hashes(out: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
 
 
 def case_hashes(case: str, out: Path) -> dict[str, str]:
     """Run one case into ``out`` and hash its files. Cases without
     undersampling also save the candidates' forests as ``model.json``."""
     config, rate = CASES[case]
-    plan = ExperimentPlan(config=builtin_configs(n=2000)[config - 1],
-                          n_candidates=3, forest=ForestParams(n_trees=10),
-                          undersample_rate=rate, out_dir=out, workers=1)
+    plan = small_plan(config, out, rate)
     run_experiment(plan)
     names = list(PIPELINE_FILES)
     if rate is None:
@@ -74,8 +99,15 @@ def case_hashes(case: str, out: Path) -> dict[str, str]:
                   for k, c in enumerate(candidates)]
         save_ensemble(EnsembleModel(models=models), out / "model.json")
         names.append("model.json")
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in names}
+    return hashes(out, names)
+
+
+def sweep_hashes(out: Path) -> dict[str, str]:
+    """Run both sweeps on config 1 into ``out`` and hash their CSVs."""
+    run_undersampling_sweep(small_plan(1, out), SWEEP_RATES)
+    run_controlled_sweep(small_plan(1, out), SWEEP_PARAMETER, SWEEP_VALUES)
+    return hashes(out, ["fig6_undersampling.csv",
+                        f"controlled_{SWEEP_PARAMETER}.csv"])
 
 
 def cli_train_hash(out: Path) -> str:
@@ -103,7 +135,15 @@ def test_golden_hashes(case, tmp_path):
         assert cli_train_hash(tmp_path) == expected[case]["model.json"]
 
 
+def test_golden_sweep_hashes(tmp_path):
+    expected = GOLDEN.get(numpy_major())
+    if expected is None:
+        pytest.skip(f"no golden hashes recorded for numpy {np.__version__}")
+    assert sweep_hashes(tmp_path) == expected["sweeps"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        pprint.pprint({numpy_major(): {case: case_hashes(case, Path(tmp) / case)
-                                       for case in CASES}}, width=100)
+        found = {case: case_hashes(case, Path(tmp) / case) for case in CASES}
+        found["sweeps"] = sweep_hashes(Path(tmp) / "sweeps")
+        pprint.pprint({numpy_major(): found}, width=100)

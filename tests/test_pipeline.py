@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from ecoinfer.pipeline import (ExperimentPlan, StageError, default_workers,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
 from ecoinfer.reconstruct import load_candidates
-from ecoinfer.synth import (builtin_configs, generate_ground_truth,
+from ecoinfer.synth import (builtin_configs, configs_from_json,
+                            configs_to_json, generate_ground_truth,
                             with_overrides)
 
 from conftest import dataset_from_rows, small_schema
@@ -363,3 +365,108 @@ class TestCli:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "candidates" in capsys.readouterr().err
+
+
+class TestCliOutputs:
+    """Output branches of the CLI, each pinned on a small run."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        """A 300-row truth, two candidates of it and a 3-tree model."""
+        gt, spec, cands, model = (tmp_path / "gt.csv", tmp_path / "spec.json",
+                                  tmp_path / "cands", tmp_path / "model.json")
+        assert main(["synth", "--builtin", "1", "--n", "300",
+                     "--out", str(gt)]) == 0
+        assert main(["summarize", str(gt), "--out", str(spec)]) == 0
+        assert main(["reconstruct", str(spec), "--candidates", "2",
+                     "--delta", "0.0", "--out", str(cands)]) == 0
+        c0, c1 = cands / "candidate_0.csv", cands / "candidate_1.csv"
+        assert main(["train", str(c0), str(c1), "--trees", "3",
+                     "--depth", "3", "--out", str(model)]) == 0
+        return gt, c0, model
+
+    def test_similarity_to_stdout(self, tmp_path, capsys, chain):
+        gt, c0, _ = chain
+        out = tmp_path / "sim.json"
+        capsys.readouterr()
+        assert main(["similarity", str(gt), str(c0), "--features", "PT",
+                     "Age"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["similarity", str(gt), str(c0), "--features", "PT",
+                     "Age", "--out", str(out)]) == 0
+        assert printed == out.read_text()
+        report = json.loads(printed)
+        assert report["feature_subset"] == ["PT", "Age"]
+        assert report["n_rows"] == 300
+        assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_predict_to_stdout(self, tmp_path, capsys, chain):
+        gt, _, model = chain
+        out = tmp_path / "preds.csv"
+        assert main(["predict", str(model), str(gt), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(model), str(gt), "--truth"]) == 0
+        line, metrics = capsys.readouterr().out.split("\n", 1)
+        labels = out.read_text().splitlines()
+        assert labels[0] == "prediction"
+        assert line == ",".join(labels[1:])
+        assert set(json.loads(metrics)) == {"accuracy", "precision", "recall",
+                                            "tp", "fp", "tn", "fn"}
+
+    def test_sweep_parameter(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--builtin", "1", *SMALL_RUN,
+                     "--parameter", "doa_fraction", "--values", "0.1", "0.3",
+                     "--out", str(out)]) == 0
+        lines = (out / "controlled_doa_fraction.csv").read_text().splitlines()
+        assert lines[0] == "doa_fraction,accuracy,precision,recall"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.3"]
+        for v, dead in (("0.1", 20), ("0.3", 60)):
+            report = json.loads((out / f"doa_fraction_{v}" /
+                                 "report.json").read_text())
+            assert report["config"]["doa_fraction"] == float(v)
+            truth = (out / f"doa_fraction_{v}" / "ground_truth.csv")
+            assert truth.read_text().count(",0\n") == dead
+
+    def test_export_configs(self, tmp_path):
+        assert main(["synth", "--builtin", "3", "--n", "300", "--out",
+                     str(tmp_path / "t.csv"), "--export-configs"]) == 0
+        assert configs_from_json(tmp_path / "configs.json") \
+            == builtin_configs()
+
+    @pytest.mark.parametrize("one_item_list", [False, True])
+    def test_config_file(self, tmp_path, one_item_list):
+        cfg = asdict(builtin_configs()[2])
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps([cfg] if one_item_list else cfg))
+        config_csv, builtin_csv = tmp_path / "c.csv", tmp_path / "b.csv"
+        assert main(["synth", "--config", str(path), "--n", "300",
+                     "--out", str(config_csv)]) == 0
+        assert main(["synth", "--builtin", "3", "--n", "300",
+                     "--out", str(builtin_csv)]) == 0
+        assert config_csv.read_bytes() == builtin_csv.read_bytes()
+        assert config_csv.read_text().count(",0\n") == 60
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--n", "300"],
+        ["experiment", *SMALL_RUN],
+        ["sweep", *SMALL_RUN, "--rates", "1.0"]])
+    def test_config_file_with_many_configs_rejected(self, tmp_path, capsys,
+                                                    command):
+        path = tmp_path / "configs.json"
+        configs_to_json(builtin_configs(), path)
+        out = tmp_path / "x"
+        code = main([command[0], "--config", str(path), *command[1:],
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "10 configs" in err
+        assert not out.exists()
+
+    def test_repeats_zero_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["experiment", "--builtin", "1", *SMALL_RUN,
+                     "--repeats", "0", "--out", str(out)])
+        assert code == 1
+        assert "--repeats must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
