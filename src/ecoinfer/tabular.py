@@ -198,12 +198,14 @@ class Dataset:
         schema = Schema.from_dict(meta["schema"])
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = [line for line in fh if not line.isspace()]
         if header != schema.column_names:
             raise SchemaError(f"{path}: line 1: header {header} does not "
                               f"match schema {schema.column_names}")
         try:
-            raw = np.array(rows, dtype=np.float64) if rows else \
+            # loadtxt warns when it is given no rows
+            raw = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                             dtype=np.float64) if rows else \
                 np.empty((0, len(header)))
             return cls(schema, dict(zip(header, raw.T, strict=True)),
                        seed=meta.get("seed"))
@@ -233,7 +235,9 @@ def _bad_line(path: Path, schema: Schema) -> str | None:
                 return f"line {lineno}: {len(cells)} cells, not {len(specs)}"
             for spec, cell in zip(specs, cells):
                 try:
-                    bad = _rejected(spec.kind, np.float64(cell))
+                    # loadtxt, unlike float(), refuses "_" and non-ASCII
+                    bad = "_" in cell or not cell.isascii() \
+                        or _rejected(spec.kind, np.float64(cell))
                 except ValueError:  # not a number
                     bad = True
                 if bad:

@@ -2,9 +2,10 @@
 library until a command needs more.
 
 scipy.optimize takes about 0.5 s to import and serves only exact row
-matching; a process pool pulls in multiprocessing and serves only runs with
-more than one worker. The check runs in a fresh interpreter, because the
-test process has already imported both.
+matching of rows that have no identical partner; a process pool pulls in
+multiprocessing and serves only runs with more than one worker. The check
+runs in a fresh interpreter, because the test process has already imported
+both.
 """
 
 import json
@@ -16,7 +17,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # List the heavy modules loaded by the imports, then by every command but
-# exact matching, then by exact matching.
+# exact matching with rows left over, then by exact matching with rows left
+# over.
 _SCRIPT = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -50,6 +52,8 @@ codes = [
         "identity"),
     run("experiment", "--builtin", 1, "--n", 200, "--candidates", 2,
         "--trees", 3, "--workers", 1, "--out", d / "exp"),
+    # every row has an identical partner, so no row is left to solve
+    run("similarity", truth, truth, "--method", "exact"),
 ]
 before = heavy()
 exact = run("similarity", truth, cands / "candidate_0.csv", "--method",
@@ -69,7 +73,7 @@ def test_only_exact_matching_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["imported"] == []
-    assert result["codes"] == [0] * 8
+    assert result["codes"] == [0] * 9
     assert result["before"] == []
     assert result["exact"] == 0
     assert "scipy.optimize" in result["after"]

@@ -1,14 +1,18 @@
 import importlib
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from ecoinfer.aggregate import summarize
+from ecoinfer.reconstruct import reconstruct
 from ecoinfer.similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
                                  exact_match_fraction, joint_normalize,
                                  match_rows, similarity)
+from ecoinfer.synth import builtin_configs, generate_ground_truth
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
 
@@ -163,8 +167,10 @@ def mixed_pair(rng, n_rows, n_binary, n_continuous, levels=None):
 
 class TestExactAssignmentFromDistinctRows:
     """Exact matching must build, bit for bit, the cost matrix of the dense
-    n x n x m tensor it no longer builds, and return what
-    linear_sum_assignment returns on it."""
+    n x n x m tensor it no longer builds, reach the total that
+    linear_sum_assignment reaches on it, pair every row that has an
+    identical partner in place, and return linear_sum_assignment's own
+    permutation when no row has one."""
 
     @staticmethod
     def dense_cost(na, nb):
@@ -191,8 +197,13 @@ class TestExactAssignmentFromDistinctRows:
             cost = self.dense_cost(na, nb)
             assert np.array_equal(similarity_module._exact_cost(na, nb), cost)
             rows, cols = linear_sum_assignment(cost)
-            assert np.array_equal(
-                match_rows(a, b, EXACT_ASSIGNMENT).permutation[rows], cols)
+            m = match_rows(a, b, EXACT_ASSIGNMENT)
+            assert m.total_distance == pytest.approx(cost[rows, cols].sum(),
+                                                     rel=1e-12, abs=1e-12)
+            pairs = in_place_pairs(na, nb)
+            assert all(m.permutation[i] == j for i, j in pairs.items())
+            if not pairs:
+                assert np.array_equal(m.permutation[rows], cols)
 
     def test_memory_is_a_few_n_by_n_matrices(self):
         # a 2,000 x 2,000 x 5 float tensor alone is 160 MB; three n x n
@@ -205,6 +216,81 @@ class TestExactAssignmentFromDistinctRows:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2000 * 2000 * 8
+
+
+def in_place_pairs(na, nb):
+    """{i: j} pairing the k-th row of na holding a value (in row order) with
+    the k-th row of nb holding it, while nb has one."""
+    rows_b = {}
+    for j, row in enumerate(map(tuple, nb)):
+        rows_b.setdefault(row, []).append(j)
+    seen = Counter()
+    pairs = {}
+    for i, row in enumerate(map(tuple, na)):
+        k = seen[row]
+        seen[row] += 1
+        if k < len(rows_b.get(row, ())):
+            pairs[i] = rows_b[row][k]
+    return pairs
+
+
+class TestExactFromRowsLeftOver:
+    """Exact matching pairs identical rows in place and solves the rest."""
+
+    def test_optimal_and_never_worse_than_heuristics(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            n_rows = int(rng.integers(1, 120))
+            n_binary = int(rng.integers(0, 5))
+            n_continuous = int(rng.integers(0 if n_binary else 1, 4))
+            levels = [None, 2, 3, 5][int(rng.integers(0, 4))]
+            a, b = mixed_pair(rng, n_rows, n_binary, n_continuous, levels)
+            na, nb = joint_normalize(a, b)
+            cost = TestExactAssignmentFromDistinctRows.dense_cost(na, nb)
+            rows, cols = linear_sum_assignment(cost)
+            exact = match_rows(a, b, EXACT_ASSIGNMENT).total_distance
+            assert exact == pytest.approx(cost[rows, cols].sum(),
+                                          rel=1e-12, abs=1e-12)
+            for method in (GREEDY_RANK, IDENTITY):
+                assert exact <= match_rows(a, b, method).total_distance \
+                    * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n_binary, n_continuous, levels", [
+        (4, 0, None), (2, 2, 3), (1, 2, None)],
+        ids=["binary", "mix-few", "mix-distinct"])
+    def test_exact_match_is_the_shared_row_count(self, n_binary,
+                                                 n_continuous, levels):
+        rng = np.random.default_rng(43)
+        for n_rows in (1, 9, 80, 300):
+            a, b = mixed_pair(rng, n_rows, n_binary, n_continuous, levels)
+            ca = Counter(map(tuple, a.to_matrix().tolist()))
+            cb = Counter(map(tuple, b.to_matrix().tolist()))
+            shared = sum(min(k, cb[row]) for row, k in ca.items())
+            m = match_rows(a, b, EXACT_ASSIGNMENT)
+            assert m.exact_match == shared / n_rows
+
+    @pytest.mark.parametrize("binary_only, limit_mb", [(True, 8),
+                                                       (False, 64)],
+                             ids=["binary-columns", "all-columns"])
+    def test_full_size_memory(self, config1_truth_and_candidate, binary_only,
+                              limit_mb):
+        # the n x n cost matrix alone would be 800 MB at N = 10,000
+        truth, cand = config1_truth_and_candidate
+        cols = truth.schema.binary_columns() if binary_only else None
+        tracemalloc.start()
+        try:
+            m = match_rows(truth, cand, EXACT_ASSIGNMENT, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(m.permutation) == list(range(truth.n_rows))
+        assert peak < limit_mb * 1e6
+
+
+@pytest.fixture(scope="module")
+def config1_truth_and_candidate():
+    truth = generate_ground_truth(builtin_configs()[0])
+    return truth, reconstruct(summarize(truth), seed=2000)
 
 
 class TestJointNormalization:

@@ -154,6 +154,22 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == (b"flag,value,y\n0,0.1,1\n1,1e-300,0\n"
                                      b"1,-0.0,0\n0,0.3333333333333333,1\n")
 
+    def test_header_only(self, tmp_path):
+        # no rows, and no warning from the parser
+        ds = Dataset(mixed_schema(), {"flag": [], "value": [], "y": []})
+        path = tmp_path / "data.csv"
+        ds.to_csv(path)
+        assert Dataset.from_csv(path) == ds
+
+    def test_blank_lines_skipped(self, tmp_path):
+        ds = Dataset(mixed_schema(), {"flag": [0, 1], "value": [0.5, 2.0],
+                                      "y": [1, 0]})
+        path = tmp_path / "data.csv"
+        ds.to_csv(path)
+        head, first, second = path.read_text().splitlines()
+        path.write_text(f"{head}\n\n{first}\n \t\n{second}\n\n")
+        assert Dataset.from_csv(path) == ds
+
 
 class TestCsvErrors:
     # line 4 of a file whose line 3 is blank; what the error must name
@@ -166,7 +182,10 @@ class TestCsvErrors:
         ("0,1.5,2", "line 4, column 'y': '2' is not a valid binary cell"),
         ("0,nan,1", "line 4, column 'value': 'nan' is not a valid continuous "
                     "cell"),
-    ], ids=["ragged", "quoted", "binary-0.7", "binary-2", "nan"])
+        ("0,1_0,1", "line 4, column 'value': '1_0' is not a valid continuous "
+                    "cell"),
+    ], ids=["ragged", "quoted", "binary-0.7", "binary-2", "nan",
+            "digit-separator"])
     def test_names_file_and_line(self, tmp_path, line, named):
         path = tmp_path / "data.csv"
         Dataset(mixed_schema(), {"flag": [0], "value": [1.5],
