@@ -13,8 +13,8 @@ from .similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY, RowMatching,
                          exact_match_fraction, match_rows, similarity)
 from .synth import (GroundTruthConfig, atc_schema, builtin_configs,
                     generate_ground_truth)
-from .forest import (EnsembleModel, ForestParams, Metrics, RandomForest,
-                     ensemble_predict, evaluate, predict, train_forest)
+from .forest import (ForestParams, Metrics, RandomForest, ensemble_predict,
+                     evaluate, train_forest)
 from .pipeline import (EvalReport, ExperimentPlan, run_controlled_sweep,
                        run_experiment, run_undersampling_sweep)
 

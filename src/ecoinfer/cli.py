@@ -56,7 +56,7 @@ def _add_plan_args(p):
     g = _add_config_args(p)
     _add_candidate_args(p)
     _add_forest_args(p)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=ExperimentPlan.workers)
     p.add_argument("--out", type=Path, required=True)
     _add_seed(p, default=ExperimentPlan.base_seed)
     return g
@@ -147,8 +147,6 @@ def _load_config(args):
         cfg = cfgs[0]
     if args.n is not None:
         cfg = with_overrides(cfg, n=args.n)
-    if args.seed is not None:
-        cfg = with_overrides(cfg, seed=args.seed)
     return cfg
 
 
@@ -158,6 +156,8 @@ def _forest_params(args, seed: int) -> ForestParams:
 
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
+    if args.seed is not None:
+        cfg = with_overrides(cfg, seed=args.seed)
     ds = generate_ground_truth(cfg)
     ds.to_csv(args.out)
     if args.export_configs:
@@ -206,17 +206,17 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ensemble = train_ensemble((Dataset.from_csv(p) for p in args.candidates),
-                              _forest_params(args, args.seed))
-    save_ensemble(ensemble, args.out)
-    print(f"wrote ensemble of {len(ensemble.models)} forests to {args.out}")
+    forests = train_ensemble((Dataset.from_csv(p) for p in args.candidates),
+                             _forest_params(args, args.seed))
+    save_ensemble(forests, args.out)
+    print(f"wrote ensemble of {len(forests)} forests to {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    ensemble = load_ensemble(args.model)
+    forests = load_ensemble(args.model)
     ds = Dataset.from_csv(args.dataset)
-    labels = ensemble_predict(ensemble, ds)
+    labels = ensemble_predict(forests, ds)
     if args.out:
         write_columns(args.out, ["prediction"], [labels.tolist()], ["%d"])
     else:

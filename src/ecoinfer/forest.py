@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import Dataset, SchemaError
+from .tabular import Dataset, SchemaError, distinct_rows
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
@@ -105,25 +105,17 @@ class _Patterns:
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.n_features = X.shape[1]
-        self.bins = []  # per feature: its sorted distinct values
-        codes = []
         negative = y != POSITIVE_CLASS
-        # Number the distinct rows one column at a time; renumbering after
-        # each column keeps the key below n * (values in the column).
-        key = negative.astype(np.int64)
-        for f in range(self.n_features):
-            bins, code = np.unique(X[:, f], return_inverse=True)
+        rep, self.inverse = distinct_rows(np.column_stack([X, negative]))
+        self.negative = negative[rep]
+        # per feature: its sorted distinct values, and per pattern its value
+        # and slot 2 * bin + (1 if negative)
+        self.bins, self.values, self.slots = [], [], []
+        for column in X[rep].T:
+            bins, code = np.unique(column, return_inverse=True)
             self.bins.append(bins)
-            codes.append(code)
-            key = np.unique(key * len(bins) + code, return_inverse=True)[1]
-        self.inverse = key
-        example = np.empty(key.max() + 1, dtype=np.int64)  # a row per pattern
-        example[key] = np.arange(len(key))
-        self.negative = negative[example]
-        # per pattern and feature: its value, and 2 * bin + (1 if negative)
-        self.values = [bins[code[example]]
-                       for bins, code in zip(self.bins, codes)]
-        self.slots = [2 * code[example] + self.negative for code in codes]
+            self.values.append(column)
+            self.slots.append(2 * code + self.negative)
         self.picks: dict[int, np.ndarray] = {}
 
     def bootstrap(self, rng: np.random.Generator) -> np.ndarray:
@@ -259,19 +251,6 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForest:
     return RandomForest(params, trees, names)
 
 
-def predict(forest: RandomForest, data: Dataset | np.ndarray) -> np.ndarray:
-    """Forest labels for a dataset (features only) or a raw feature matrix."""
-    if isinstance(data, Dataset):
-        if data.schema.feature_names != forest.feature_names:
-            raise SchemaError("dataset features do not match the forest")
-        X = data.to_matrix(forest.feature_names)
-    else:
-        X = np.asarray(data, dtype=np.float64)
-        if X.shape[1] != len(forest.feature_names):
-            raise SchemaError("feature matrix width does not match the forest")
-    return forest.predict(X)
-
-
 def majority_vote(labels) -> np.ndarray:
     """Per-row majority of a (voters, rows) label matrix, or of a list of
     equal-length label arrays; ties go to the positive (dead) class."""
@@ -281,24 +260,13 @@ def majority_vote(labels) -> np.ndarray:
                     1 - POSITIVE_CLASS)
 
 
-@dataclass
-class EnsembleModel:
-    """One trained model per candidate dataset, aggregated at predict time."""
-
-    models: list[RandomForest]
-
-    def __post_init__(self):
-        if not self.models:
-            raise ValueError("ensemble needs at least one model")
-
-
 def member_params(params: ForestParams, k: int) -> ForestParams:
     """Forest k of an ensemble trains with params seeded params.seed + k."""
     return replace(params, seed=params.seed + k)
 
 
 def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
-                   workers: int = 1) -> EnsembleModel:
+                   workers: int = 1) -> list[RandomForest]:
     """One forest per dataset, forest k trained with member_params(params, k).
 
     One worker reads the datasets one at a time, so a lazy iterable holds
@@ -308,18 +276,28 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
         # Local: the pool pulls in multiprocessing, which one worker never needs.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            models = list(pool.map(train_forest, datasets, [
+            return list(pool.map(train_forest, datasets, [
                 member_params(params, k) for k in range(len(datasets))]))
-    else:
-        models = [train_forest(data, member_params(params, k))
-                  for k, data in enumerate(datasets)]
-    return EnsembleModel(models=models)
+    return [train_forest(data, member_params(params, k))
+            for k, data in enumerate(datasets)]
 
 
-def ensemble_predict(ensemble: EnsembleModel,
-                     data: Dataset | np.ndarray) -> np.ndarray:
-    """Majority of the per-model labels, ties toward the positive class."""
-    return majority_vote([predict(m, data) for m in ensemble.models])
+def ensemble_labels(forests: list[RandomForest], data: Dataset) -> np.ndarray:
+    """The (forests, rows) label matrix of an ensemble on a dataset. A
+    forest labels a row by its values alone, so each distinct row is
+    predicted once and its labels are scattered back."""
+    names = data.schema.feature_names
+    if any(forest.feature_names != names for forest in forests):
+        raise SchemaError("dataset features do not match the forest")
+    X = data.to_matrix(names)
+    rep, inverse = distinct_rows(X)
+    X = X[rep]
+    return np.stack([forest.predict(X) for forest in forests])[:, inverse]
+
+
+def ensemble_predict(forests: list[RandomForest], data: Dataset) -> np.ndarray:
+    """Majority of the forests' labels, ties toward the positive class."""
+    return majority_vote(ensemble_labels(forests, data))
 
 
 @dataclass(frozen=True)
@@ -355,17 +333,48 @@ def evaluate(predicted, truth, positive_class: int = POSITIVE_CLASS) -> Metrics:
     )
 
 
-def save_ensemble(ensemble: EnsembleModel, path: str | Path) -> None:
-    payload = {"models": [m.to_dict() for m in ensemble.models]}
+def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
+    payload = {"models": [forest.to_dict() for forest in forests]}
     with open(path, "w", encoding="utf-8") as fh:
         # json.dumps runs the C encoder; json.dump streams through Python.
         fh.write(json.dumps(payload))
         fh.write("\n")
 
 
-def load_ensemble(path: str | Path) -> EnsembleModel:
-    """Load a saved ensemble; the "task" key of older files is ignored."""
+def load_ensemble(path: str | Path) -> list[RandomForest]:
+    """Load a saved ensemble; the "task" key of older files is ignored.
+
+    A file with no models, a model with no trees, or a tree prediction
+    could not walk to a leaf raises ValueError naming the file, model,
+    tree and node."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return EnsembleModel(models=[RandomForest.from_dict(m)
-                                 for m in payload["models"]])
+    forests = [RandomForest.from_dict(m) for m in payload["models"]]
+    if not forests:
+        raise ValueError(f"{path}: an ensemble needs at least one model")
+    for k, forest in enumerate(forests):
+        if not forest.trees:
+            raise ValueError(f"{path}: model {k} has no trees")
+        for t, tree in enumerate(forest.trees):
+            if problem := _walk_problem(tree.nodes, len(forest.feature_names)):
+                raise ValueError(f"{path}: model {k}, tree {t}: {problem}")
+    return forests
+
+
+def _walk_problem(nodes: np.ndarray, n_features: int) -> str | None:
+    """Why prediction could not walk these nodes to a leaf, or None. Each
+    internal node i (feature >= 0) must name a feature and have both
+    children in (i, len(nodes)), as depth-first preorder gives them."""
+    n = len(nodes)
+    if n == 0:
+        return "has no nodes"
+    f, left, right = nodes["feature"], nodes["left"], nodes["right"]
+    i = np.arange(n)
+    bad = (f >= 0) & ((f >= n_features) | (np.minimum(left, right) <= i)
+                      | (np.maximum(left, right) >= n))
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad))
+    if f[j] >= n_features:
+        return f"node {j}: feature {f[j]} is not one of {n_features} features"
+    return f"node {j}: children ({left[j]}, {right[j]}) not both in ({j}, {n})"

@@ -10,24 +10,19 @@ to a separate sidecar for the same reason.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
-import numpy as np
-
 from .similarity import GREEDY_RANK, match_rows, similarity as similarity_score
 from .aggregate import AggregateSpec, summarize
-from .forest import (ForestParams, Metrics, evaluate, majority_vote,
-                     member_params, train_ensemble)
+from .forest import (ForestParams, Metrics, ensemble_labels, evaluate,
+                     majority_vote, member_params, train_ensemble)
 from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
                           save_candidates)
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
 from .tabular import (Dataset, undersample, write_columns, write_json,
                       write_rows)
-
-WORKERS_ENV = "ECOINFER_WORKERS"
 
 # Sweepable GroundTruthConfig parameters for controlled experiments.
 SWEEPABLE = ("gender_or", "gender_fraction", "pt_or", "pt_fraction",
@@ -44,25 +39,9 @@ class StageError(RuntimeError):
         super().__init__(f"[{stage}] {cause}")
 
 
-def default_workers() -> int:
-    """Worker count from ECOINFER_WORKERS (a positive integer), else 1."""
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, "
-                         f"got {env!r}")
-    return workers
-
-
 @dataclass
 class ExperimentPlan:
-    """Everything needed to run one experiment; a sweep varies one field.
-    workers=None means default_workers()."""
+    """Everything needed to run one experiment; a sweep varies one field."""
 
     config: GroundTruthConfig | None = None
     spec: AggregateSpec | None = None          # alternative input: aggregates only
@@ -73,7 +52,7 @@ class ExperimentPlan:
     undersample_rate: float | None = None
     out_dir: Path | None = None
     base_seed: int = 2000
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self):
         if self.n_candidates < 1:
@@ -86,8 +65,6 @@ class ExperimentPlan:
                              "aggregate spec")
         if self.ground_truth is not None and self.config is not None:
             raise ValueError("ground_truth goes with a spec, not a config")
-        if self.workers is None:
-            self.workers = default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -170,15 +147,9 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
         timings["similarity_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        ensemble = _stage("training", train_ensemble, train_sets,
-                          plan.forest, plan.workers)
-        # A forest labels each row by its values alone: predict every
-        # distinct truth row once and scatter the labels back.
-        X_rows, inverse = np.unique(
-            truth.to_matrix(truth.schema.feature_names), axis=0,
-            return_inverse=True)
-        predictions = [m.predict(X_rows)[inverse.ravel()]
-                       for m in ensemble.models]
+        forests = _stage("training", train_ensemble, train_sets,
+                         plan.forest, plan.workers)
+        predictions = ensemble_labels(forests, truth)
         timings["training_s"] = time.perf_counter() - t0
 
         y_true = truth.outcome
@@ -221,7 +192,7 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
             models.append(("ensemble", report.ensemble_metrics))
         _write_metrics_csv(out_dir / "fig5_metrics.csv", "model", models)
         if predictions is not None:
-            columns = predictions + [ens_pred, truth.outcome]
+            columns = [*predictions, ens_pred, truth.outcome]
             write_columns(out_dir / "predictions.csv",
                           [f"candidate_{k}" for k in range(len(predictions))]
                           + ["ensemble", "truth"],

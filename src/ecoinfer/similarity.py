@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Dataset, SchemaError
+from .tabular import Dataset, SchemaError, distinct_rows
 
 GREEDY_RANK = "greedy_rank"
 EXACT_ASSIGNMENT = "exact_assignment"
@@ -104,8 +104,7 @@ def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     gets the k-th row of nb holding v. Only the rows left over are solved.
     """
     n = len(na)
-    _, key = np.unique(np.vstack([na, nb]), axis=0, return_inverse=True)
-    key = key.ravel()
+    key = distinct_rows(np.vstack([na, nb]))[1]
     _, ia, ib = np.intersect1d(_occurrence_codes(key[:n]),
                                _occurrence_codes(key[n:]),
                                assume_unique=True, return_indices=True)
@@ -141,14 +140,14 @@ def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     time would round differently once m >= 8 (numpy sums pairwise).
     """
     m = na.shape[1]
-    ua, ia = np.unique(na, axis=0, return_inverse=True)
-    ub, ib = np.unique(nb, axis=0, return_inverse=True)
+    (ra, ia), (rb, ib) = distinct_rows(na), distinct_rows(nb)
+    ua, ub = na[ra], nb[rb]
     cost = np.empty((len(ua), len(ub)))
     step = max(1, _COST_BLOCK // max(1, len(ub) * m))
     for s in range(0, len(ua), step):
         cost[s:s + step] = np.abs(ua[s:s + step, None, :]
                                   - ub[None, :, :]).sum(axis=2) / m
-    return cost[np.ix_(ia.ravel(), ib.ravel())]
+    return cost[np.ix_(ia, ib)]
 
 
 def similarity(a: Dataset, b: Dataset, method: str = GREEDY_RANK,

@@ -245,6 +245,24 @@ def _bad_line(path: Path, schema: Schema) -> str | None:
                             f"{cell!r} is not a valid {spec.kind} cell")
 
 
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rep, inverse): a row index of X per distinct row, the distinct rows
+    in lexicographic order, and each row's group, so X[rep][inverse] == X.
+
+    One 1-D np.unique per column, renumbering the row key after each so it
+    stays below n * (values in the column); -0.0 and 0.0 compare equal.
+    """
+    key = np.zeros(len(X), dtype=np.int64)
+    for j, column in enumerate(X.T):
+        values, code = np.unique(column, return_inverse=True)
+        # the first column's codes number its rows already
+        key = np.unique(key * len(values) + code, return_inverse=True)[1] \
+            if j else code
+    rep = np.empty(key.max() + 1 if len(key) else 0, dtype=np.int64)
+    rep[key] = np.arange(len(key))
+    return rep, key
+
+
 def json_text(value) -> str:
     """The layout of every JSON report, spec and manifest: indent 2, sorted
     keys, a trailing newline."""

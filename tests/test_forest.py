@@ -1,14 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, EnsembleModel,
-                             ForestParams, Metrics, RandomForest,
+from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, ForestParams,
+                             Metrics, RandomForest, ensemble_labels,
                              ensemble_predict, evaluate, load_ensemble,
-                             predict, save_ensemble, train_ensemble,
-                             train_forest)
+                             save_ensemble, train_ensemble, train_forest)
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
 
@@ -46,13 +49,18 @@ def constant_forest(label, feature_names=("x",)):
                         [constant_tree(label)], list(feature_names))
 
 
+def probe(*x):
+    """Rows to predict: feature x holds the values, the outcome is 1."""
+    return continuous_dataset({"x": np.array(x, dtype=float)}, [1] * len(x))
+
+
 class TestTrainForest:
     def test_pure_signal_perfect_training_accuracy(self):
         rng = np.random.default_rng(1)
         x = rng.integers(0, 2, 400)
         ds = labeled_dataset(x, x)  # outcome equals the feature
         forest = train_forest(ds, ForestParams(n_trees=10, seed=3))
-        preds = predict(forest, ds)
+        preds = ensemble_predict([forest], ds)
         assert (preds == ds.outcome).all()
 
     def test_random_labels_near_chance(self):
@@ -66,7 +74,7 @@ class TestTrainForest:
         ds = labeled_dataset(x[:1000], y[:1000], z[:1000])
         forest = train_forest(ds, ForestParams(n_trees=20, seed=4))
         test = labeled_dataset(x[1000:], y[1000:], z[1000:])
-        acc = float((predict(forest, test) == test.outcome).mean())
+        acc = float((ensemble_predict([forest], test) == test.outcome).mean())
         assert abs(acc - 0.5) < 0.1
 
     def test_seed_determinism(self):
@@ -237,46 +245,51 @@ class TestPredict:
     def test_all_trees_agree(self):
         forest = RandomForest(ForestParams(n_trees=3),
                               [constant_tree(1)] * 3, ["x"])
-        assert predict(forest, np.array([[0.0], [1.0]])).tolist() == [1, 1]
+        assert ensemble_predict([forest], probe(0.0, 1.0)).tolist() == [1, 1]
 
     def test_tie_breaks_toward_dead(self):
         trees = [constant_tree(0)] * 25 + [constant_tree(1)] * 25
         forest = RandomForest(ForestParams(n_trees=50), trees, ["x"])
-        assert predict(forest, np.array([[0.5]])).tolist() == [0]
+        assert ensemble_predict([forest], probe(0.5)).tolist() == [0]
 
     def test_schema_mismatch(self):
-        forest = constant_forest(1)
         other = labeled_dataset([0, 1], [0, 1], [1.0, 2.0])
         with pytest.raises(SchemaError):
-            predict(forest, other)
+            ensemble_predict([constant_forest(1)], other)
+        with pytest.raises(SchemaError):
+            ensemble_labels([constant_forest(1),
+                             constant_forest(1, ("x", "z"))], other)
 
 
 class TestEnsemble:
     def test_majority_of_models(self):
-        models = [constant_forest(0)] * 5 + [constant_forest(1)] * 4
-        ens = EnsembleModel(models=models)
-        assert ensemble_predict(ens, np.array([[1.0]])).tolist() == [0]
+        forests = [constant_forest(0)] * 5 + [constant_forest(1)] * 4
+        assert ensemble_predict(forests, probe(1.0)).tolist() == [0]
 
     def test_single_model_identity(self):
-        ens = EnsembleModel(models=[constant_forest(1)])
-        assert ensemble_predict(ens, np.array([[1.0]])).tolist() == [1]
+        assert ensemble_predict([constant_forest(1)], probe(1.0)).tolist() \
+            == [1]
 
     def test_model_tie_breaks_toward_dead(self):
-        models = [constant_forest(0)] * 2 + [constant_forest(1)] * 2
-        ens = EnsembleModel(models=models)
-        assert ensemble_predict(ens, np.array([[1.0]])).tolist() == [0]
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            EnsembleModel(models=[])
+        forests = [constant_forest(0)] * 2 + [constant_forest(1)] * 2
+        assert ensemble_predict(forests, probe(1.0)).tolist() == [0]
 
     def test_odd_ensemble_never_ties(self):
         rng = np.random.default_rng(8)
-        models = [constant_forest(int(v)) for v in rng.integers(0, 2, 7)]
-        ens = EnsembleModel(models=models)
-        votes = [m.predict(np.array([[0.0]]))[0] for m in models]
+        forests = [constant_forest(int(v)) for v in rng.integers(0, 2, 7)]
+        votes = ensemble_labels(forests, probe(0.0))[:, 0].tolist()
         expected = 0 if votes.count(0) > votes.count(1) else 1
-        assert ensemble_predict(ens, np.array([[0.0]])).tolist() == [expected]
+        assert ensemble_predict(forests, probe(0.0)).tolist() == [expected]
+
+    def test_labels_are_each_forests_labels_of_every_row(self):
+        # repeated rows are predicted once and scattered back
+        rng = np.random.default_rng(9)
+        forests = trained_ensemble(rng)
+        data = labeled_dataset(rng.integers(0, 2, 300), rng.integers(0, 2, 300),
+                               np.round(rng.normal(0, 1, 300)))
+        X = data.to_matrix(data.schema.feature_names)
+        assert np.array_equal(ensemble_labels(forests, data),
+                              [forest.predict(X) for forest in forests])
 
 
 class TestTrainEnsemble:
@@ -292,8 +305,8 @@ class TestTrainEnsemble:
         datasets = self.datasets(np.random.default_rng(13))
         params = ForestParams(n_trees=3, max_depth=4, seed=40)
         ens = train_ensemble(iter(datasets), params)
-        assert [m.params.seed for m in ens.models] == [40, 41, 42]
-        for k, (model, data) in enumerate(zip(ens.models, datasets)):
+        assert [m.params.seed for m in ens] == [40, 41, 42]
+        for k, (model, data) in enumerate(zip(ens, datasets)):
             alone = train_forest(data, ForestParams(n_trees=3, max_depth=4,
                                                     seed=40 + k))
             assert model.to_dict() == alone.to_dict()
@@ -303,8 +316,7 @@ class TestTrainEnsemble:
         params = ForestParams(n_trees=4, max_depth=5, seed=7)
         serial = train_ensemble(datasets, params, workers=1)
         pooled = train_ensemble(datasets, params, workers=2)
-        assert [m.to_dict() for m in pooled.models] \
-            == [m.to_dict() for m in serial.models]
+        assert [m.to_dict() for m in pooled] == [m.to_dict() for m in serial]
 
 
 class TestEvaluate:
@@ -349,8 +361,12 @@ def trained_ensemble(rng):
     z = rng.normal(0, 1, 200)
     y = (x ^ (z > 0).astype(int))
     ds = labeled_dataset(x, y, z)
-    return EnsembleModel(models=[
-        train_forest(ds, ForestParams(n_trees=5, seed=s)) for s in (1, 2)])
+    return [train_forest(ds, ForestParams(n_trees=5, seed=s)) for s in (1, 2)]
+
+
+def random_rows(rng, n=30):
+    return labeled_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n),
+                           rng.normal(0, 1, n))
 
 
 class TestSerialization:
@@ -360,9 +376,9 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_ensemble(ens, path)
         back = load_ensemble(path)
-        probe = np.column_stack([rng.integers(0, 2, 30), rng.normal(0, 1, 30)])
-        assert np.array_equal(ensemble_predict(back, probe),
-                              ensemble_predict(ens, probe))
+        rows = random_rows(rng)
+        assert np.array_equal(ensemble_labels(back, rows),
+                              ensemble_labels(ens, rows))
 
     def test_loads_older_format(self, tmp_path):
         # Older model files carry a "task" key and four more training
@@ -379,11 +395,75 @@ class TestSerialization:
                                    max_thresholds=32)
         path.write_text(json.dumps(payload))
         back = load_ensemble(path)
-        assert [m.params for m in back.models] == \
-            [m.params for m in ens.models]
-        probe = np.column_stack([rng.integers(0, 2, 30), rng.normal(0, 1, 30)])
-        for loaded, trained in zip(back.models, ens.models):
-            assert np.array_equal(predict(loaded, probe),
-                                  predict(trained, probe))
-        assert np.array_equal(ensemble_predict(back, probe),
-                              ensemble_predict(ens, probe))
+        assert [m.params for m in back] == [m.params for m in ens]
+        rows = random_rows(rng)
+        assert np.array_equal(ensemble_labels(back, rows),
+                              ensemble_labels(ens, rows))
+
+
+def node(feature, left, right):
+    return {"feature": feature, "threshold": 0.5, "left": left,
+            "right": right, "counts": [0, 0], "pred": 1}
+
+
+def model_file(path, *trees):
+    """A one-model file, on the one feature x, holding trees given as node
+    lists."""
+    forest = {"params": {"n_trees": max(1, len(trees)), "max_depth": 8,
+                         "seed": 0},
+              "feature_names": ["x"],
+              "trees": [{"nodes": nodes} for nodes in trees]}
+    path.write_text(json.dumps({"models": [forest]}))
+    return path
+
+
+LEAVES = [leaf_node((1, 0), 0), leaf_node((0, 1), 1)]
+
+
+class TestModelFileChecks:
+    """load_ensemble refuses a file that prediction could not walk, and
+    names the file, model, tree and node at fault."""
+
+    def test_no_models(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"models": []}')
+        with pytest.raises(ValueError, match="at least one model") as err:
+            load_ensemble(path)
+        assert str(path) in str(err.value)
+
+    def test_no_trees(self, tmp_path):
+        with pytest.raises(ValueError, match="model 0 has no trees"):
+            load_ensemble(model_file(tmp_path / "m.json"))
+
+    def test_tree_with_no_nodes(self, tmp_path):
+        with pytest.raises(ValueError, match="model 0, tree 1: has no nodes"):
+            load_ensemble(model_file(tmp_path / "m.json", [LEAVES[0]], []))
+
+    @pytest.mark.parametrize("nodes, at", [
+        ([node(0, 0, 0)], "node 0"),                   # root is its own child
+        ([node(0, 1, 2), node(0, 0, 2), *LEAVES], "node 1"),  # back to root
+        ([node(0, 1, 5), *LEAVES], "node 0"),          # past the last node
+        ([node(0, -1, 2), *LEAVES], "node 0"),         # a leaf's -1 child
+        ([node(1, 1, 2), *LEAVES], "node 0"),          # feature 1 of 1
+    ], ids=["self-loop", "back-edge", "out-of-range", "negative-child",
+            "unknown-feature"])
+    def test_unwalkable_node(self, tmp_path, nodes, at):
+        path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, tree 1: {at}:" in str(err.value)
+
+    def test_cli_predict_on_a_cyclic_file_exits_1(self, tmp_path):
+        model = model_file(tmp_path / "cyclic.json", [node(0, 0, 0)])
+        data = tmp_path / "rows.csv"
+        probe(0.0, 1.0).to_csv(data)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else []))}
+        done = subprocess.run(
+            [sys.executable, "-m", "ecoinfer.cli", "predict", str(model),
+             str(data)], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert "model 0, tree 0: node 0:" in done.stderr
+        assert done.stdout == ""

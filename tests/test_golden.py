@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from ecoinfer import cli
-from ecoinfer.forest import (EnsembleModel, ForestParams, save_ensemble,
-                             train_forest)
+from ecoinfer.forest import ForestParams, save_ensemble, train_forest
 from ecoinfer.pipeline import (ExperimentPlan, run_controlled_sweep,
                                run_experiment, run_undersampling_sweep)
 from ecoinfer.reconstruct import load_candidates
@@ -48,6 +47,7 @@ GOLDEN = {
             "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
             "candidates/spec.json": "f38fd085fc82101effa09fd9f38ebd32c8781c2d4da3c4fe420e1760a58eb043",
             "model.json": "e33e2e90b33cd321f067e98914a93f7229afda7e7b4bfbe4c57996a0edc69fa3",
+            "cli_predictions.csv": "6316d9221dc5d3c3135a61140fae6bd28bfdc6a698656becc8423d0d094a531b",
         },
         "config10": {
             "report.json": "7d90368cf5c64bf19b37fae6c3cbd73eb85e4e8e1743b8f9550bee27227b4c46",
@@ -57,6 +57,7 @@ GOLDEN = {
             "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
             "candidates/spec.json": "fcc8b0ea525710653620c83921117de635a7c806195d769bf10c8f2d8e6822d6",
             "model.json": "1f5a4e1e7013a6790b51499dc99e362b99db58ba7fe8095b6409d81fe7476b09",
+            "cli_predictions.csv": "a0b3a2b70def3abc76f875bbba87a8f8521ce7722a4930d46b44f475b1d06da6",
         },
         "config1-undersample0.5": {
             "report.json": "75aa1151befa5a2132fa89dfe538f5caa42e3be3e19a3e0fd1043fc35920964d",
@@ -87,7 +88,8 @@ def hashes(out: Path, names) -> dict[str, str]:
 
 def case_hashes(case: str, out: Path) -> dict[str, str]:
     """Run one case into ``out`` and hash its files. Cases without
-    undersampling also save the candidates' forests as ``model.json``."""
+    undersampling also save the candidates' forests as ``model.json`` and
+    write its labels of the ground truth with ``ecoinfer predict --out``."""
     config, rate = CASES[case]
     plan = small_plan(config, out, rate)
     run_experiment(plan)
@@ -97,8 +99,11 @@ def case_hashes(case: str, out: Path) -> dict[str, str]:
         models = [train_forest(c, replace(plan.forest,
                                           seed=plan.forest.seed + k))
                   for k, c in enumerate(candidates)]
-        save_ensemble(EnsembleModel(models=models), out / "model.json")
-        names.append("model.json")
+        save_ensemble(models, out / "model.json")
+        assert cli.main(["predict", str(out / "model.json"),
+                         str(out / "ground_truth.csv"), "--out",
+                         str(out / "cli_predictions.csv")]) == 0
+        names += ["model.json", "cli_predictions.csv"]
     return hashes(out, names)
 
 

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from ecoinfer.aggregate import summarize
-from ecoinfer.cli import main
+from ecoinfer.cli import build_parser, main
 from ecoinfer.forest import ForestParams, RandomForest
-from ecoinfer.pipeline import (ExperimentPlan, StageError, default_workers,
+from ecoinfer.pipeline import (ExperimentPlan, StageError,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
 from ecoinfer.reconstruct import load_candidates
 from ecoinfer.synth import (builtin_configs, configs_from_json,
                             configs_to_json, generate_ground_truth,
                             with_overrides)
+from ecoinfer.tabular import Dataset
 
 from conftest import dataset_from_rows, small_schema
 
@@ -131,31 +132,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="undersample_rate must be in"):
             small_plan(undersample_rate=rate)
 
+    def test_one_worker_by_default(self, monkeypatch):
+        # ECOINFER_WORKERS is no longer read
+        monkeypatch.setenv("ECOINFER_WORKERS", "abc")
+        assert ExperimentPlan(config=builtin_configs()[0]).workers == 1
+        args = build_parser().parse_args(["experiment", "--builtin", "1",
+                                          "--out", "x"])
+        assert args.workers == ExperimentPlan.workers == 1
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_must_be_positive(self, workers):
         with pytest.raises(ValueError, match=f"workers must be >= 1, "
                                              f"got {workers}"):
             small_plan(workers=workers)
-
-
-class TestDefaultWorkers:
-    def test_unset_is_one(self, monkeypatch):
-        monkeypatch.delenv("ECOINFER_WORKERS", raising=False)
-        assert default_workers() == 1
-
-    def test_positive_integer(self, monkeypatch):
-        monkeypatch.setenv("ECOINFER_WORKERS", "2")
-        assert default_workers() == 2
-        assert small_plan(workers=None).workers == 2
-        assert small_plan(workers=1).workers == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_invalid_value_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("ECOINFER_WORKERS", value)
-        with pytest.raises(ValueError) as err:
-            default_workers()
-        assert "ECOINFER_WORKERS" in str(err.value)
-        assert repr(value) in str(err.value)
 
 
 class TestSweeps:
@@ -260,6 +249,22 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_candidate_metrics"]) == 2
 
+    def test_experiment_uses_the_configs_own_seed(self, tmp_path):
+        # --seed is the candidate base seed; the truth keeps config 2's
+        # seed, 2, so the CLI and the library evaluate the same truth
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        assert main(["experiment", "--builtin", "2", "--n", "400",
+                     "--candidates", "2", "--delta", "0.0", "--trees", "3",
+                     "--depth", "4", "--out", str(cli_out)]) == 0
+        run_experiment(ExperimentPlan(
+            config=with_overrides(builtin_configs()[1], n=400),
+            n_candidates=2, delta=0.0,
+            forest=ForestParams(n_trees=3, max_depth=4, seed=2001),
+            out_dir=lib_out))
+        report = (cli_out / "report.json").read_bytes()
+        assert report == (lib_out / "report.json").read_bytes()
+        assert json.loads(report)["seeds"]["truth_seed"] == 2
+
     def test_experiment_repeats(self, tmp_path):
         out = tmp_path / "exp"
         assert main(["experiment", "--builtin", "1", "--n", "400",
@@ -271,6 +276,7 @@ class TestCli:
         assert len(summary["ensemble_metrics"]) == 2
         report = json.loads((out / "rep_1" / "report.json").read_text())
         assert report["seeds"]["base_seed"] == 2000 + 7919
+        assert report["seeds"]["truth_seed"] == 1
 
     def test_sweep_command(self, tmp_path):
         out = tmp_path / "sweep"
@@ -412,6 +418,21 @@ class TestCliOutputs:
         assert line == ",".join(labels[1:])
         assert set(json.loads(metrics)) == {"accuracy", "precision", "recall",
                                             "tp", "fp", "tn", "fn"}
+
+    def test_each_distinct_row_predicted_once(self, tmp_path, monkeypatch,
+                                              chain):
+        gt, _, model = chain
+        truth = Dataset.from_csv(gt)
+        distinct = len(np.unique(truth.to_matrix(truth.schema.feature_names),
+                                 axis=0))
+        predict, sizes = RandomForest.predict, []
+        def counted(forest, X):
+            sizes.append(len(X))
+            return predict(forest, X)
+        monkeypatch.setattr(RandomForest, "predict", counted)
+        assert main(["predict", str(model), str(gt), "--out",
+                     str(tmp_path / "preds.csv")]) == 0
+        assert sizes == [distinct] * 2 and distinct < truth.n_rows
 
     def test_sweep_parameter(self, tmp_path):
         out = tmp_path / "sweep"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              SchemaError, undersample)
+                              SchemaError, distinct_rows, undersample)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -195,3 +195,32 @@ class TestCsvErrors:
         with pytest.raises(SchemaError) as err:
             Dataset.from_csv(path)
         assert str(err.value) == f"{path}: {named}"
+
+
+class TestDistinctRows:
+    """distinct_rows groups rows as np.unique(axis=0) does, in its order."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(17)
+        yield "repeated", rng.integers(0, 3, (200, 4)).astype(float)
+        yield "distinct", rng.normal(0, 1, (50, 3))
+        yield "mixed", np.column_stack([rng.integers(0, 2, (300, 2)),
+                                        np.round(rng.normal(0, 2, 300))])
+        # -0.0 and 0.0 are one value; so are rows that differ only there
+        yield "signed-zero", np.column_stack([
+            rng.choice([-0.0, 0.0, 5e-324, 1.0], 100),
+            rng.integers(0, 2, 100)])
+        yield "one-row", np.array([[1.5, -2.0]])
+        yield "no-rows", np.empty((0, 3))
+        yield "no-columns", np.empty((7, 0))
+
+    @pytest.mark.parametrize("case", [name for name, _ in matrices()])
+    def test_same_grouping_as_unique_rows(self, case):
+        X = dict(self.matrices())[case]
+        rep, inverse = distinct_rows(X)
+        rows, expected = np.unique(X, axis=0, return_inverse=True)
+        assert np.array_equal(inverse, expected.ravel())
+        assert np.array_equal(X[rep], rows)
+        assert np.array_equal(X[rep][inverse], X)
+        assert rep.dtype == inverse.dtype == np.int64
