@@ -218,7 +218,7 @@ def _cmd_predict(args) -> int:
     ds = Dataset.from_csv(args.dataset)
     labels = ensemble_predict(forests, ds)
     if args.out:
-        write_columns(args.out, ["prediction"], [labels.tolist()], ["%d"])
+        write_columns(args.out, ["prediction"], [labels], ["%d"])
     else:
         print(",".join(str(int(v)) for v in labels))
     if args.truth:

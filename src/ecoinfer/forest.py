@@ -132,18 +132,27 @@ class _Patterns:
         return self.picks[n_mids]
 
     def best_split(self, pats: np.ndarray, w: np.ndarray, n: float,
-                   n_pos: float, features: np.ndarray):
+                   n_pos: float, features: list[int], settled: int):
         """Minimum weighted-Gini split of a node's patterns over the
-        candidate features, as (feature, threshold, left weight, left
-        positive weight), or None when no split separates the node.
+        candidate features outside the ``settled`` bitmask, as (split,
+        settled). The split is (feature, threshold, left weight, left
+        positive weight), or None when no split separates the node. The
+        returned mask adds what no descendant can split: each feature with
+        fewer than two values here, and a split feature with exactly two,
+        as each child keeps one of them.
 
         Thresholds are midpoints of adjacent values present at the node.
-        A midpoint of two adjacent floats can round onto the upper one,
-        so the left side is everything ``<= mid``, found by search."""
+        A midpoint of two adjacent floats can round onto the upper one, or
+        overflow, so the left side is everything ``<= mid``, found by
+        search; with two values, the one midpoint counts when
+        ``a <= mid < b`` and is scored in Python floats."""
         parent_gini = 1.0 - ((n_pos / n) ** 2 + ((n - n_pos) / n) ** 2)
         best = None
         best_score = parent_gini - 1e-12
+        pair_split = False
         for f in features:
+            if settled >> f & 1:
+                continue
             bins = self.bins[f]
             hist = np.bincount(self.slots[f][pats], weights=w,
                                minlength=2 * len(bins))
@@ -151,6 +160,20 @@ class _Patterns:
             total = pos + hist[1::2]
             present = total.nonzero()[0]
             if len(present) < 2:
+                settled |= 1 << f
+                continue
+            if len(present) == 2:
+                i = present[0]
+                a, b = bins[present].tolist()
+                mid = (a + b) / 2.0
+                if a <= mid < b:
+                    n_l, pos_l = total[i], pos[i]
+                    score = _split_score(float(n), float(n_pos), float(n_l),
+                                         float(pos_l))
+                    if score < best_score:
+                        best_score = score
+                        best = (f, mid, n_l, pos_l)
+                        pair_split = True
                 continue
             uniq = bins[present]
             mids = (uniq[1:] + uniq[:-1]) / 2.0
@@ -159,17 +182,16 @@ class _Patterns:
             at = uniq.searchsorted(mids, side="right") - 1
             n_l = total[present].cumsum()[at]
             pos_l = pos[present].cumsum()[at]
-            n_r = n - n_l
-            pos_r = n_pos - pos_l
-            g_l = 1.0 - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l ** 2
-            g_r = 1.0 - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r ** 2
-            score = (n_l * g_l + n_r * g_r) / n
-            score[n_r == 0] = np.inf
+            score = _split_score(n, n_pos, n_l, pos_l)
+            score[n_l == n] = np.inf
             j = score.argmin()
             if score[j] < best_score:
                 best_score = score[j]
-                best = (int(f), float(mids[j]), n_l[j], pos_l[j])
-        return best
+                best = (f, float(mids[j]), n_l[j], pos_l[j])
+                pair_split = False
+        if pair_split:
+            settled |= 1 << best[0]
+        return best, settled
 
     def grow(self, max_depth: int, rng: np.random.Generator) -> DecisionTree:
         """One tree on a bootstrap drawn from ``rng``, which then draws one
@@ -185,28 +207,46 @@ class _Patterns:
             rows.append([-1, 0.0, -1, -1, (n_pos, n_neg), pred])
             return len(rows) - 1
 
-        def build(pats, depth, n, n_pos):
+        def build(pats, depth, n, n_pos, settled):
             if depth >= max_depth or n_pos == 0 or n_pos == n:
                 return leaf(n, n_pos)
-            feats = rng.choice(d, size=k, replace=False)
-            split = self.best_split(pats, weights[pats], n, n_pos, feats)
+            # drawn even when every feature is settled, so that each tree
+            # takes the same draws as one that scores them all
+            feats = rng.choice(d, size=k, replace=False).tolist()
+            split, settled = self.best_split(pats, weights[pats], n, n_pos,
+                                             feats, settled)
             if split is None:
                 return leaf(n, n_pos)
             f, t, n_l, pos_l = split
             go_left = self.values[f][pats] <= t
             node = len(rows)
             rows.append([f, t, -1, -1, (0, 0), 1])
-            rows[node][2] = build(pats[go_left], depth + 1, n_l, pos_l)
+            rows[node][2] = build(pats[go_left], depth + 1, n_l, pos_l,
+                                  settled)
             rows[node][3] = build(pats[~go_left], depth + 1, n - n_l,
-                                  n_pos - pos_l)
+                                  n_pos - pos_l, settled)
             return node
 
-        # a threshold above every value leaves no weight right: 0 / 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A threshold above every value leaves no weight right: 0 / 0. The
+        # midpoint of two huge finite values overflows to +-inf, which
+        # leaves one side empty and so scores inf, like any such threshold.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             build(np.flatnonzero(weights), 0, weights.sum(),
-                  weights[~self.negative].sum())
+                  weights[~self.negative].sum(), 0)
         return DecisionTree(np.array([tuple(r) for r in rows],
                                      dtype=NODE_DTYPE))
+
+
+def _split_score(n, n_pos, n_l, pos_l):
+    """Weighted Gini impurity of splitting a node of weight n, n_pos of it
+    positive, into a left side of weight n_l, pos_l positive, and the rest.
+    The same operations on Python floats and on arrays give the same bits
+    (numpy also squares ``x ** 2`` as ``x * x``)."""
+    n_r, pos_r = n - n_l, n_pos - pos_l
+    neg_l, neg_r = n_l - pos_l, n_r - pos_r
+    g_l = 1.0 - (pos_l * pos_l + neg_l * neg_l) / (n_l * n_l)
+    g_r = 1.0 - (pos_r * pos_r + neg_r * neg_r) / (n_r * n_r)
+    return (n_l * g_l + n_r * g_r) / n
 
 
 class RandomForest:
@@ -271,21 +311,30 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
 
     One worker reads the datasets one at a time, so a lazy iterable holds
     one in memory; more workers train more than one dataset in a process
-    pool. The forests are the same either way."""
+    pool. The forests are the same either way. No datasets raise
+    ValueError."""
     if workers > 1 and len(datasets := list(datasets)) > 1:
         # Local: the pool pulls in multiprocessing, which one worker never needs.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(train_forest, datasets, [
                 member_params(params, k) for k in range(len(datasets))]))
-    return [train_forest(data, member_params(params, k))
-            for k, data in enumerate(datasets)]
+    forests = [train_forest(data, member_params(params, k))
+               for k, data in enumerate(datasets)]
+    _check_ensemble(forests)
+    return forests
+
+
+def _check_ensemble(forests: list) -> None:
+    if not forests:
+        raise ValueError("an ensemble needs at least one forest")
 
 
 def ensemble_labels(forests: list[RandomForest], data: Dataset) -> np.ndarray:
     """The (forests, rows) label matrix of an ensemble on a dataset. A
     forest labels a row by its values alone, so each distinct row is
     predicted once and its labels are scattered back."""
+    _check_ensemble(forests)
     names = data.schema.feature_names
     if any(forest.feature_names != names for forest in forests):
         raise SchemaError("dataset features do not match the forest")
@@ -345,8 +394,8 @@ def load_ensemble(path: str | Path) -> list[RandomForest]:
     """Load a saved ensemble; the "task" key of older files is ignored.
 
     A file with no models, a model with no trees, or a tree prediction
-    could not walk to a leaf raises ValueError naming the file, model,
-    tree and node."""
+    could not walk to a 0/1 label (see _walk_problem) raises ValueError
+    naming the file, model, tree and node."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     forests = [RandomForest.from_dict(m) for m in payload["models"]]
@@ -362,19 +411,28 @@ def load_ensemble(path: str | Path) -> list[RandomForest]:
 
 
 def _walk_problem(nodes: np.ndarray, n_features: int) -> str | None:
-    """Why prediction could not walk these nodes to a leaf, or None. Each
-    internal node i (feature >= 0) must name a feature and have both
-    children in (i, len(nodes)), as depth-first preorder gives them."""
+    """Why prediction could not walk these nodes to a label, or None. Each
+    internal node i (feature >= 0) must name a feature, have a threshold
+    that is not NaN (every row would go right) and have both children in
+    (i, len(nodes)), as depth-first preorder gives them; each leaf must
+    predict 0 or 1."""
     n = len(nodes)
     if n == 0:
         return "has no nodes"
     f, left, right = nodes["feature"], nodes["left"], nodes["right"]
+    thr, pred = nodes["threshold"], nodes["pred"]
     i = np.arange(n)
-    bad = (f >= 0) & ((f >= n_features) | (np.minimum(left, right) <= i)
-                      | (np.maximum(left, right) >= n))
+    bad = np.where(f >= 0, (f >= n_features) | np.isnan(thr)
+                   | (np.minimum(left, right) <= i)
+                   | (np.maximum(left, right) >= n),
+                   (pred != 0) & (pred != 1))
     if not bad.any():
         return None
     j = int(np.argmax(bad))
+    if f[j] < 0:
+        return f"node {j}: leaf predicts {pred[j]}, not 0 or 1"
     if f[j] >= n_features:
         return f"node {j}: feature {f[j]} is not one of {n_features} features"
+    if np.isnan(thr[j]):
+        return f"node {j}: threshold is NaN"
     return f"node {j}: children ({left[j]}, {right[j]}) not both in ({j}, {n})"

@@ -196,7 +196,7 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
             write_columns(out_dir / "predictions.csv",
                           [f"candidate_{k}" for k in range(len(predictions))]
                           + ["ensemble", "truth"],
-                          [c.tolist() for c in columns], ["%d"] * len(columns))
+                          columns, ["%d"] * len(columns))
         write_json(timings, out_dir / "timings.json")
     return report
 

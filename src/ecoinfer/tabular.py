@@ -183,7 +183,7 @@ class Dataset:
         path = Path(path)
         specs = (*self.schema.features, self.schema.outcome)
         write_columns(path, [spec.name for spec in specs],
-                      [self.columns[spec.name].tolist() for spec in specs],
+                      [self.columns[spec.name] for spec in specs],
                       ["%d" if spec.kind == BINARY else "%r" for spec in specs])
         sidecar = {"schema": self.schema.to_dict(), "seed": self.seed}
         sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n",
@@ -273,14 +273,20 @@ def write_json(value, path: str | Path) -> None:
     Path(path).write_text(json_text(value), encoding="utf-8")
 
 
-def write_columns(path: str | Path, header: list[str], columns: list[list],
-                  formats: list[str]) -> None:
-    """CSV of whole columns, one %-format per column: %d prints an int as
-    str() does, %r a float as repr() does."""
+def write_columns(path: str | Path, header: list[str],
+                  columns: list[np.ndarray], formats: list[str]) -> None:
+    """CSV of whole int or float columns, one %-format per column: %d
+    prints an int as str() does, %r a float as repr() does. Each distinct
+    row is formatted once; rows are told apart by their bits, so -0.0 and
+    0.0 keep their own spellings."""
+    columns = [np.asarray(c) for c in columns]
+    rep, inverse = distinct_rows(np.column_stack(
+        [c.view(np.int64) if c.dtype.kind == "f" else c for c in columns]))
     row = ",".join(formats) + "\n"
+    lines = [row % cells for cells in zip(*(c[rep].tolist() for c in columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % cells for cells in zip(*columns))
+        fh.writelines([lines[k] for k in inverse.tolist()])
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:

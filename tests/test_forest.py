@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,18 @@ class TestTrainForest:
         forest = train_forest(ds, ForestParams(n_trees=10, seed=0))
         assert all(len(t.nodes) == 1 for t in forest.trees)
 
+    @pytest.mark.parametrize("values", [(1.6e308, 1.7e308),
+                                        (1.6e308, 1.7e308, 1.75e308)])
+    def test_midpoint_overflow_trains_quietly(self, values):
+        # a midpoint past the largest float leaves one side empty, so
+        # no threshold splits these values
+        x = np.resize(np.array(values), 60)
+        ds = continuous_dataset({"x": x}, (x == values[0]).astype(int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forest = train_forest(ds, ForestParams(n_trees=4, seed=0))
+        assert all(len(t.nodes) == 1 for t in forest.trees)
+
 
 def reference_depth(nodes, i=0):
     if nodes["feature"][i] < 0:
@@ -219,10 +232,23 @@ class TestSameTreesAsRowByRow:
     """The pattern-weighted trainer grows the trees the row-by-row one
     grew, node for node and bit for bit."""
 
-    @pytest.mark.parametrize("case", ["repeated", "many-values", "awkward"])
-    def test_same_trees(self, case):
+    @staticmethod
+    def two_valued(rng, n, a, b):
+        """Column z takes a or b, column u is noise; the outcome leans on z."""
+        z = rng.choice([a, b], n)
+        u = rng.normal(0, 1, n)
+        y = ((z == a) ^ (rng.random(n) < 0.3)).astype(int)
+        return continuous_dataset({"z": z, "u": u}, y)
+
+    @pytest.mark.parametrize("case, max_depth", [
+        ("repeated", 7), ("many-values", 7), ("awkward", 7),
+        ("binary-columns", 12), ("binary-and-round", 12),
+        ("two-valued", 12), ("overflow-up", 12), ("overflow-down", 12),
+        ("rounds-onto-upper", 12)])
+    def test_same_trees(self, case, max_depth):
         rng = np.random.default_rng(13)
         n = 400
+        adjacent = 1 + 2.0 ** -52
         if case == "repeated":
             ds = labeled_dataset(rng.integers(0, 2, n), rng.integers(0, 2, n),
                                  np.round(rng.normal(40, 15, n)))
@@ -231,14 +257,30 @@ class TestSameTreesAsRowByRow:
             ds = continuous_dataset({"z": z, "r": np.round(z * 4),
                                      "u": rng.random(n)},
                                     (z + rng.normal(0, 1, n) > 0).astype(int))
-        else:
+        elif case == "awkward":
             ds = continuous_dataset(awkward_columns(rng, n),
                                     rng.integers(0, 2, n))
-        params = ForestParams(n_trees=6, max_depth=7, seed=5)
+        elif case in ("binary-columns", "binary-and-round"):
+            # deep trees on few repeated patterns: most features an
+            # ancestor has settled
+            cols = {f"b{j}": rng.integers(0, 2, n) for j in range(6)}
+            if case == "binary-and-round":
+                cols["r"] = np.round(rng.normal(0, 1.5, n))
+            signal = cols["b0"] ^ cols["b1"] ^ (rng.random(n) < 0.2)
+            ds = continuous_dataset(cols, signal.astype(int))
+        else:
+            a, b = {"two-valued": (-2.5, 7.0),
+                    "overflow-up": (1.6e308, 1.7e308),
+                    "overflow-down": (-1.7e308, -1.6e308),
+                    "rounds-onto-upper": (adjacent,
+                                          np.nextafter(adjacent, 2.0))}[case]
+            ds = self.two_valued(rng, n, a, b)
+        params = ForestParams(n_trees=6, max_depth=max_depth, seed=5)
         X = ds.to_matrix(ds.schema.feature_names)
         got = [t.to_dict() for t in train_forest(ds, params).trees]
-        assert json.dumps(got) == \
-            json.dumps(reference_trees(X, ds.outcome, params))
+        with np.errstate(over="ignore"):
+            expected = reference_trees(X, ds.outcome, params)
+        assert json.dumps(got) == json.dumps(expected)
 
 
 class TestPredict:
@@ -290,6 +332,19 @@ class TestEnsemble:
         X = data.to_matrix(data.schema.feature_names)
         assert np.array_equal(ensemble_labels(forests, data),
                               [forest.predict(X) for forest in forests])
+
+
+class TestEmptyEnsemble:
+    def test_train_needs_a_dataset(self):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="at least one forest"):
+                train_ensemble([], ForestParams(n_trees=1), workers=workers)
+
+    def test_predict_needs_a_forest(self):
+        with pytest.raises(ValueError, match="at least one forest"):
+            ensemble_labels([], probe(1.0))
+        with pytest.raises(ValueError, match="at least one forest"):
+            ensemble_predict([], probe(1.0))
 
 
 class TestTrainEnsemble:
@@ -440,18 +495,22 @@ class TestModelFileChecks:
             load_ensemble(model_file(tmp_path / "m.json", [LEAVES[0]], []))
 
     @pytest.mark.parametrize("nodes, at", [
-        ([node(0, 0, 0)], "node 0"),                   # root is its own child
-        ([node(0, 1, 2), node(0, 0, 2), *LEAVES], "node 1"),  # back to root
-        ([node(0, 1, 5), *LEAVES], "node 0"),          # past the last node
-        ([node(0, -1, 2), *LEAVES], "node 0"),         # a leaf's -1 child
-        ([node(1, 1, 2), *LEAVES], "node 0"),          # feature 1 of 1
+        ([node(0, 0, 0)], "node 0:"),                  # root is its own child
+        ([node(0, 1, 2), node(0, 0, 2), *LEAVES], "node 1:"),  # back to root
+        ([node(0, 1, 5), *LEAVES], "node 0:"),         # past the last node
+        ([node(0, -1, 2), *LEAVES], "node 0:"),        # a leaf's -1 child
+        ([node(1, 1, 2), *LEAVES], "node 0:"),         # feature 1 of 1
+        ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1), 7)],
+         "node 2: leaf predicts 7,"),
+        ([{**node(0, 1, 2), "threshold": math.nan}, *LEAVES],
+         "node 0: threshold is NaN"),
     ], ids=["self-loop", "back-edge", "out-of-range", "negative-child",
-            "unknown-feature"])
+            "unknown-feature", "leaf-label-7", "nan-threshold"])
     def test_unwalkable_node(self, tmp_path, nodes, at):
         path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
         with pytest.raises(ValueError) as err:
             load_ensemble(path)
-        assert f"{path}: model 0, tree 1: {at}:" in str(err.value)
+        assert f"{path}: model 0, tree 1: {at}" in str(err.value)
 
     def test_cli_predict_on_a_cyclic_file_exits_1(self, tmp_path):
         model = model_file(tmp_path / "cyclic.json", [node(0, 0, 0)])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              SchemaError, distinct_rows, undersample)
+                              SchemaError, distinct_rows, undersample,
+                              write_columns)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -169,6 +170,50 @@ class TestCsvRoundTrip:
         head, first, second = path.read_text().splitlines()
         path.write_text(f"{head}\n\n{first}\n \t\n{second}\n\n")
         assert Dataset.from_csv(path) == ds
+
+
+def reference_write_columns(path, header, columns, formats):
+    """The row-by-row writer write_columns replaced: every row formatted."""
+    row = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % cells
+                      for cells in zip(*(np.asarray(c).tolist()
+                                         for c in columns)))
+
+
+class TestWriteColumns:
+    """write_columns formats each distinct row once and writes the bytes
+    the row-by-row writer wrote."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(23)
+        yield "signed-zero", [rng.choice([-0.0, 0.0, 1.5], 60),
+                              rng.integers(0, 2, 60)], ["%r", "%d"]
+        yield "repeated", [rng.integers(0, 2, 300), rng.integers(0, 2, 300),
+                           np.round(rng.normal(40, 15, 300)),
+                           rng.integers(0, 2, 300)], ["%d", "%d", "%r", "%d"]
+        yield "all-distinct", [rng.normal(0, 1, 80), rng.random(80),
+                               rng.integers(0, 2, 80)], ["%r", "%r", "%d"]
+        yield "one-column", [rng.integers(0, 2, 40)], ["%d"]
+        yield "no-rows", [np.empty(0), np.empty(0, dtype=np.int64)], \
+            ["%r", "%d"]
+
+    @pytest.mark.parametrize("case", [name for name, *_ in tables()])
+    def test_same_bytes_as_row_by_row(self, tmp_path, case):
+        columns, formats = next((c, f) for name, c, f in self.tables()
+                                if name == case)
+        header = [f"c{j}" for j in range(len(columns))]
+        write_columns(tmp_path / "got.csv", header, columns, formats)
+        reference_write_columns(tmp_path / "want.csv", header, columns,
+                                formats)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+        if case == "signed-zero":
+            cells = {line.split(",")[0] for line in
+                     (tmp_path / "got.csv").read_text().splitlines()[1:]}
+            assert cells == {"-0.0", "0.0", "1.5"}
 
 
 class TestCsvErrors:
