@@ -88,6 +88,16 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
+        """Nodes in to_dict's layout. A feature (None on a leaf), child or
+        pred that is not an integer raises ValueError naming the node: the
+        int64 fields would truncate it."""
+        for i, nd in enumerate(d["nodes"]):
+            for key in ("feature", "left", "right", "pred"):
+                v = nd[key]
+                # type(), not isinstance(): a JSON true loads as a bool,
+                # which is an int
+                if type(v) is not int and not (key == "feature" and v is None):
+                    raise ValueError(f"node {i}: {key} {v!r} is not an integer")
         return cls(np.array(
             [(-1 if nd["feature"] is None else nd["feature"], nd["threshold"],
               nd["left"], nd["right"], tuple(nd["counts"]), nd["pred"])
@@ -272,8 +282,13 @@ class RandomForest:
         # constants; they do not affect prediction.
         known = {f.name for f in fields(ForestParams)}
         params = {k: v for k, v in d["params"].items() if k in known}
-        return cls(params=ForestParams(**params),
-                   trees=[DecisionTree.from_dict(t) for t in d["trees"]],
+        trees = []
+        for t, tree in enumerate(d["trees"]):
+            try:
+                trees.append(DecisionTree.from_dict(tree))
+            except ValueError as e:
+                raise ValueError(f"tree {t}: {e}") from e
+        return cls(params=ForestParams(**params), trees=trees,
                    feature_names=list(d["feature_names"]))
 
 
@@ -393,12 +408,18 @@ def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
 def load_ensemble(path: str | Path) -> list[RandomForest]:
     """Load a saved ensemble; the "task" key of older files is ignored.
 
-    A file with no models, a model with no trees, or a tree prediction
-    could not walk to a 0/1 label (see _walk_problem) raises ValueError
-    naming the file, model, tree and node."""
+    A file with no models, a model with no trees, a node field that is not
+    an integer (see DecisionTree.from_dict), or a tree prediction could not
+    walk to a 0/1 label (see _walk_problem) raises ValueError naming the
+    file, model, tree and node."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    forests = [RandomForest.from_dict(m) for m in payload["models"]]
+    forests = []
+    for k, model in enumerate(payload["models"]):
+        try:
+            forests.append(RandomForest.from_dict(model))
+        except ValueError as e:
+            raise ValueError(f"{path}: model {k}, {e}") from e
     if not forests:
         raise ValueError(f"{path}: an ensemble needs at least one model")
     for k, forest in enumerate(forests):

@@ -195,11 +195,22 @@ def _rank_binary(ds: Dataset) -> np.ndarray:
 
     Rows are stably sorted by their sum, so row i of two ranked datasets is
     the pair the similarity module's greedy matcher would form on binary
-    columns. Binary 0/1 columns need no normalization.
+    columns. Binary 0/1 columns need no normalization. The sums are held in
+    the narrowest unsigned type that fits the column count (uint8 up to 255
+    columns), where numpy's stable argsort is a radix sort; any stable sort
+    of the same sums gives the same order.
     """
-    names = ds.schema.binary_columns()
-    rows = np.column_stack([ds.column(c) for c in names]).astype(np.int8)
-    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    columns = [ds.column(c).astype(np.int8)
+               for c in ds.schema.binary_columns()]
+    sums = np.zeros(ds.n_rows, dtype=np.min_scalar_type(len(columns)))
+    for column in columns:
+        # int8 into unsigned is not a same_kind cast; 0/1 values fit either
+        np.add(sums, column, out=sums, casting="unsafe")
+    order = np.argsort(sums, kind="stable")
+    ranked = np.empty((ds.n_rows, len(columns)), dtype=np.int8)
+    for j, column in enumerate(columns):
+        ranked[:, j] = column[order]
+    return ranked
 
 
 def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:

@@ -51,9 +51,8 @@ def joint_normalize(a: Dataset, b: Dataset,
         else a.schema.column_names
     ma = a.to_matrix(names)
     mb = b.to_matrix(names)
-    both = np.vstack([ma, mb])
-    lo = both.min(axis=0)
-    span = both.max(axis=0) - lo
+    lo = np.minimum(ma.min(axis=0), mb.min(axis=0))
+    span = np.maximum(ma.max(axis=0), mb.max(axis=0)) - lo
     span[span == 0] = 1.0  # constant columns -> all zeros either way
     return (ma - lo) / span, (mb - lo) / span
 

@@ -249,15 +249,21 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rep, inverse): a row index of X per distinct row, the distinct rows
     in lexicographic order, and each row's group, so X[rep][inverse] == X.
 
-    One 1-D np.unique per column, renumbering the row key after each so it
-    stays below n * (values in the column); -0.0 and 0.0 compare equal.
+    One 1-D np.unique per column codes its values; the codes build a
+    mixed-radix row key, which keeps the lexicographic order. The key is
+    renumbered only when it could reach 2**62, and once at the end; -0.0
+    and 0.0 compare equal.
     """
     key = np.zeros(len(X), dtype=np.int64)
-    for j, column in enumerate(X.T):
+    size = 1  # every key is below size
+    for column in X.T:
         values, code = np.unique(column, return_inverse=True)
-        # the first column's codes number its rows already
-        key = np.unique(key * len(values) + code, return_inverse=True)[1] \
-            if j else code
+        if size * len(values) >= 2 ** 62:
+            used, key = np.unique(key, return_inverse=True)
+            size = len(used)
+        key = key * len(values) + code
+        size *= len(values)
+    key = np.unique(key, return_inverse=True)[1]
     rep = np.empty(key.max() + 1 if len(key) else 0, dtype=np.int64)
     rep[key] = np.arange(len(key))
     return rep, key

@@ -512,6 +512,28 @@ class TestModelFileChecks:
             load_ensemble(path)
         assert f"{path}: model 0, tree 1: {at}" in str(err.value)
 
+    @pytest.mark.parametrize("nodes, at", [
+        ([{**node(0, 1, 2), "feature": 0.7}, *LEAVES],
+         "node 0: feature 0.7 is not an integer"),
+        ([{**node(0, 1, 2), "left": 1.9}, *LEAVES],
+         "node 0: left 1.9 is not an integer"),
+        ([node(0, 1, 2), LEAVES[0], {**LEAVES[1], "right": "2"}],
+         "node 2: right '2' is not an integer"),
+        ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1), 0.5)],
+         "node 2: pred 0.5 is not an integer"),
+        ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1), True)],
+         "node 2: pred True is not an integer"),
+    ], ids=["float-feature", "float-left", "string-right", "float-pred",
+            "bool-pred"])
+    def test_non_integer_field(self, tmp_path, nodes, at):
+        # the int64 node fields would load these as 0, 1, 2, 0 and 1
+        path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, tree 1: {at}" in str(err.value)
+        with pytest.raises(ValueError, match=f"^{at}$"):
+            DecisionTree.from_dict({"nodes": nodes})
+
     def test_cli_predict_on_a_cyclic_file_exits_1(self, tmp_path):
         model = model_file(tmp_path / "cyclic.json", [node(0, 0, 0)])
         data = tmp_path / "rows.csv"

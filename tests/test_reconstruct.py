@@ -13,7 +13,7 @@ from ecoinfer.reconstruct import (InfeasibleSpecError,
 from ecoinfer.synth import builtin_configs, generate_ground_truth
 from ecoinfer.tabular import CONTINUOUS, FeatureSpec, Schema
 
-from conftest import small_schema
+from conftest import dataset_from_rows, small_schema
 
 
 class TestSolveCells:
@@ -168,6 +168,54 @@ def config_spec(index, n):
     return summarize(generate_ground_truth(builtin_configs(n=n)[index - 1]))
 
 
+def reference_rank(ds):
+    """_rank_binary as first written: the binary columns stacked into int8
+    rows, stably sorted by their int64 row sums."""
+    names = ds.schema.binary_columns()
+    rows = np.column_stack([ds.column(c) for c in names]).astype(np.int8)
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+
+
+def binary_rows(rows):
+    """A dataset of 0/1 rows: binary features x0.., the last column Dead."""
+    rows = np.asarray(rows)
+    names = tuple(f"x{j}" for j in range(rows.shape[1] - 1))
+    return dataset_from_rows(small_schema(len(names), names), rows)
+
+
+class TestRankBinary:
+    """The narrow-sum radix ranking gives the reference's bytes."""
+
+    @staticmethod
+    def assert_same_bytes(ds):
+        got, want = _rank_binary(ds), reference_rank(ds)
+        assert got.dtype == want.dtype == np.int8
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("config", range(1, 11))
+    def test_config_candidates(self, config):
+        spec = config_spec(config, n=1000)
+        for k in range(3):
+            self.assert_same_bytes(reconstruct(spec, derived_seed(2000, k)))
+
+    def test_300_columns_sum_in_uint16(self):
+        rng = np.random.default_rng(3)
+        ds = binary_rows(rng.integers(0, 2, (500, 301)))
+        assert np.min_scalar_type(301) == np.uint16
+        self.assert_same_bytes(ds)
+
+    def test_one_row(self):
+        self.assert_same_bytes(binary_rows([[0, 1, 1, 0]]))
+
+    def test_every_row_ties(self):
+        # each row holds one 1, so every sum is 1 and the order is the rows'
+        rows = np.roll(np.eye(4, dtype=int), 1, axis=0)
+        ranked = _rank_binary(binary_rows(rows))
+        assert np.array_equal(ranked, rows)
+        self.assert_same_bytes(binary_rows(rows))
+
+
 class TestGenerateCandidates:
     def test_delta_separated_set(self):
         spec = trio_spec(n=500)
@@ -203,6 +251,14 @@ class TestGenerateCandidates:
         cs = generate_candidates(spec, 5, delta, base_seed=7)
         assert cs.attempts_used == attempts == 31
         assert [c.seed for c in cs.candidates] == [c.seed for c in kept]
+
+    def test_acceptance_order_pinned(self):
+        # n=2,000 at delta 0.2 rejects 51 of 60 attempts
+        cs = generate_candidates(config_spec(1, n=2000), 9, 0.2,
+                                 base_seed=2000)
+        assert cs.attempts_used == 60
+        assert [c.seed for c in cs.candidates] == [
+            derived_seed(2000, k) for k in (0, 2, 4, 15, 22, 23, 39, 56, 59)]
 
     def test_single_candidate_trivial(self):
         cs = generate_candidates(trio_spec(), 1, 0.5, base_seed=1)

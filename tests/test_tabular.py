@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,13 @@ class TestDistinctRows:
         yield "signed-zero", np.column_stack([
             rng.choice([-0.0, 0.0, 5e-324, 1.0], 100),
             rng.integers(0, 2, 100)])
+        # the column cardinalities multiply past 2**62, so the row key is
+        # renumbered on the way; rows repeat, some differing only in the
+        # sign of a zero
+        base = rng.normal(0, 1, (2000, 6))
+        yield "past-2**62", np.column_stack([
+            base[rng.integers(0, 2000, 5000)],
+            rng.choice([-0.0, 0.0, 1.0], 5000)])
         yield "one-row", np.array([[1.5, -2.0]])
         yield "no-rows", np.empty((0, 3))
         yield "no-columns", np.empty((7, 0))
@@ -269,3 +278,10 @@ class TestDistinctRows:
         assert np.array_equal(X[rep], rows)
         assert np.array_equal(X[rep][inverse], X)
         assert rep.dtype == inverse.dtype == np.int64
+
+    def test_past_2_62_case_renumbers_and_repeats(self):
+        X = dict(self.matrices())["past-2**62"]
+        assert math.prod(len(np.unique(c)) for c in X.T) >= 2 ** 62
+        # -0.0 and 0.0 fall into one group, which bit patterns would split
+        assert len(distinct_rows(X)[0]) < len(np.unique(X.view(np.int64),
+                                                        axis=0)) < len(X)
