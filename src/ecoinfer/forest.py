@@ -6,6 +6,12 @@ per node, each tree trained on a seeded bootstrap resample. The positive
 class is the dead outcome (encoded 0) and all prediction ties resolve
 toward it: in the trauma setting a false negative is worse than a false
 positive.
+
+A tree's generator draws its feature subsets in blocks of SUBSET_BLOCK,
+decoded from 32-bit words exactly as ``Generator.choice(d, size=k,
+replace=False)`` decodes the same words. Nothing else draws from it after
+the bootstrap, so each tree is node for node the one that a ``choice``
+call at every split node grows.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .tabular import Dataset, SchemaError, distinct_rows
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
+SUBSET_BLOCK = 128  # feature subsets a tree draws from its generator at once
 
 
 @dataclass(frozen=True)
@@ -205,10 +212,16 @@ class _Patterns:
 
     def grow(self, max_depth: int, rng: np.random.Generator) -> DecisionTree:
         """One tree on a bootstrap drawn from ``rng``, which then draws one
-        feature subset per split node in depth-first, left-first order."""
+        feature subset per split node in depth-first, left-first order.
+
+        The subsets come from _feature_subsets, in blocks. They do not
+        depend on the data and nothing draws from ``rng`` after the last
+        one, so the tree is the one that calling ``rng.choice(d, size=k,
+        replace=False)`` at each node grows; the draws left in the last
+        block are never read."""
         weights = self.bootstrap(rng)
         d = self.n_features
-        k = math.ceil(math.sqrt(d))
+        subsets = _feature_subsets(rng, d, math.ceil(math.sqrt(d)))
         rows: list[list] = []
 
         def leaf(n, n_pos):
@@ -222,9 +235,8 @@ class _Patterns:
                 return leaf(n, n_pos)
             # drawn even when every feature is settled, so that each tree
             # takes the same draws as one that scores them all
-            feats = rng.choice(d, size=k, replace=False).tolist()
             split, settled = self.best_split(pats, weights[pats], n, n_pos,
-                                             feats, settled)
+                                             next(subsets), settled)
             if split is None:
                 return leaf(n, n_pos)
             f, t, n_l, pos_l = split
@@ -243,8 +255,66 @@ class _Patterns:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             build(np.flatnonzero(weights), 0, weights.sum(),
                   weights[~self.negative].sum(), 0)
+        # build refers to itself, so this frame is freed only by the cyclic
+        # collector; free the last block of subsets now
+        subsets.close()
         return DecisionTree(np.array([tuple(r) for r in rows],
                                      dtype=NODE_DTYPE))
+
+
+def _feature_subsets(rng: np.random.Generator, d: int, k: int):
+    """Endless iterator over the lists ``rng.choice(d, size=k,
+    replace=False).tolist()`` would return call after call, leaving
+    ``rng`` where those calls would have left it at the end of each block.
+
+    Each block is one ``rng.integers`` call of SUBSET_BLOCK rows of 32-bit
+    words, decoded by _decode_subsets. A block it cannot decode is drawn
+    again, from the generator state saved before it, by ``rng.choice``
+    itself. ``choice`` draws k of d by Floyd's algorithm unless d > 10,000
+    and k > d // 50, which k = ceil(sqrt(d)) never meets."""
+    words = 2 * k - 1 - (k == d)  # Floyd takes no word for j = 0
+    while True:
+        state = rng.bit_generator.state
+        block = _decode_subsets(
+            rng.integers(0, 2**32, size=(SUBSET_BLOCK, words),
+                         dtype=np.uint32), d, k)
+        if block is None:
+            rng.bit_generator.state = state
+            block = np.array([rng.choice(d, size=k, replace=False)
+                              for _ in range(SUBSET_BLOCK)])
+        yield from block.tolist()
+
+
+def _decode_subsets(u: np.ndarray, d: int, k: int) -> np.ndarray | None:
+    """The k-of-d subsets ``Generator.choice(d, size=k, replace=False)``
+    decodes from each row of 32-bit words ``u``, or None when some word
+    might be one that ``choice`` rejects and replaces with the next.
+
+    ``choice`` runs Floyd's algorithm: for j = d-k ... d-1 it draws v in
+    [0, j] and keeps v, or j when v is already kept; then it shuffles the
+    k picks Fisher-Yates, swapping pick i with a drawn one in [0, i] for
+    i = k-1 ... 1. Each draw in [0, b) takes one word w and is
+    ``(w * b) >> 32`` (Lemire's method), except that j = 0 takes no word.
+    Lemire's method rejects w only when ``(w * b) mod 2**32 < b``."""
+    bounds = np.array([j + 1 for j in range(d - k, d) if j]
+                      + list(range(k, 1, -1)), dtype=np.uint64)
+    x = u.astype(np.uint64) * bounds
+    if ((x & 0xFFFFFFFF) < bounds).any():
+        return None
+    draws = iter((x >> 32).astype(np.int64).T)
+    picks = np.zeros((len(u), k), dtype=np.int64)  # j = 0 picks 0
+    for t, j in enumerate(range(d - k, d)):
+        if j:
+            v = next(draws)
+            kept = (picks[:, :t] == v[:, None]).any(axis=1)
+            picks[:, t] = np.where(kept, j, v)
+    rows = np.arange(len(u))
+    for i in range(k - 1, 0, -1):
+        to = next(draws)
+        swapped = picks[rows, to]
+        picks[rows, to] = picks[:, i]
+        picks[:, i] = swapped
+    return picks
 
 
 def _split_score(n, n_pos, n_l, pos_l):

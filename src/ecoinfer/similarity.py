@@ -44,17 +44,46 @@ def joint_normalize(a: Dataset, b: Dataset,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Min-max normalize both datasets with shared per-attribute min/max.
 
-    Constant attributes (over the concatenation) map to 0.
+    Constant attributes (over the concatenation) map to 0. Each column is
+    read whole from the dataset and written into a C-order matrix, so the
+    result has the bytes, and its row sums the order, of the matrix form
+    ``(to_matrix(names) - lo) / span``.
     """
     _check_compatible(a, b)
     names = list(feature_subset) if feature_subset is not None \
         else a.schema.column_names
-    ma = a.to_matrix(names)
-    mb = b.to_matrix(names)
-    lo = np.minimum(ma.min(axis=0), mb.min(axis=0))
-    span = np.maximum(ma.max(axis=0), mb.max(axis=0)) - lo
+    ca = [a.column(n) for n in names]
+    cb = [b.column(n) for n in names]
+    lo_a, hi_a = _extremes(ca)
+    lo_b, hi_b = _extremes(cb)
+    lo = np.minimum(lo_a, lo_b)
+    span = np.maximum(hi_a, hi_b) - lo
     span[span == 0] = 1.0  # constant columns -> all zeros either way
-    return (ma - lo) / span, (mb - lo) / span
+    return _scaled(ca, lo, span, a.n_rows), _scaled(cb, lo, span, b.n_rows)
+
+
+def _extremes(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column min and max as float64, with the bits a C-order matrix's
+    ``min(axis=0)`` and ``max(axis=0)`` give: those fold the rows through
+    np.minimum and np.maximum, which return the second operand on a tie,
+    so a zero extreme of a float column takes the sign of its last zero."""
+    lo, hi = np.empty(len(columns)), np.empty(len(columns))
+    for j, c in enumerate(columns):
+        lo[j], hi[j] = c.min(), c.max()
+        if c.dtype.kind == "f" and (lo[j] == 0 or hi[j] == 0):
+            zero = c[np.flatnonzero(c == 0)[-1]]
+            lo[j] = zero if lo[j] == 0 else lo[j]
+            hi[j] = zero if hi[j] == 0 else hi[j]
+    return lo, hi
+
+
+def _scaled(columns: list[np.ndarray], lo: np.ndarray, span: np.ndarray,
+            n: int) -> np.ndarray:
+    """The n x m C-order matrix of (column - lo) / span."""
+    out = np.empty((n, len(columns)))
+    for j, c in enumerate(columns):
+        out[:, j] = (c - lo[j]) / span[j]
+    return out
 
 
 def _check_compatible(a: Dataset, b: Dataset) -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ecoinfer.forest as forest_module
 from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, ForestParams,
                              Metrics, RandomForest, ensemble_labels,
                              ensemble_predict, evaluate, load_ensemble,
@@ -244,7 +245,7 @@ class TestSameTreesAsRowByRow:
         ("repeated", 7), ("many-values", 7), ("awkward", 7),
         ("binary-columns", 12), ("binary-and-round", 12),
         ("two-valued", 12), ("overflow-up", 12), ("overflow-down", 12),
-        ("rounds-onto-upper", 12)])
+        ("rounds-onto-upper", 12), ("wide", 12)])
     def test_same_trees(self, case, max_depth):
         rng = np.random.default_rng(13)
         n = 400
@@ -268,6 +269,12 @@ class TestSameTreesAsRowByRow:
                 cols["r"] = np.round(rng.normal(0, 1.5, n))
             signal = cols["b0"] ^ cols["b1"] ^ (rng.random(n) < 0.2)
             ds = continuous_dataset(cols, signal.astype(int))
+        elif case == "wide":
+            # 12 features, so 4 per subset
+            cols = {f"b{j}": rng.integers(0, 2, n) for j in range(8)}
+            cols.update({f"c{j}": np.round(rng.normal(0, 3, n))
+                         for j in range(4)})
+            ds = continuous_dataset(cols, rng.integers(0, 2, n))
         else:
             a, b = {"two-valued": (-2.5, 7.0),
                     "overflow-up": (1.6e308, 1.7e308),
@@ -281,6 +288,97 @@ class TestSameTreesAsRowByRow:
         with np.errstate(over="ignore"):
             expected = reference_trees(X, ds.outcome, params)
         assert json.dumps(got) == json.dumps(expected)
+
+
+def choice_subsets(rng, d, k, count):
+    """The oracle: one rng.choice call per subset, as a node once drew."""
+    return [rng.choice(d, size=k, replace=False).tolist()
+            for _ in range(count)]
+
+
+def pre_drawn(seed, words):
+    """A generator that has drawn some 32-bit words first: after an odd
+    count PCG64 holds the upper half of its last 64-bit output."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**32, size=words, dtype=np.uint32)
+    return rng
+
+
+class TestFeatureSubsets:
+    """Subsets drawn in blocks are the ones per-node rng.choice calls draw,
+    and leave the generator where those calls leave it after each block."""
+
+    @pytest.mark.parametrize("d", range(1, 65))
+    def test_same_as_choice(self, d, monkeypatch):
+        monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 6)
+        for k in sorted({math.ceil(math.sqrt(d)), d}):
+            for seed in range(50):
+                got, ref = pre_drawn(seed, seed % 4), pre_drawn(seed, seed % 4)
+                subsets = forest_module._feature_subsets(got, d, k)
+                assert [next(subsets) for _ in range(6)] == \
+                    choice_subsets(ref, d, k, 6), (k, seed)
+                assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 64])
+    def test_same_as_choice_across_refills(self, d, monkeypatch):
+        # 7 subsets in blocks of 2: three refills, and the generator has
+        # drawn the fourth block whole, as 8 choice calls do
+        monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 2)
+        for k in sorted({math.ceil(math.sqrt(d)), d}):
+            for seed in range(8):
+                got, ref = pre_drawn(seed, seed % 4), pre_drawn(seed, seed % 4)
+                subsets = forest_module._feature_subsets(got, d, k)
+                assert [next(subsets) for _ in range(7)] == \
+                    choice_subsets(ref, d, k, 7), (k, seed)
+                choice_subsets(ref, d, k, 1)
+                assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_same_as_choice_in_full_blocks(self, d):
+        k = math.ceil(math.sqrt(d))
+        count = 2 * forest_module.SUBSET_BLOCK + 1
+        for seed in range(3):
+            subsets = forest_module._feature_subsets(
+                np.random.default_rng(seed), d, k)
+            assert [next(subsets) for _ in range(count)] == \
+                choice_subsets(np.random.default_rng(seed), d, k, count)
+
+    def test_possible_rejection_is_not_decoded(self):
+        # choice redraws a word w for the bound b = j + 1 when
+        # (w * b) mod 2**32 < 2**32 mod b; w = 0 at b = 3 is such a word
+        u = np.full((4, 5), 2**31 + 1, dtype=np.uint32)
+        assert forest_module._decode_subsets(u, 5, 3) is not None
+        u[2, 0] = 0
+        assert forest_module._decode_subsets(u, 5, 3) is None
+
+    def test_fallback_draws_with_choice(self, monkeypatch):
+        decode = forest_module._decode_subsets
+        monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 4)
+        monkeypatch.setattr(forest_module, "_decode_subsets",
+                            lambda u, d, k: decode(np.zeros_like(u), d, k))
+        for seed in range(5):
+            got, ref = pre_drawn(seed, 1), pre_drawn(seed, 1)
+            subsets = forest_module._feature_subsets(got, 5, 3)
+            assert [next(subsets) for _ in range(12)] == \
+                choice_subsets(ref, 5, 3, 12)
+            assert got.bit_generator.state == ref.bit_generator.state
+
+    def test_grow_calls_no_choice(self):
+        class CountingGenerator(np.random.Generator):
+            calls = 0
+
+            def choice(self, *args, **kwargs):
+                CountingGenerator.calls += 1
+                return super().choice(*args, **kwargs)
+
+        rng = np.random.default_rng(3)
+        ds = labeled_dataset(rng.integers(0, 2, 300), rng.integers(0, 2, 300),
+                             rng.normal(0, 1, 300))
+        X = ds.to_matrix(ds.schema.feature_names)
+        tree = forest_module._Patterns(X, ds.outcome).grow(
+            8, CountingGenerator(np.random.PCG64(4)))
+        assert (tree.nodes["feature"] >= 0).sum() > 10
+        assert CountingGenerator.calls == 0
 
 
 class TestPredict:

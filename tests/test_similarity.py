@@ -316,6 +316,26 @@ class TestJointNormalization:
         assert na[:, 0].tolist() == a_out
         assert nb[:, 0].tolist() == b_out
 
+    @pytest.mark.parametrize("case", ["mixed", "binary-subset",
+                                      "config-1", "config-1-binary"])
+    def test_same_bytes_as_matrix_form(self, case,
+                                       config1_truth_and_candidate):
+        if case.startswith("config-1"):
+            a, b = config1_truth_and_candidate
+            names = (a.schema.binary_columns() if case == "config-1-binary"
+                     else None)
+            pairs = [(a, b), (b, a)]
+        else:
+            pairs = [signed_zero_pair(seed) for seed in range(20)]
+            names = ["b1", "b3", "b4"] if case == "binary-subset" else None
+        for a, b in pairs:
+            got = joint_normalize(a, b, names)
+            expected = matrix_normalize(a, b, names)
+            for g, e in zip(got, expected):
+                assert g.flags.c_contiguous
+                assert (g.shape, g.dtype) == (e.shape, e.dtype)
+                assert g.tobytes() == e.tobytes()
+
     @pytest.mark.parametrize("a_col, b_col, names", [
         ([0.0, 1.0], [1.0, 0.0], ["nope"]),  # unknown column
         ([], [], None),                      # empty datasets
@@ -331,3 +351,40 @@ def continuous_pair(a_col, b_col):
                     outcome=FeatureSpec("y"))
     return (Dataset(schema, {"v": a_col, "y": [0, 1][:len(a_col)]}),
             Dataset(schema, {"v": b_col, "y": [1, 0][:len(b_col)]}))
+
+
+def matrix_normalize(a, b, names=None):
+    """joint_normalize as one min, max and scaling over whole matrices."""
+    ma, mb = a.to_matrix(names), b.to_matrix(names)
+    lo = np.minimum(ma.min(axis=0), mb.min(axis=0))
+    span = np.maximum(ma.max(axis=0), mb.max(axis=0)) - lo
+    span[span == 0] = 1.0
+    return (ma - lo) / span, (mb - lo) / span
+
+
+def signed_zero_pair(seed, n=33):
+    """Two datasets of five binary and five continuous columns: a constant
+    one, two that mix -0.0 and 0.0 (one of them with zero as its maximum),
+    a normal one and one holding a single -0.0 among positives. At 33 rows
+    a column's own min() often returns a zero of the other sign than the
+    matrix form's min(axis=0) does."""
+    rng = np.random.default_rng(seed)
+    features = tuple(FeatureSpec(f"b{j}") for j in range(5)) + tuple(
+        FeatureSpec(name, CONTINUOUS)
+        for name in ("const", "zeros", "nonpositive", "normal", "one_zero"))
+    schema = Schema(features=features, outcome=FeatureSpec("y"))
+
+    def make():
+        cols = {f"b{j}": rng.integers(0, 2, n) for j in range(5)}
+        one_zero = rng.uniform(1, 2, n)
+        one_zero[rng.integers(n)] = -0.0
+        cols.update(
+            const=np.full(n, 2.5),
+            zeros=rng.choice([-0.0, 0.0, 1.0], n),
+            nonpositive=rng.choice([-0.0, 0.0, -3.0], n),
+            normal=rng.normal(0, 1, n),
+            one_zero=one_zero,
+            y=rng.integers(0, 2, n))
+        return Dataset(schema, cols)
+
+    return make(), make()
