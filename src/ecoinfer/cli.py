@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .aggregate import AggregateSpec, summarize
-from .forest import (ForestParams, ensemble_predict, evaluate, load_ensemble,
-                     save_ensemble, train_ensemble)
+from .forest import (ForestParams, SingleClassError, ensemble_predict,
+                     evaluate, load_ensemble, save_ensemble, train_ensemble)
 from .pipeline import (ExperimentPlan, StageError, run_controlled_sweep,
                        run_experiment, run_undersampling_sweep, SWEEPABLE)
 from .reconstruct import MAX_ATTEMPTS, generate_candidates, save_candidates
@@ -206,8 +206,12 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    forests = train_ensemble((Dataset.from_csv(p) for p in args.candidates),
-                             _forest_params(args, args.seed))
+    try:
+        forests = train_ensemble(
+            (Dataset.from_csv(p) for p in args.candidates),
+            _forest_params(args, args.seed))
+    except SingleClassError as e:
+        raise ValueError(f"{args.candidates[e.dataset]}: {e}") from e
     save_ensemble(forests, args.out)
     print(f"wrote ensemble of {len(forests)} forests to {args.out}")
     return 0

@@ -12,6 +12,14 @@ decoded from 32-bit words exactly as ``Generator.choice(d, size=k,
 replace=False)`` decodes the same words. Nothing else draws from it after
 the bootstrap, so each tree is node for node the one that a ``choice``
 call at every split node grows.
+
+Every tree of an ensemble grows in lockstep (_Lockstep): each step takes
+the next node of every unfinished tree and scores and splits them all with
+a fixed number of numpy calls, instead of a dozen calls per node. Each tree
+still takes its nodes in depth-first order from its own stack and its
+subsets from its own generator, and each node's split is chosen by the
+same exact counts and tie rules, so the trees do not depend on which other
+trees grow beside them.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .tabular import Dataset, SchemaError, distinct_rows
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
 SUBSET_BLOCK = 128  # feature subsets a tree draws from its generator at once
+# (pattern, candidate feature) entries a training step scores at once
+_STEP_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -111,155 +121,302 @@ class DecisionTree:
              for nd in d["nodes"]], dtype=NODE_DTYPE))
 
 
-class _Patterns:
-    """A training set's distinct (features, outcome) rows, binned once.
+class SingleClassError(ValueError):
+    """A training set holds a single outcome class; ``dataset`` is its index
+    in the ensemble."""
 
-    A bootstrap becomes a weight per pattern, and a node's class counts
-    per feature value become one weighted ``bincount`` over global bins.
-    Every count is an integer, exact in float64, so each split scores
-    exactly as it would on the expanded bootstrap rows.
+    def __init__(self, dataset: int):
+        super().__init__(f"dataset {dataset}: training data contains a "
+                         "single outcome class")
+        self.dataset = dataset
+
+    def __reduce__(self):  # raised in a pool worker, pickled back
+        return type(self), (self.dataset,)
+
+
+# One grown node: its tree, its depth-first index there, the index of the
+# parent it is the right child of (-1 for a root or a left child, which
+# always follows its parent), and its NODE_DTYPE feature, threshold, counts.
+_GROWN = np.dtype([("tree", np.int64), ("id", np.int64),
+                   ("right_of", np.int64), ("feature", np.int64),
+                   ("threshold", np.float64), ("counts", np.int64, (2,))])
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of these sizes starts."""
+    return np.cumsum(sizes) - sizes
+
+
+class _Lockstep:
+    """Every tree of some forests, grown together one node per tree per step.
+
+    Each forest's training set is reduced to its distinct (features,
+    outcome) rows, its patterns, and each feature column to per-pattern
+    slots ``2 * bin + (1 if negative)`` over that column's sorted distinct
+    values. The columns of every forest sit end to end in one slot array and
+    one bin-value array. A node holds a (2, patterns) array: the ids of its
+    patterns in its forest, and their weights in its tree's bootstrap.
+
+    A step pops the next node of every unfinished tree from that tree's own
+    depth-first stack and draws the node's feature subset from the tree's
+    own generator. It then scores all of the step's (node, feature) pairs
+    with one weighted ``bincount`` and partitions the patterns of every
+    node that splits, in order, into one array of left and one of right
+    sides, in blocks of at most _STEP_BLOCK (pattern, feature) entries
+    unless one node alone has more. Every count is an integer, exact in
+    float64, and each node scores, breaks ties and settles features as it
+    would grown alone, so every tree is node for node the tree grown alone.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.n_features = X.shape[1]
-        negative = y != POSITIVE_CLASS
-        rep, self.inverse = distinct_rows(np.column_stack([X, negative]))
-        self.negative = negative[rep]
-        # per feature: its sorted distinct values, and per pattern its value
-        # and slot 2 * bin + (1 if negative)
-        self.bins, self.values, self.slots = [], [], []
-        for column in X[rep].T:
-            bins, code = np.unique(column, return_inverse=True)
-            self.bins.append(bins)
-            self.values.append(column)
-            self.slots.append(2 * code + self.negative)
-        self.picks: dict[int, np.ndarray] = {}
+    def __init__(self, datasets: Iterable[Dataset], params: ForestParams,
+                 first: int):
+        self.max_depth = params.max_depth
+        self.n_trees = params.n_trees
+        self.forests: list[tuple[ForestParams, list[str]]] = []
+        # an empty first part lets an ensemble of no datasets concatenate
+        slots, bins = [np.zeros(0, np.int32)], [np.zeros(0)]
+        n_bins, col_slot, col_bin = [], [], []
+        n_slots = n_values = 0
+        # per tree: its forest's first column, its subsets, and its stack of
+        # (patterns, or None where the node cannot split; depth, weight,
+        # positive weight, settled features as a bit mask, right_of)
+        self.tree_col, self.subsets, self.stacks = [], [], []
+        for k, data in enumerate(datasets, start=first):
+            names = data.schema.feature_names
+            X, y = data.to_matrix(names), data.outcome
+            # one class, or no rows; np.unique(y) would import numpy.ma
+            if not (y != y[:1]).any():
+                raise SingleClassError(k)
+            negative = y != POSITIVE_CLASS
+            rep, inverse = distinct_rows(np.column_stack([X, negative]))
+            negative = negative[rep]
+            d, first_col = X.shape[1], len(col_slot)
+            for column in X[rep].T:
+                values, code = np.unique(column, return_inverse=True)
+                col_slot.append(n_slots)
+                col_bin.append(n_values)
+                n_bins.append(len(values))
+                slots.append((2 * code + negative).astype(np.int32))
+                bins.append(values)
+                n_slots += len(code)
+                n_values += len(values)
+            del X
+            member = member_params(params, k)
+            self.forests.append((member, names))
+            for ss in np.random.SeedSequence(member.seed).spawn(self.n_trees):
+                rng = np.random.default_rng(ss)
+                w = np.bincount(inverse[rng.integers(0, len(y), size=len(y))],
+                                minlength=len(rep))
+                pats = np.flatnonzero(w)
+                self.tree_col.append(first_col)
+                self.subsets.append(_feature_subsets(
+                    rng, d, math.ceil(math.sqrt(d))))
+                self.stacks.append([self._entry(
+                    np.array([pats, w[pats]], dtype=np.int32), 0,
+                    float(w.sum()), float(w[~negative].sum()), 0, -1)])
+        self.slots, self.bins = np.concatenate(slots), np.concatenate(bins)
+        self.col_slot, self.col_bin, self.n_bins = (
+            np.array(a, dtype=np.intp) for a in (col_slot, col_bin, n_bins))
 
-    def bootstrap(self, rng: np.random.Generator) -> np.ndarray:
-        """Pattern weights of one bootstrap resample of the training rows."""
-        n = len(self.inverse)
-        return np.bincount(self.inverse[rng.integers(0, n, size=n)],
-                           minlength=len(self.negative)).astype(np.float64)
+    def _entry(self, pats, depth, n, n_pos, settled, right_of):
+        """A stack entry. A node that cannot split keeps no patterns; one
+        that can keeps a copy, as a view would keep its whole step's array
+        alive."""
+        if depth >= self.max_depth or n_pos == 0 or n_pos == n:
+            pats = None
+        elif pats.base is not None:
+            pats = pats.copy()
+        return pats, depth, n, n_pos, settled, right_of
 
-    def pick(self, n_mids: int) -> np.ndarray:
-        """Indices of the MAX_THRESHOLDS midpoints kept out of n_mids."""
-        if n_mids not in self.picks:
-            self.picks[n_mids] = np.linspace(0, n_mids - 1,
-                                             MAX_THRESHOLDS).astype(int)
-        return self.picks[n_mids]
-
-    def best_split(self, pats: np.ndarray, w: np.ndarray, n: float,
-                   n_pos: float, features: list[int], settled: int):
-        """Minimum weighted-Gini split of a node's patterns over the
-        candidate features outside the ``settled`` bitmask, as (split,
-        settled). The split is (feature, threshold, left weight, left
-        positive weight), or None when no split separates the node. The
-        returned mask adds what no descendant can split: each feature with
-        fewer than two values here, and a split feature with exactly two,
-        as each child keeps one of them.
-
-        Thresholds are midpoints of adjacent values present at the node.
-        A midpoint of two adjacent floats can round onto the upper one, or
-        overflow, so the left side is everything ``<= mid``, found by
-        search; with two values, the one midpoint counts when
-        ``a <= mid < b`` and is scored in Python floats."""
-        parent_gini = 1.0 - ((n_pos / n) ** 2 + ((n - n_pos) / n) ** 2)
-        best = None
-        best_score = parent_gini - 1e-12
-        pair_split = False
-        for f in features:
-            if settled >> f & 1:
-                continue
-            bins = self.bins[f]
-            hist = np.bincount(self.slots[f][pats], weights=w,
-                               minlength=2 * len(bins))
-            pos = hist[0::2]
-            total = pos + hist[1::2]
-            present = total.nonzero()[0]
-            if len(present) < 2:
-                settled |= 1 << f
-                continue
-            if len(present) == 2:
-                i = present[0]
-                a, b = bins[present].tolist()
-                mid = (a + b) / 2.0
-                if a <= mid < b:
-                    n_l, pos_l = total[i], pos[i]
-                    score = _split_score(float(n), float(n_pos), float(n_l),
-                                         float(pos_l))
-                    if score < best_score:
-                        best_score = score
-                        best = (f, mid, n_l, pos_l)
-                        pair_split = True
-                continue
-            uniq = bins[present]
-            mids = (uniq[1:] + uniq[:-1]) / 2.0
-            if len(mids) > MAX_THRESHOLDS:
-                mids = mids[self.pick(len(mids))]
-            at = uniq.searchsorted(mids, side="right") - 1
-            n_l = total[present].cumsum()[at]
-            pos_l = pos[present].cumsum()[at]
-            score = _split_score(n, n_pos, n_l, pos_l)
-            score[n_l == n] = np.inf
-            j = score.argmin()
-            if score[j] < best_score:
-                best_score = score[j]
-                best = (f, float(mids[j]), n_l[j], pos_l[j])
-                pair_split = False
-        if pair_split:
-            settled |= 1 << best[0]
-        return best, settled
-
-    def grow(self, max_depth: int, rng: np.random.Generator) -> DecisionTree:
-        """One tree on a bootstrap drawn from ``rng``, which then draws one
-        feature subset per split node in depth-first, left-first order.
-
-        The subsets come from _feature_subsets, in blocks. They do not
-        depend on the data and nothing draws from ``rng`` after the last
-        one, so the tree is the one that calling ``rng.choice(d, size=k,
-        replace=False)`` at each node grows; the draws left in the last
-        block are never read."""
-        weights = self.bootstrap(rng)
-        d = self.n_features
-        subsets = _feature_subsets(rng, d, math.ceil(math.sqrt(d)))
-        rows: list[list] = []
-
-        def leaf(n, n_pos):
-            n_pos, n_neg = int(n_pos), int(n - n_pos)
-            pred = POSITIVE_CLASS if n_pos >= n_neg else 1 - POSITIVE_CLASS
-            rows.append([-1, 0.0, -1, -1, (n_pos, n_neg), pred])
-            return len(rows) - 1
-
-        def build(pats, depth, n, n_pos, settled):
-            if depth >= max_depth or n_pos == 0 or n_pos == n:
-                return leaf(n, n_pos)
-            # drawn even when every feature is settled, so that each tree
-            # takes the same draws as one that scores them all
-            split, settled = self.best_split(pats, weights[pats], n, n_pos,
-                                             next(subsets), settled)
-            if split is None:
-                return leaf(n, n_pos)
-            f, t, n_l, pos_l = split
-            go_left = self.values[f][pats] <= t
-            node = len(rows)
-            rows.append([f, t, -1, -1, (0, 0), 1])
-            rows[node][2] = build(pats[go_left], depth + 1, n_l, pos_l,
-                                  settled)
-            rows[node][3] = build(pats[~go_left], depth + 1, n - n_l,
-                                  n_pos - pos_l, settled)
-            return node
-
+    def grow(self) -> list[RandomForest]:
+        grown = [np.zeros(0, dtype=_GROWN)]
+        count = [0] * len(self.stacks)
+        live = list(range(len(self.stacks)))
         # A threshold above every value leaves no weight right: 0 / 0. The
         # midpoint of two huge finite values overflows to +-inf, which
         # leaves one side empty and so scores inf, like any such threshold.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            build(np.flatnonzero(weights), 0, weights.sum(),
-                  weights[~self.negative].sum(), 0)
-        # build refers to itself, so this frame is freed only by the cyclic
-        # collector; free the last block of subsets now
-        subsets.close()
-        return DecisionTree(np.array([tuple(r) for r in rows],
-                                     dtype=NODE_DTYPE))
+            while live:
+                rows, batch = [], []
+                for t in live:
+                    stack = self.stacks[t]
+                    while stack:
+                        pats, depth, n, n_pos, settled, right_of = stack.pop()
+                        i = count[t]
+                        count[t] += 1
+                        if pats is not None:
+                            # drawn even when every feature is settled, so
+                            # that each tree takes the same draws as one
+                            # that scores them all
+                            feats = [f for f in next(self.subsets[t])
+                                     if not settled >> f & 1]
+                            if feats:
+                                batch.append((t, i, right_of, pats, depth, n,
+                                              n_pos, settled, feats))
+                                break
+                        rows.append((t, i, right_of, -1, 0.0,
+                                     (int(n_pos), int(n - n_pos))))
+                start = size = 0
+                for end, (*_, pats, _, _, _, _, feats) in enumerate(batch):
+                    entries = pats.shape[1] * len(feats)
+                    if size and size + entries > _STEP_BLOCK:
+                        self._split(batch[start:end], rows)
+                        start, size = end, 0
+                    size += entries
+                if batch:
+                    self._split(batch[start:], rows)
+                grown.append(np.array(rows, dtype=_GROWN))
+                for t in live:
+                    if not self.stacks[t]:
+                        self.subsets[t] = None  # frees its last block
+                live = [t for t in live if self.stacks[t]]
+        return self._forests(np.concatenate(grown), count)
+
+    def _split(self, block: list, rows: list) -> None:
+        """Score the block's nodes, record each, and push the children of
+        every node that splits onto its tree's stack."""
+        trees, ids, right_ofs, patss, depths, ns, n_poss, settleds, featss = \
+            zip(*block)
+        size = np.array([pats.shape[1] for pats in patss])
+        held = np.concatenate(patss, axis=1)  # the nodes' patterns, in order
+        pats, weight = held
+        node_at = _starts(size)
+        # one (node, feature) pair per candidate feature, in subset order;
+        # a pair's column is its forest's first column plus its feature
+        n_feats = [len(feats) for feats in featss]
+        pair_feat = [f for feats in featss for f in feats]
+        pair_node = np.repeat(np.arange(len(block)), n_feats)
+        pair_col = (np.repeat([self.tree_col[t] for t in trees], n_feats)
+                    + pair_feat)
+        pair_size = size[pair_node]
+        # pair p counts its column's bins from hist_at[p] on; its entries
+        # are its node's patterns, found in pats through entry
+        n_bins = self.n_bins[pair_col]
+        hist_at = _starts(n_bins)
+        entry = np.repeat(node_at[pair_node] - _starts(pair_size), pair_size)
+        entry += np.arange(len(entry))
+        key = np.repeat(self.col_slot[pair_col], pair_size)
+        key += pats[entry]
+        key = self.slots[key]
+        key += np.repeat(2 * hist_at, pair_size)
+        hist = np.bincount(key, weights=weight[entry],
+                           minlength=2 * n_bins.sum())
+        del key, entry
+        pos = hist[0::2]
+        total = pos + hist[1::2]
+        present = total.nonzero()[0]
+        pair = np.searchsorted(hist_at, present, side="right") - 1
+        n_present = np.bincount(pair, minlength=len(pair_col))
+        code = present - hist_at[pair]
+        value = self.bins[self.col_bin[pair_col][pair] + code]
+        total, pos = total[present], pos[present]
+        n_cum, pos_cum = total.cumsum(), pos.cumsum()
+        present_at = _starts(n_present)
+        n_before = n_cum[present_at] - total[present_at]
+        pos_before = pos_cum[present_at] - pos[present_at]
+
+        # thresholds: the midpoints of each pair's adjacent present values,
+        # or MAX_THRESHOLDS of them spread as np.linspace spreads them
+        n_mids = np.maximum(n_present - 1, 0)
+        n_cand = np.minimum(n_mids, MAX_THRESHOLDS)
+        cand_at = _starts(n_cand)
+        cand_pair = np.repeat(np.arange(len(pair_col)), n_cand)
+        j = np.arange(len(cand_pair)) - cand_at[cand_pair]
+        wide = np.flatnonzero(n_mids > MAX_THRESHOLDS)
+        if len(wide):
+            j[(cand_at[wide, None] + np.arange(MAX_THRESHOLDS)).ravel()] = \
+                _spread(n_mids[wide]).ravel()
+        a = present_at[cand_pair] + j
+        lo, hi = value[a], value[a + 1]
+        mid = (lo + hi) / 2.0
+        # the left side is every value <= mid, and a midpoint can round
+        # onto the upper value; one that overflows to +-inf leaves a side
+        # empty
+        at = a + (mid >= hi)
+        n_l = n_cum[at] - n_before[cand_pair]
+        pos_l = pos_cum[at] - pos_before[cand_pair]
+        cand_node = pair_node[cand_pair]
+        n = np.array(ns)[cand_node]
+        score = _split_score(n, np.array(n_poss)[cand_node], n_l, pos_l)
+        score[(n_l == n) | np.isinf(mid)] = np.inf
+
+        # each node's first minimum in subset order, then threshold order,
+        # kept if it beats the node's own impurity
+        per_node = np.bincount(cand_node, minlength=len(block))
+        split = win = np.flatnonzero(per_node)
+        if len(split):
+            best = np.minimum.reduceat(score, _starts(per_node)[split])
+            win = np.flatnonzero(score == np.repeat(best, per_node[split]))
+            win = win[np.searchsorted(cand_node[win], split)]
+            # in Python floats, whose ** 2 rounds as one node's always did
+            gini = [1.0 - ((n_poss[i] / ns[i]) ** 2
+                           + ((ns[i] - n_poss[i]) / ns[i]) ** 2)
+                    for i in split.tolist()]
+            keep = best < np.array(gini) - 1e-12
+            split, win = split[keep], win[keep]
+
+        settled = list(settleds)
+        for p in np.flatnonzero(n_present < 2).tolist():
+            settled[pair_node[p]] |= 1 << pair_feat[p]
+        is_split = np.zeros(len(block), dtype=bool)
+        is_split[split] = True
+        for i in np.flatnonzero(~is_split).tolist():
+            rows.append((trees[i], ids[i], right_ofs[i], -1, 0.0,
+                         (int(n_poss[i]), int(ns[i] - n_poss[i]))))
+        if not len(split):
+            return
+
+        # partition each split node's patterns on its winning column's bin
+        # codes, in order: left sides in one array, right sides in another
+        win_pair, win_size = cand_pair[win], size[split]
+        moved = np.compress(np.repeat(is_split, size), held, axis=1)
+        right = ((self.slots[np.repeat(self.col_slot[pair_col[win_pair]],
+                                       win_size) + moved[0]] >> 1)
+                 > np.repeat(code[at[win]], win_size))
+        n_right = np.add.reduceat(right, _starts(win_size))
+        lefts = np.compress(~right, moved, axis=1)
+        rights = np.compress(right, moved, axis=1)
+        left_at = [0] + (win_size - n_right).cumsum().tolist()
+        right_at = [0] + n_right.cumsum().tolist()
+        n_present = n_present.tolist()
+        for s, (i, p, threshold, n_left, pos_left) in enumerate(zip(
+                split.tolist(), win_pair.tolist(), mid[win].tolist(),
+                n_l[win].tolist(), pos_l[win].tolist())):
+            t, node, f = trees[i], ids[i], pair_feat[p]
+            rows.append((t, node, right_ofs[i], f, threshold, (0, 0)))
+            # a split of a feature with two values here leaves each child
+            # one of them
+            mask = settled[i] | (1 << f if n_present[p] == 2 else 0)
+            stack, depth = self.stacks[t], depths[i] + 1
+            stack.append(self._entry(
+                rights[:, right_at[s]:right_at[s + 1]], depth, ns[i] - n_left,
+                n_poss[i] - pos_left, mask, node))
+            stack.append(self._entry(
+                lefts[:, left_at[s]:left_at[s + 1]], depth, n_left, pos_left,
+                mask, -1))
+
+    def _forests(self, grown: np.ndarray, count: list) -> list[RandomForest]:
+        """The grown nodes as NODE_DTYPE trees, n_trees per forest."""
+        grown = grown[np.lexsort((grown["id"], grown["tree"]))]
+        tree_at = _starts(np.array(count, dtype=np.intp))
+        internal = grown["feature"] >= 0
+        nodes = np.empty(len(grown), dtype=NODE_DTYPE)
+        for key in ("feature", "threshold", "counts"):
+            nodes[key] = grown[key]
+        nodes["left"] = np.where(internal, grown["id"] + 1, -1)
+        nodes["right"] = -1
+        is_right = grown["right_of"] >= 0
+        nodes["right"][tree_at[grown["tree"][is_right]]
+                       + grown["right_of"][is_right]] = grown["id"][is_right]
+        counts = grown["counts"]
+        nodes["pred"] = np.where(
+            internal, 1, np.where(counts[:, 0] >= counts[:, 1],
+                                  POSITIVE_CLASS, 1 - POSITIVE_CLASS))
+        trees = [DecisionTree(nodes[a:a + c].copy())
+                 for a, c in zip(tree_at.tolist(), count)]
+        return [RandomForest(member, trees[k * self.n_trees:
+                                           (k + 1) * self.n_trees], names)
+                for k, (member, names) in enumerate(self.forests)]
 
 
 def _feature_subsets(rng: np.random.Generator, d: int, k: int):
@@ -282,7 +439,8 @@ def _feature_subsets(rng: np.random.Generator, d: int, k: int):
             rng.bit_generator.state = state
             block = np.array([rng.choice(d, size=k, replace=False)
                               for _ in range(SUBSET_BLOCK)])
-        yield from block.tolist()
+        for subset in block:  # one list at a time: every tree holds a block
+            yield subset.tolist()
 
 
 def _decode_subsets(u: np.ndarray, d: int, k: int) -> np.ndarray | None:
@@ -314,6 +472,17 @@ def _decode_subsets(u: np.ndarray, d: int, k: int) -> np.ndarray | None:
         swapped = picks[rows, to]
         picks[rows, to] = picks[:, i]
         picks[:, i] = swapped
+    return picks
+
+
+def _spread(n_mids: np.ndarray) -> np.ndarray:
+    """Per row, the MAX_THRESHOLDS indices ``np.linspace(0, m - 1,
+    MAX_THRESHOLDS).astype(int)`` keeps of m > MAX_THRESHOLDS midpoints,
+    by the same float operations: i * ((m - 1) / (MAX_THRESHOLDS - 1)), and
+    the last index exactly m - 1."""
+    step = (n_mids - 1) / (MAX_THRESHOLDS - 1)
+    picks = (np.arange(MAX_THRESHOLDS) * step[:, None]).astype(int)
+    picks[:, -1] = n_mids - 1
     return picks
 
 
@@ -364,16 +533,7 @@ class RandomForest:
 
 def train_forest(data: Dataset, params: ForestParams) -> RandomForest:
     """Train one forest on a dataset's feature columns vs its outcome."""
-    names = data.schema.feature_names
-    X = data.to_matrix(names)
-    y = data.outcome
-    if len(np.unique(y)) < 2:
-        raise ValueError("training data contains a single outcome class")
-    patterns = _Patterns(X, y)
-    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees = [patterns.grow(params.max_depth, np.random.default_rng(ss))
-             for ss in seeds]
-    return RandomForest(params, trees, names)
+    return train_ensemble([data], params)[0]
 
 
 def majority_vote(labels) -> np.ndarray:
@@ -394,20 +554,37 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
                    workers: int = 1) -> list[RandomForest]:
     """One forest per dataset, forest k trained with member_params(params, k).
 
-    One worker reads the datasets one at a time, so a lazy iterable holds
-    one in memory; more workers train more than one dataset in a process
-    pool. The forests are the same either way. No datasets raise
-    ValueError."""
+    Every tree of every forest grows in lockstep (see _Lockstep), one node
+    per tree per step, so that numpy's per-call cost is paid per step and
+    not per node. Each tree still pops its nodes depth-first from its own
+    stack and draws each node's feature subset from its own generator, so
+    it is node for node the tree it would be if grown alone.
+
+    One worker reads the datasets one at a time and keeps only their
+    binned distinct rows. More workers split the datasets into contiguous
+    chunks and grow each chunk in lockstep in a process pool. The forests
+    are the same either way. No datasets raise ValueError; a dataset with a
+    single outcome class raises SingleClassError naming its index."""
     if workers > 1 and len(datasets := list(datasets)) > 1:
         # Local: the pool pulls in multiprocessing, which one worker never needs.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(train_forest, datasets, [
-                member_params(params, k) for k in range(len(datasets))]))
-    forests = [train_forest(data, member_params(params, k))
-               for k, data in enumerate(datasets)]
+        chunks = min(workers, len(datasets))
+        ends = [len(datasets) * c // chunks for c in range(chunks + 1)]
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            parts = list(pool.map(
+                _train_chunk, [datasets[a:b] for a, b in zip(ends, ends[1:])],
+                [params] * chunks, ends[:-1]))
+        forests = [forest for part in parts for forest in part]
+    else:
+        forests = _train_chunk(datasets, params, 0)
     _check_ensemble(forests)
     return forests
+
+
+def _train_chunk(datasets: Iterable[Dataset], params: ForestParams,
+                 first: int) -> list[RandomForest]:
+    """The forests of datasets first, first + 1, ... of an ensemble."""
+    return _Lockstep(datasets, params, first).grow()
 
 
 def _check_ensemble(forests: list) -> None:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -11,9 +12,10 @@ import pytest
 
 import ecoinfer.forest as forest_module
 from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, ForestParams,
-                             Metrics, RandomForest, ensemble_labels,
-                             ensemble_predict, evaluate, load_ensemble,
-                             save_ensemble, train_ensemble, train_forest)
+                             Metrics, RandomForest, SingleClassError,
+                             ensemble_labels, ensemble_predict, evaluate,
+                             load_ensemble, member_params, save_ensemble,
+                             train_ensemble, train_forest)
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
 
@@ -138,6 +140,31 @@ class TestTrainForest:
             warnings.simplefilter("error")
             forest = train_forest(ds, ForestParams(n_trees=4, seed=0))
         assert all(len(t.nodes) == 1 for t in forest.trees)
+
+    def test_two_valued_split_feature_is_not_scored_below(self, monkeypatch):
+        # each child of a split on a feature with two values keeps one of
+        # them, so no node below scores that feature again
+        rng = np.random.default_rng(17)
+        cols = {f"b{j}": rng.integers(0, 2, 300) for j in range(6)}
+        ds = continuous_dataset(cols, cols["b0"] ^ cols["b1"]
+                                ^ (rng.random(300) < 0.2))
+        scored = []
+        split = forest_module._Lockstep._split
+
+        def spy(self, block, rows):
+            scored.extend((t, i, feats) for t, i, *_, feats in block)
+            return split(self, block, rows)
+
+        monkeypatch.setattr(forest_module._Lockstep, "_split", spy)
+        forest = train_forest(ds, ForestParams(n_trees=4, max_depth=12,
+                                               seed=2))
+        assert len(scored) > 40
+        for t, i, feats in scored:
+            nodes, j, above = forest.trees[t].nodes, 0, set()
+            while j != i:  # preorder: i is right of j from right[j] on
+                above.add(int(nodes["feature"][j]))
+                j = nodes["right" if i >= nodes["right"][j] else "left"][j]
+            assert not above & set(feats), (t, i)
 
 
 def reference_depth(nodes, i=0):
@@ -363,7 +390,7 @@ class TestFeatureSubsets:
                 choice_subsets(ref, 5, 3, 12)
             assert got.bit_generator.state == ref.bit_generator.state
 
-    def test_grow_calls_no_choice(self):
+    def test_grow_calls_no_choice(self, monkeypatch):
         class CountingGenerator(np.random.Generator):
             calls = 0
 
@@ -374,10 +401,12 @@ class TestFeatureSubsets:
         rng = np.random.default_rng(3)
         ds = labeled_dataset(rng.integers(0, 2, 300), rng.integers(0, 2, 300),
                              rng.normal(0, 1, 300))
-        X = ds.to_matrix(ds.schema.feature_names)
-        tree = forest_module._Patterns(X, ds.outcome).grow(
-            8, CountingGenerator(np.random.PCG64(4)))
-        assert (tree.nodes["feature"] >= 0).sum() > 10
+        monkeypatch.setattr(
+            np.random, "default_rng",
+            lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        forest = train_forest(ds, ForestParams(n_trees=2, seed=4))
+        assert all((tree.nodes["feature"] >= 0).sum() > 10
+                   for tree in forest.trees)
         assert CountingGenerator.calls == 0
 
 
@@ -465,11 +494,78 @@ class TestTrainEnsemble:
             assert model.to_dict() == alone.to_dict()
 
     def test_same_forests_at_any_worker_count(self):
-        datasets = self.datasets(np.random.default_rng(14))
+        # 5 datasets in chunks of 2 + 3 and of 1 + 2 + 2
+        datasets = self.datasets(np.random.default_rng(14), count=5)
         params = ForestParams(n_trees=4, max_depth=5, seed=7)
-        serial = train_ensemble(datasets, params, workers=1)
-        pooled = train_ensemble(datasets, params, workers=2)
-        assert [m.to_dict() for m in pooled] == [m.to_dict() for m in serial]
+        serial = [m.to_dict() for m in train_ensemble(datasets, params)]
+        for workers in (2, 3):
+            pooled = train_ensemble(datasets, params, workers=workers)
+            assert [m.to_dict() for m in pooled] == serial
+
+    def test_same_trees_as_row_by_row_forest_by_forest(self):
+        """Grown in lockstep, each forest is the row-by-row one: datasets
+        of different sizes and bins, trees of depth 1 next to depth 12,
+        and midpoints that overflow or round onto the upper value."""
+        rng = np.random.default_rng(21)
+        adjacent = 1 + 2.0 ** -52
+        z = rng.normal(0, 1, 400)
+        deep = continuous_dataset(
+            {"z": z, "r": np.round(z * 4), "u": rng.random(400),
+             "b": rng.integers(0, 2, 400)},
+            (z + rng.normal(0, 1, 400) > 0).astype(int))
+        edge = continuous_dataset({
+            "up": rng.choice([1.6e308, 1.7e308], 250),
+            "onto": rng.choice([adjacent, np.nextafter(adjacent, 2.0)], 250),
+            "down": rng.choice([-1.7e308, -1.6e308, -1.5e308], 250),
+            "noise": np.round(rng.normal(0, 2, 250), 1)},
+            rng.integers(0, 2, 250))
+        x = rng.integers(0, 2, 120)
+        stump = labeled_dataset(x, x)
+        awkward = continuous_dataset(awkward_columns(rng, 333),
+                                     rng.integers(0, 2, 333))
+        datasets = [deep, edge, stump, awkward]
+        params = ForestParams(n_trees=4, max_depth=12, seed=3)
+        ensemble = train_ensemble(datasets, params)
+        assert [max(t.depth() for t in m.trees) for m in ensemble] == \
+            [12, 6, 1, 12]
+        for k, (model, data) in enumerate(zip(ensemble, datasets)):
+            X = data.to_matrix(data.schema.feature_names)
+            with np.errstate(over="ignore"):
+                expected = reference_trees(X, data.outcome,
+                                           member_params(params, k))
+            assert json.dumps([t.to_dict() for t in model.trees]) == \
+                json.dumps(expected), k
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_class_names_its_dataset(self, workers):
+        datasets = self.datasets(np.random.default_rng(15))
+        datasets[1] = labeled_dataset([0, 1, 0], [1, 1, 1])
+        with pytest.raises(SingleClassError,
+                           match="^dataset 1: training data contains a "
+                                 "single outcome class$") as err:
+            train_ensemble(datasets, ForestParams(n_trees=2), workers=workers)
+        assert err.value.dataset == 1
+
+    def test_leaves_no_garbage(self):
+        # no reference cycles: every node, bootstrap and pattern table is
+        # freed when training returns
+        datasets = self.datasets(np.random.default_rng(16))
+        params = ForestParams(n_trees=3, seed=1)
+        train_ensemble(datasets, params)  # numpy's lazy imports leave some
+        gc.collect()
+        gc.disable()
+        try:
+            train_ensemble(datasets, params)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_spread_is_linspace():
+    n_mids = np.arange(MAX_THRESHOLDS + 1, 20_000)
+    expected = [np.linspace(0, m - 1, MAX_THRESHOLDS).astype(int)
+                for m in n_mids.tolist()]
+    assert np.array_equal(forest_module._spread(n_mids), expected)
 
 
 class TestEvaluate:

@@ -365,6 +365,17 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_train_names_a_single_class_file(self, tmp_path, capsys):
+        good, one = tmp_path / "t.csv", tmp_path / "one.csv"
+        dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
+                                            [1, 0]]).to_csv(good)
+        dataset_from_rows(small_schema(1), [[0, 1], [1, 1]]).to_csv(one)
+        code = main(["train", str(good), str(one), str(good), "--trees", "2",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert (f"error [train]: {one}: dataset 1: training data contains a "
+                "single outcome class") in capsys.readouterr().err
+
     def test_unreachable_delta_exit_code(self, tmp_path, capsys):
         code = main(["experiment", "--builtin", "1", "--n", "200",
                      "--candidates", "3", "--delta", "0.99", "--trees", "2",
