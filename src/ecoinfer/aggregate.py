@@ -93,7 +93,11 @@ class ContinuousStat:
 
 
 def _check_open(name: str, v: Value, lo: float, hi: float) -> None:
-    """A value, or each end of a range, must be in (lo, hi); NaN never is."""
+    """A value, or each end of a range, must be in (lo, hi); NaN never is.
+    A range must be two ends with the low end first."""
+    if isinstance(v, tuple) and (len(v) != 2 or not v[0] <= v[1]):
+        raise ValueError(f"{name} range must be (lo, hi) with lo <= hi, "
+                         f"got {v}")
     for x in v if isinstance(v, tuple) else (v,):
         if not lo < x < hi:
             raise ValueError(f"{name} must be in ({lo}, {hi}), got {v}")
@@ -114,6 +118,9 @@ class AggregateSpec:
     continuous: dict[str, ContinuousStat] = field(default_factory=dict)
 
     def __post_init__(self):
+        # a bool is an int, but not a row count
+        if type(self.n) is bool or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         _check_open("n", self.n, 0, np.inf)
         _check_open("class_fraction", self.class_fraction, 0, 1)
         for name in self.schema.binary_feature_names:
@@ -127,10 +134,9 @@ class AggregateSpec:
             if name not in self.continuous:
                 raise ValueError(f"missing continuous stats for {name!r}")
             s = self.continuous[name]  # drawn from a normal truncated at 0
-            _check_open(f"mean[{name}]", s.mean, -np.inf, np.inf)
-            if not 0 <= s.stddev < np.inf or s.stddev == 0 and s.mean < 0:
-                raise ValueError(f"stddev[{name}] must be finite, >= 0, and "
-                                 f"> 0 if the mean is < 0; got {s}")
+            if not (0 <= s.mean < np.inf and 0 <= s.stddev < np.inf):
+                raise ValueError(f"mean[{name}] and stddev[{name}] must be "
+                                 f"finite and >= 0, got {s}")
 
     def to_dict(self) -> dict:
         def enc(v: Value):
@@ -154,21 +160,36 @@ class AggregateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregateSpec":
-        def dec(v) -> Value:
-            return tuple(v) if isinstance(v, (list, tuple)) else float(v)
+        """The inverse of to_dict. A statistic that is not a JSON number,
+        or a list of them for a range, raises ValueError naming it; n is
+        passed as loaded, so the constructor refuses 200.7 and true."""
+        def num(key: str, v) -> int | float:
+            # type(), not isinstance(): a JSON true loads as a bool
+            if type(v) not in (int, float):
+                raise ValueError(f"{key} must be a JSON number, got {v!r}")
+            return v
+
+        def dec(key: str, v) -> Value:
+            if isinstance(v, (list, tuple)):
+                return tuple(num(key, x) for x in v)
+            return float(num(key, v))
 
         schema = Schema.from_dict(d["schema"])
         binary = {}
         continuous = {}
         for f in d["features"]:
+            name = f["name"]
             if f.get("kind", BINARY) == BINARY:
-                binary[f["name"]] = BinaryStat(dec(f["odds_ratio"]),
-                                               dec(f["occurrence_fraction"]))
+                binary[name] = BinaryStat(
+                    dec(f"odds_ratio[{name}]", f["odds_ratio"]),
+                    dec(f"occurrence_fraction[{name}]",
+                        f["occurrence_fraction"]))
             else:
-                continuous[f["name"]] = ContinuousStat(float(f["mean"]),
-                                                       float(f["stddev"]))
-        return cls(schema=schema, n=int(d["n"]),
-                   class_fraction=dec(d["class_fraction"]),
+                continuous[name] = ContinuousStat(
+                    float(num(f"mean[{name}]", f["mean"])),
+                    float(num(f"stddev[{name}]", f["stddev"])))
+        return cls(schema=schema, n=d["n"],
+                   class_fraction=dec("class_fraction", d["class_fraction"]),
                    binary=binary, continuous=continuous)
 
     def to_json(self, path: str | Path) -> None:

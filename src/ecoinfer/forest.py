@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
@@ -60,6 +61,7 @@ class ForestParams:
 NODE_DTYPE = np.dtype([("feature", np.int64), ("threshold", np.float64),
                        ("left", np.int64), ("right", np.int64),
                        ("counts", np.int64, (2,)), ("pred", np.int64)])
+_NODE_FIELDS = operator.itemgetter(*NODE_DTYPE.names)
 
 
 class DecisionTree:
@@ -105,20 +107,34 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        """Nodes in to_dict's layout. A feature (None on a leaf), child or
-        pred that is not an integer raises ValueError naming the node: the
-        int64 fields would truncate it."""
-        for i, nd in enumerate(d["nodes"]):
-            for key in ("feature", "left", "right", "pred"):
-                v = nd[key]
-                # type(), not isinstance(): a JSON true loads as a bool,
-                # which is an int
-                if type(v) is not int and not (key == "feature" and v is None):
-                    raise ValueError(f"node {i}: {key} {v!r} is not an integer")
-        return cls(np.array(
-            [(-1 if nd["feature"] is None else nd["feature"], nd["threshold"],
-              nd["left"], nd["right"], tuple(nd["counts"]), nd["pred"])
-             for nd in d["nodes"]], dtype=NODE_DTYPE))
+        """Nodes in to_dict's layout. A missing key, a feature (None on a
+        leaf), child or pred that is not an integer, or counts that are not
+        two integers raise ValueError naming the node: the int64 fields
+        would truncate or broadcast them."""
+        rows = []
+        for i, nd in enumerate(_require(d, "nodes")):
+            try:
+                (feature, threshold, left, right, counts,
+                 pred) = _NODE_FIELDS(nd)
+            except KeyError as e:
+                raise ValueError(f"node {i}: missing key {e.args[0]!r}") from e
+            # type(), not isinstance(): a JSON true loads as a bool, which
+            # is an int
+            if not (feature is None or type(feature) is int) \
+                    or not type(left) is type(right) is type(pred) is int:
+                for key in ("feature", "left", "right", "pred"):
+                    v = nd[key]
+                    if type(v) is not int and not (key == "feature"
+                                                   and v is None):
+                        raise ValueError(
+                            f"node {i}: {key} {v!r} is not an integer")
+            if type(counts) is not list or len(counts) != 2 \
+                    or type(counts[0]) is not int or type(counts[1]) is not int:
+                raise ValueError(
+                    f"node {i}: counts {counts!r} is not two integers")
+            rows.append((-1 if feature is None else feature, threshold, left,
+                         right, tuple(counts), pred))
+        return cls(np.array(rows, dtype=NODE_DTYPE))
 
 
 class SingleClassError(ValueError):
@@ -520,15 +536,17 @@ class RandomForest:
         # Older model files also carry four training settings that are now
         # constants; they do not affect prediction.
         known = {f.name for f in fields(ForestParams)}
-        params = {k: v for k, v in d["params"].items() if k in known}
+        params = {k: v for k, v in _require(d, "params").items()
+                  if k in known}
+        feature_names = list(_require(d, "feature_names"))
         trees = []
-        for t, tree in enumerate(d["trees"]):
+        for t, tree in enumerate(_require(d, "trees")):
             try:
                 trees.append(DecisionTree.from_dict(tree))
             except ValueError as e:
                 raise ValueError(f"tree {t}: {e}") from e
         return cls(params=ForestParams(**params), trees=trees,
-                   feature_names=list(d["feature_names"]))
+                   feature_names=feature_names)
 
 
 def train_forest(data: Dataset, params: ForestParams) -> RandomForest:
@@ -655,12 +673,14 @@ def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
 def load_ensemble(path: str | Path) -> list[RandomForest]:
     """Load a saved ensemble; the "task" key of older files is ignored.
 
-    A file with no models, a model with no trees, a node field that is not
-    an integer (see DecisionTree.from_dict), or a tree prediction could not
-    walk to a 0/1 label (see _walk_problem) raises ValueError naming the
-    file, model, tree and node."""
+    A file with no models, a model with no trees, a missing key, a node
+    field that is not an integer (see DecisionTree.from_dict), or a tree
+    prediction could not walk to a 0/1 label (see _walk_problem) raises
+    ValueError naming the file, model, tree and node."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if "models" not in payload:
+        raise ValueError(f"{path}: missing key 'models'")
     forests = []
     for k, model in enumerate(payload["models"]):
         try:
@@ -676,6 +696,13 @@ def load_ensemble(path: str | Path) -> list[RandomForest]:
             if problem := _walk_problem(tree.nodes, len(forest.feature_names)):
                 raise ValueError(f"{path}: model {k}, tree {t}: {problem}")
     return forests
+
+
+def _require(d: dict, key: str):
+    """d[key], or a ValueError naming the missing key."""
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    return d[key]
 
 
 def _walk_problem(nodes: np.ndarray, n_features: int) -> str | None:

@@ -47,11 +47,15 @@ def joint_normalize(a: Dataset, b: Dataset,
     Constant attributes (over the concatenation) map to 0. Each column is
     read whole from the dataset and written into a C-order matrix, so the
     result has the bytes, and its row sums the order, of the matrix form
-    ``(to_matrix(names) - lo) / span``.
+    ``(to_matrix(names) - lo) / span``. A feature_subset must name at
+    least one column, and none twice.
     """
     _check_compatible(a, b)
     names = list(feature_subset) if feature_subset is not None \
         else a.schema.column_names
+    if not names or len(set(names)) < len(names):
+        raise SchemaError(f"feature_subset must name at least one column "
+                          f"and none twice, got {names}")
     ca = [a.column(n) for n in names]
     cb = [b.column(n) for n in names]
     lo_a, hi_a = _extremes(ca)

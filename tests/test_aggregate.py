@@ -127,13 +127,62 @@ class TestSpecValidationAndJson:
                               binary={"x": BinaryStat(bad_or, 0.5)})
 
     @pytest.mark.parametrize("mean, stddev", [
-        (np.nan, 1.0), (36.0, np.inf), (-1.0, -3.0), (-5.0, 0.0)])
+        (np.nan, 1.0), (36.0, np.inf), (-1.0, -3.0), (-5.0, 0.0),
+        (-1.0, 1.0), (-100.0, 1.0), (-np.inf, 1.0), (36.0, np.nan)])
     def test_invalid_moments_rejected(self, mean, stddev):
         schema = Schema(features=(FeatureSpec("Age", CONTINUOUS),),
                         outcome=FeatureSpec("Dead"))
-        with pytest.raises(ValueError, match="Age"):
+        with pytest.raises(ValueError, match=r"mean\[Age\] and stddev\[Age\]"):
             AggregateSpec(schema=schema, n=10, class_fraction=0.5,
                           continuous={"Age": ContinuousStat(mean, stddev)})
+
+    @pytest.mark.parametrize("mean, stddev", [
+        (0.0, 0.0), (-0.0, 1.0), (36.0, 19.0), (1e-300, 1e300)])
+    def test_zero_or_positive_means_accepted(self, mean, stddev):
+        schema = Schema(features=(FeatureSpec("Age", CONTINUOUS),),
+                        outcome=FeatureSpec("Dead"))
+        AggregateSpec(schema=schema, n=10, class_fraction=0.5,
+                      continuous={"Age": ContinuousStat(mean, stddev)})
+
+    def test_summarize_refuses_a_negative_mean(self):
+        schema = Schema(features=(FeatureSpec("Temp", CONTINUOUS),),
+                        outcome=FeatureSpec("Dead"))
+        ds = Dataset(schema, {"Temp": [-3.0, -1.0, 2.0], "Dead": [0, 1, 1]})
+        with pytest.raises(ValueError, match=r"mean\[Temp\]"):
+            summarize(ds)
+
+    @pytest.mark.parametrize("bad", [(0.3, 0.1), (0.1, 0.2, 0.3), (0.2,),
+                                     (), (np.nan, 0.2), (0.1, np.nan)])
+    def test_bad_ranges_rejected(self, bad):
+        schema = small_schema(1, names=("x",))
+        with pytest.raises(ValueError, match=r"^class_fraction "):
+            AggregateSpec(schema=schema, n=10, class_fraction=bad,
+                          binary={"x": BinaryStat(1.0, 0.5)})
+        with pytest.raises(ValueError, match=r"^odds_ratio\[x\] "):
+            AggregateSpec(schema=schema, n=10, class_fraction=0.5,
+                          binary={"x": BinaryStat(tuple(10 * v for v in bad),
+                                                  0.5)})
+        with pytest.raises(ValueError, match=r"^occurrence_fraction\[x\] "):
+            AggregateSpec(schema=schema, n=10, class_fraction=0.5,
+                          binary={"x": BinaryStat(1.0, bad)})
+
+    def test_point_range_accepted(self):
+        schema = small_schema(1, names=("x",))
+        spec = AggregateSpec(schema=schema, n=10, class_fraction=(0.2, 0.2),
+                             binary={"x": BinaryStat((2.0, 2.0), 0.5)})
+        assert float((reconstruct(spec, 0).outcome == 0).mean()) == 0.2
+
+    @pytest.mark.parametrize("n", [0, -3, None, np.float64(200.0)])
+    def test_n_must_be_a_positive_integer(self, n):
+        schema = small_schema(1, names=("x",))
+        with pytest.raises(ValueError, match=r"^n must be "):
+            AggregateSpec(schema=schema, n=n, class_fraction=0.5,
+                          binary={"x": BinaryStat(1.0, 0.5)})
+
+    def test_n_may_be_a_numpy_integer(self):
+        schema = small_schema(1, names=("x",))
+        AggregateSpec(schema=schema, n=np.int64(10), class_fraction=0.5,
+                      binary={"x": BinaryStat(1.0, 0.5)})
 
     def test_json_round_trip(self, tmp_path, trauma_cohort_pt):
         spec = summarize(trauma_cohort_pt)
@@ -151,3 +200,62 @@ class TestSpecValidationAndJson:
         back = AggregateSpec.from_json(path)
         assert back.class_fraction == (0.1, 0.3)
         assert back.binary["x"].odds_ratio == (2.0, 4.0)
+
+
+def mixed_spec_dict():
+    """A spec's dict form with a binary feature x and a continuous Age."""
+    schema = Schema(features=(FeatureSpec("x"),
+                              FeatureSpec("Age", CONTINUOUS)),
+                    outcome=FeatureSpec("Dead"))
+    return AggregateSpec(schema=schema, n=200, class_fraction=(0.1, 0.3),
+                         binary={"x": BinaryStat(2.0, 0.4)},
+                         continuous={"Age": ContinuousStat(36.0, 19.0)}
+                         ).to_dict()
+
+
+class TestFromDictTypes:
+    """from_dict takes JSON numbers as they are and coerces nothing."""
+
+    def test_round_trip(self):
+        d = mixed_spec_dict()
+        assert AggregateSpec.from_dict(d).to_dict() == d
+
+    def test_integer_statistics_load_as_floats(self):
+        # a hand-written spec may say 36 for 36.0; the bytes a saved spec
+        # is written with stay those of a float
+        d = mixed_spec_dict()
+        d["features"][1].update(mean=36, stddev=19)
+        d["features"][0]["odds_ratio"] = 2
+        spec = AggregateSpec.from_dict(d)
+        assert type(spec.continuous["Age"].mean) is float
+        assert type(spec.binary["x"].odds_ratio) is float
+
+    @pytest.mark.parametrize("n", [200.7, 200.0, True, "200"])
+    def test_n_must_be_a_json_integer(self, n):
+        d = mixed_spec_dict()
+        d["n"] = n
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            AggregateSpec.from_dict(d)
+
+    @pytest.mark.parametrize("where, key, bad, name", [
+        (None, "class_fraction", "0.1", "class_fraction"),
+        (None, "class_fraction", ["0.1", 0.3], "class_fraction"),
+        (None, "class_fraction", True, "class_fraction"),
+        (0, "odds_ratio", "2", r"odds_ratio\[x\]"),
+        (0, "occurrence_fraction", None, r"occurrence_fraction\[x\]"),
+        (0, "occurrence_fraction", [0.1, False], r"occurrence_fraction\[x\]"),
+        (1, "mean", "36", r"mean\[Age\]"),
+        (1, "mean", [30.0, 40.0], r"mean\[Age\]"),
+        (1, "stddev", True, r"stddev\[Age\]"),
+    ])
+    def test_statistic_must_be_a_json_number(self, where, key, bad, name):
+        d = mixed_spec_dict()
+        (d if where is None else d["features"][where])[key] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be a JSON number"):
+            AggregateSpec.from_dict(d)
+
+    def test_reversed_range_names_the_field(self):
+        d = mixed_spec_dict()
+        d["class_fraction"] = [0.3, 0.1]
+        with pytest.raises(ValueError, match=r"^class_fraction range must be"):
+            AggregateSpec.from_dict(d)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import ecoinfer.forest as forest_module
-from ecoinfer.forest import (MAX_THRESHOLDS, DecisionTree, ForestParams,
-                             Metrics, RandomForest, SingleClassError,
-                             ensemble_labels, ensemble_predict, evaluate,
-                             load_ensemble, member_params, save_ensemble,
-                             train_ensemble, train_forest)
+from ecoinfer.forest import (MAX_THRESHOLDS, NODE_DTYPE, DecisionTree,
+                             ForestParams, Metrics, RandomForest,
+                             SingleClassError, ensemble_labels,
+                             ensemble_predict, evaluate, load_ensemble,
+                             member_params, save_ensemble, train_ensemble,
+                             train_forest)
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
 
@@ -727,6 +728,57 @@ class TestModelFileChecks:
         assert f"{path}: model 0, tree 1: {at}" in str(err.value)
         with pytest.raises(ValueError, match=f"^{at}$"):
             DecisionTree.from_dict({"nodes": nodes})
+
+    @pytest.mark.parametrize("nodes, at", [
+        ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1, 2), 1)],
+         "node 2: counts [0, 1, 2] is not two integers"),
+        ([node(0, 1, 2), LEAVES[0], leaf_node((1,), 1)],
+         "node 2: counts [1] is not two integers"),
+        ([node(0, 1, 2), LEAVES[0], leaf_node((0.5, 1), 1)],
+         "node 2: counts [0.5, 1] is not two integers"),
+        ([node(0, 1, 2), LEAVES[0], {**LEAVES[1], "counts": 3}],
+         "node 2: counts 3 is not two integers"),
+    ], ids=["three-counts", "one-count", "float-count", "scalar-count"])
+    def test_counts_must_be_two_integers(self, tmp_path, nodes, at):
+        # [1] would be broadcast into the (2,) counts field as [1, 1]
+        path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, tree 1: {at}" in str(err.value)
+
+    @pytest.mark.parametrize("key", list(NODE_DTYPE.names))
+    def test_missing_node_key(self, tmp_path, key):
+        leaf = {k: v for k, v in LEAVES[1].items() if k != key}
+        path = model_file(tmp_path / "m.json", [LEAVES[1]],
+                          [node(0, 1, 2), LEAVES[0], leaf])
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert (f"{path}: model 0, tree 1: node 2: missing key {key!r}"
+                in str(err.value))
+
+    @pytest.mark.parametrize("key", ["params", "feature_names", "trees"])
+    def test_missing_model_key(self, tmp_path, key):
+        path = model_file(tmp_path / "m.json", [LEAVES[1]])
+        payload = json.loads(path.read_text())
+        del payload["models"][0][key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, missing key {key!r}" in str(err.value)
+
+    def test_missing_nodes_and_models_keys(self, tmp_path):
+        path = model_file(tmp_path / "m.json", [LEAVES[1]])
+        payload = json.loads(path.read_text())
+        del payload["models"][0]["trees"][0]["nodes"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, tree 0: missing key 'nodes'" in str(
+            err.value)
+        path.write_text(json.dumps({"task": "classification"}))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: missing key 'models'" in str(err.value)
 
     def test_cli_predict_on_a_cyclic_file_exits_1(self, tmp_path):
         model = model_file(tmp_path / "cyclic.json", [node(0, 0, 0)])

@@ -359,6 +359,25 @@ class TestCli:
         assert code == 1
         assert "odds ratio of 'PTT' undefined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad, says", [
+        ("n", 200.7, "n must be an integer, got 200.7"),
+        ("n", True, "n must be an integer, got True"),
+        ("class_fraction", [0.3, 0.1], "class_fraction range must be"),
+        ("class_fraction", "0.1", "class_fraction must be a JSON number"),
+    ], ids=["float-n", "bool-n", "reversed-range", "string-fraction"])
+    def test_reconstruct_names_a_bad_spec_key(self, tmp_path, capsys, key,
+                                              bad, says):
+        spec = builtin_configs(n=200)[0].to_spec().to_dict()
+        spec[key] = bad
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "cands"
+        code = main(["reconstruct", str(path), "--candidates", "2",
+                     "--out", str(out)])
+        assert code == 1
+        assert says in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = main(["summarize", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.json")])

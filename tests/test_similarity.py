@@ -62,6 +62,16 @@ class TestMatchRows:
         with pytest.raises(SchemaError):
             match_rows(table_s1, other)
 
+    @pytest.mark.parametrize("subset", [[], ["PT", "PT"], ["PT", "Age", "PT"]],
+                             ids=["empty", "repeated", "repeated-apart"])
+    @pytest.mark.parametrize("method",
+                             [GREEDY_RANK, EXACT_ASSIGNMENT, IDENTITY])
+    def test_bad_feature_subset_rejected(self, method, subset):
+        # an empty subset gave NaN from 0/0; a repeated one counted twice
+        truth = generate_ground_truth(builtin_configs(n=50)[0])
+        with pytest.raises(SchemaError, match="feature_subset"):
+            match_rows(truth, truth, method, subset)
+
 
 class TestSimilarity:
     def test_example_pair(self, table_s1, table_s2):
