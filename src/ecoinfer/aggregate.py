@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .tabular import (BINARY, CONTINUOUS, Dataset, Schema, SchemaError,
-                      write_json)
+                      require, write_json)
 
 # A scalar statistic, or a (lo, hi) range to be drawn per candidate.
 Value = float | tuple[float, float]
@@ -160,9 +160,10 @@ class AggregateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregateSpec":
-        """The inverse of to_dict. A statistic that is not a JSON number,
-        or a list of them for a range, raises ValueError naming it; n is
-        passed as loaded, so the constructor refuses 200.7 and true."""
+        """The inverse of to_dict. A missing key, or a statistic that is not
+        a JSON number or a list of them for a range, raises ValueError
+        naming it and its feature; n is passed as loaded, so the
+        constructor refuses 200.7 and true."""
         def num(key: str, v) -> int | float:
             # type(), not isinstance(): a JSON true loads as a bool
             if type(v) not in (int, float):
@@ -174,22 +175,26 @@ class AggregateSpec:
                 return tuple(num(key, x) for x in v)
             return float(num(key, v))
 
-        schema = Schema.from_dict(d["schema"])
+        schema = Schema.from_dict(require(d, "schema", "the spec"))
         binary = {}
         continuous = {}
-        for f in d["features"]:
-            name = f["name"]
+        for f in require(d, "features", "the spec"):
+            name = require(f, "name", f"feature {f}")
+            owner = f"feature {name!r}"
             if f.get("kind", BINARY) == BINARY:
                 binary[name] = BinaryStat(
-                    dec(f"odds_ratio[{name}]", f["odds_ratio"]),
+                    dec(f"odds_ratio[{name}]",
+                        require(f, "odds_ratio", owner)),
                     dec(f"occurrence_fraction[{name}]",
-                        f["occurrence_fraction"]))
+                        require(f, "occurrence_fraction", owner)))
             else:
                 continuous[name] = ContinuousStat(
-                    float(num(f"mean[{name}]", f["mean"])),
-                    float(num(f"stddev[{name}]", f["stddev"])))
-        return cls(schema=schema, n=d["n"],
-                   class_fraction=dec("class_fraction", d["class_fraction"]),
+                    float(num(f"mean[{name}]", require(f, "mean", owner))),
+                    float(num(f"stddev[{name}]",
+                              require(f, "stddev", owner))))
+        r1 = require(d, "class_fraction", "the spec")
+        return cls(schema=schema, n=require(d, "n", "the spec"),
+                   class_fraction=dec("class_fraction", r1),
                    binary=binary, continuous=continuous)
 
     def to_json(self, path: str | Path) -> None:

@@ -8,10 +8,11 @@ toward it: in the trauma setting a false negative is worse than a false
 positive.
 
 A tree's generator draws its feature subsets in blocks of SUBSET_BLOCK,
-decoded from 32-bit words exactly as ``Generator.choice(d, size=k,
-replace=False)`` decodes the same words. Nothing else draws from it after
-the bootstrap, so each tree is node for node the one that a ``choice``
-call at every split node grows.
+each block one ``Generator.integers`` call for the bounds that
+``Generator.choice(d, size=k, replace=False)`` draws with, picked by the
+same Floyd and Fisher-Yates steps. Nothing else draws from it after the
+bootstrap, so each tree is node for node the one that a ``choice`` call at
+every split node grows.
 
 Every tree of an ensemble grows in lockstep (_Lockstep): each step takes
 the next node of every unfinished tree and scores and splits them all with
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import Dataset, SchemaError, distinct_rows
+from .tabular import Dataset, SchemaError, distinct_rows, require
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
@@ -112,7 +113,7 @@ class DecisionTree:
         two integers raise ValueError naming the node: the int64 fields
         would truncate or broadcast them."""
         rows = []
-        for i, nd in enumerate(_require(d, "nodes")):
+        for i, nd in enumerate(require(d, "nodes")):
             try:
                 (feature, threshold, left, right, counts,
                  pred) = _NODE_FIELDS(nd)
@@ -332,7 +333,7 @@ class _Lockstep:
         pos_before = pos_cum[present_at] - pos[present_at]
 
         # thresholds: the midpoints of each pair's adjacent present values,
-        # or MAX_THRESHOLDS of them spread as np.linspace spreads them
+        # or MAX_THRESHOLDS of them spread evenly
         n_mids = np.maximum(n_present - 1, 0)
         n_cand = np.minimum(n_mids, MAX_THRESHOLDS)
         cand_at = _starts(n_cand)
@@ -341,7 +342,8 @@ class _Lockstep:
         wide = np.flatnonzero(n_mids > MAX_THRESHOLDS)
         if len(wide):
             j[(cand_at[wide, None] + np.arange(MAX_THRESHOLDS)).ravel()] = \
-                _spread(n_mids[wide]).ravel()
+                np.linspace(0, n_mids[wide] - 1, MAX_THRESHOLDS,
+                            axis=1).astype(int).ravel()
         a = present_at[cand_pair] + j
         lo, hi = value[a], value[a + 1]
         mid = (lo + hi) / 2.0
@@ -440,66 +442,29 @@ def _feature_subsets(rng: np.random.Generator, d: int, k: int):
     replace=False).tolist()`` would return call after call, leaving
     ``rng`` where those calls would have left it at the end of each block.
 
-    Each block is one ``rng.integers`` call of SUBSET_BLOCK rows of 32-bit
-    words, decoded by _decode_subsets. A block it cannot decode is drawn
-    again, from the generator state saved before it, by ``rng.choice``
-    itself. ``choice`` draws k of d by Floyd's algorithm unless d > 10,000
-    and k > d // 50, which k = ceil(sqrt(d)) never meets."""
-    words = 2 * k - 1 - (k == d)  # Floyd takes no word for j = 0
+    ``choice`` draws k of d by Floyd's algorithm unless d > 10,000 and
+    k > d // 50, which k = ceil(sqrt(d)) never meets: for j = d-k ... d-1
+    it draws v in [0, j] and keeps v, or j when v is already kept; then it
+    shuffles the k picks Fisher-Yates, swapping pick i with a draw in
+    [0, i] for i = k-1 ... 1. Each draw is numpy's bounded draw, the one
+    ``rng.integers`` makes for an array of bounds, so each block of
+    SUBSET_BLOCK subsets takes one ``integers`` call."""
+    high = [j + 1 for j in range(d - k, d)] + list(range(k, 1, -1))
+    rows = np.arange(SUBSET_BLOCK)
     while True:
-        state = rng.bit_generator.state
-        block = _decode_subsets(
-            rng.integers(0, 2**32, size=(SUBSET_BLOCK, words),
-                         dtype=np.uint32), d, k)
-        if block is None:
-            rng.bit_generator.state = state
-            block = np.array([rng.choice(d, size=k, replace=False)
-                              for _ in range(SUBSET_BLOCK)])
-        for subset in block:  # one list at a time: every tree holds a block
-            yield subset.tolist()
-
-
-def _decode_subsets(u: np.ndarray, d: int, k: int) -> np.ndarray | None:
-    """The k-of-d subsets ``Generator.choice(d, size=k, replace=False)``
-    decodes from each row of 32-bit words ``u``, or None when some word
-    might be one that ``choice`` rejects and replaces with the next.
-
-    ``choice`` runs Floyd's algorithm: for j = d-k ... d-1 it draws v in
-    [0, j] and keeps v, or j when v is already kept; then it shuffles the
-    k picks Fisher-Yates, swapping pick i with a drawn one in [0, i] for
-    i = k-1 ... 1. Each draw in [0, b) takes one word w and is
-    ``(w * b) >> 32`` (Lemire's method), except that j = 0 takes no word.
-    Lemire's method rejects w only when ``(w * b) mod 2**32 < b``."""
-    bounds = np.array([j + 1 for j in range(d - k, d) if j]
-                      + list(range(k, 1, -1)), dtype=np.uint64)
-    x = u.astype(np.uint64) * bounds
-    if ((x & 0xFFFFFFFF) < bounds).any():
-        return None
-    draws = iter((x >> 32).astype(np.int64).T)
-    picks = np.zeros((len(u), k), dtype=np.int64)  # j = 0 picks 0
-    for t, j in enumerate(range(d - k, d)):
-        if j:
+        draws = iter(rng.integers(0, high, size=(len(rows), len(high))).T)
+        picks = np.empty((len(rows), k), dtype=np.int64)
+        for t, j in enumerate(range(d - k, d)):
             v = next(draws)
             kept = (picks[:, :t] == v[:, None]).any(axis=1)
             picks[:, t] = np.where(kept, j, v)
-    rows = np.arange(len(u))
-    for i in range(k - 1, 0, -1):
-        to = next(draws)
-        swapped = picks[rows, to]
-        picks[rows, to] = picks[:, i]
-        picks[:, i] = swapped
-    return picks
-
-
-def _spread(n_mids: np.ndarray) -> np.ndarray:
-    """Per row, the MAX_THRESHOLDS indices ``np.linspace(0, m - 1,
-    MAX_THRESHOLDS).astype(int)`` keeps of m > MAX_THRESHOLDS midpoints,
-    by the same float operations: i * ((m - 1) / (MAX_THRESHOLDS - 1)), and
-    the last index exactly m - 1."""
-    step = (n_mids - 1) / (MAX_THRESHOLDS - 1)
-    picks = (np.arange(MAX_THRESHOLDS) * step[:, None]).astype(int)
-    picks[:, -1] = n_mids - 1
-    return picks
+        for i in range(k - 1, 0, -1):
+            to = next(draws)
+            swapped = picks[rows, to]
+            picks[rows, to] = picks[:, i]
+            picks[:, i] = swapped
+        for subset in picks:  # one list at a time: every tree holds a block
+            yield subset.tolist()
 
 
 def _split_score(n, n_pos, n_l, pos_l):
@@ -536,11 +501,11 @@ class RandomForest:
         # Older model files also carry four training settings that are now
         # constants; they do not affect prediction.
         known = {f.name for f in fields(ForestParams)}
-        params = {k: v for k, v in _require(d, "params").items()
+        params = {k: v for k, v in require(d, "params").items()
                   if k in known}
-        feature_names = list(_require(d, "feature_names"))
+        feature_names = list(require(d, "feature_names"))
         trees = []
-        for t, tree in enumerate(_require(d, "trees")):
+        for t, tree in enumerate(require(d, "trees")):
             try:
                 trees.append(DecisionTree.from_dict(tree))
             except ValueError as e:
@@ -643,13 +608,13 @@ class Metrics:
         return asdict(self)
 
 
-def evaluate(predicted, truth, positive_class: int = POSITIVE_CLASS) -> Metrics:
+def evaluate(predicted, truth) -> Metrics:
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape or predicted.size == 0:
         raise ValueError("predicted and truth must be equal-length, non-empty")
-    pp = predicted == positive_class
-    tp_ = truth == positive_class
+    pp = predicted == POSITIVE_CLASS
+    tp_ = truth == POSITIVE_CLASS
     tp = int(np.count_nonzero(pp & tp_))
     fp = int(np.count_nonzero(pp & ~tp_))
     fn = int(np.count_nonzero(~pp & tp_))
@@ -696,13 +661,6 @@ def load_ensemble(path: str | Path) -> list[RandomForest]:
             if problem := _walk_problem(tree.nodes, len(forest.feature_names)):
                 raise ValueError(f"{path}: model {k}, tree {t}: {problem}")
     return forests
-
-
-def _require(d: dict, key: str):
-    """d[key], or a ValueError naming the missing key."""
-    if key not in d:
-        raise ValueError(f"missing key {key!r}")
-    return d[key]
 
 
 def _walk_problem(nodes: np.ndarray, n_features: int) -> str | None:

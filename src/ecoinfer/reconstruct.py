@@ -48,12 +48,10 @@ class PartialCandidateSetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CellSolution:
-    """Real and rounded integer cell counts for one feature's 2x2 table."""
+    """Integer cell counts for one feature's 2x2 table."""
 
-    l_real: tuple[float, float, float, float]
     l_int: tuple[int, int, int, int]
-    achieved_or: float
-    or_deviation: float  # relative error of achieved_or vs the target
+    or_deviation: float  # relative error of their odds ratio vs the target
 
 
 def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
@@ -96,8 +94,6 @@ def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
                 f"f={f}, n={n}")
         a = min(max(inside[0], lo), hi)
 
-    l_real = (a, B - a, A - a, n - A - B + a)
-
     # Round the margins first, then the cell, so margins stay exact.
     a_int = round(r1 * n)
     b_int = round(f * n)
@@ -109,8 +105,7 @@ def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
     else:
         achieved = math.inf
     deviation = abs(achieved - o) / o if math.isfinite(achieved) else math.inf
-    return CellSolution(l_real=l_real, l_int=l_int,
-                        achieved_or=achieved, or_deviation=deviation)
+    return CellSolution(l_int=l_int, or_deviation=deviation)
 
 
 def _resolve(v: Value, rng: np.random.Generator) -> float:

@@ -48,7 +48,7 @@ class FeatureSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
         return cls(
-            name=d["name"],
+            name=require(d, "name", f"feature {d}"),
             kind=d.get("kind", BINARY),
             positive_label=d.get("positive_label", "abnormal"),
             negative_label=d.get("negative_label", "normal"),
@@ -108,8 +108,9 @@ class Schema:
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
         return cls(
-            features=tuple(FeatureSpec.from_dict(f) for f in d["features"]),
-            outcome=FeatureSpec.from_dict(d["outcome"]),
+            features=tuple(FeatureSpec.from_dict(f) for f in
+                           require(d, "features", "the schema")),
+            outcome=FeatureSpec.from_dict(require(d, "outcome", "the schema")),
         )
 
 
@@ -191,11 +192,15 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
-        """Read to_csv's output; SchemaError names the line of a bad row."""
-        path = Path(path)
-        with open(sidecar_path(path), encoding="utf-8") as fh:
+        """Read to_csv's output; SchemaError names the line of a bad row,
+        or the sidecar when its schema is bad or lacks a key."""
+        path, sidecar = Path(path), sidecar_path(path)
+        with open(sidecar, encoding="utf-8") as fh:
             meta = json.load(fh)
-        schema = Schema.from_dict(meta["schema"])
+        try:
+            schema = Schema.from_dict(require(meta, "schema"))
+        except ValueError as e:
+            raise SchemaError(f"{sidecar}: {e}") from e
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             rows = [line for line in fh if not line.isspace()]
@@ -211,6 +216,15 @@ class Dataset:
                        seed=meta.get("seed"))
         except ValueError as e:
             raise SchemaError(f"{path}: {_bad_line(path, schema) or e}") from e
+
+
+def require(d: dict, key: str, owner: str | None = None):
+    """d[key], or a ValueError naming the missing key and, if given, the
+    entry it is missing from."""
+    if key not in d:
+        raise ValueError(f"missing key {key!r}"
+                         + (f" in {owner}" if owner else ""))
+    return d[key]
 
 
 def sidecar_path(csv_path: str | Path) -> Path:

@@ -371,24 +371,22 @@ class TestFeatureSubsets:
             assert [next(subsets) for _ in range(count)] == \
                 choice_subsets(np.random.default_rng(seed), d, k, count)
 
-    def test_possible_rejection_is_not_decoded(self):
-        # choice redraws a word w for the bound b = j + 1 when
-        # (w * b) mod 2**32 < 2**32 mod b; w = 0 at b = 3 is such a word
-        u = np.full((4, 5), 2**31 + 1, dtype=np.uint32)
-        assert forest_module._decode_subsets(u, 5, 3) is not None
-        u[2, 0] = 0
-        assert forest_module._decode_subsets(u, 5, 3) is None
-
-    def test_fallback_draws_with_choice(self, monkeypatch):
-        decode = forest_module._decode_subsets
+    @pytest.mark.parametrize("d, k", [(5, 3), (8, 3), (30, 6)])
+    def test_rejected_word_is_drawn_again(self, d, k, monkeypatch):
+        # a generator holding the 32-bit word 0 gives it next; the first
+        # bound b = d - k + 1 rejects it, as (0 * b) mod 2**32 = 0 is below
+        # 2**32 mod b, so choice draws another word in its place
+        assert 2**32 % (d - k + 1) > 0
         monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 4)
-        monkeypatch.setattr(forest_module, "_decode_subsets",
-                            lambda u, d, k: decode(np.zeros_like(u), d, k))
         for seed in range(5):
-            got, ref = pre_drawn(seed, 1), pre_drawn(seed, 1)
-            subsets = forest_module._feature_subsets(got, 5, 3)
+            got, ref = (np.random.default_rng(seed) for _ in range(2))
+            for rng in (got, ref):
+                state = rng.bit_generator.state
+                state.update(has_uint32=1, uinteger=0)
+                rng.bit_generator.state = state
+            subsets = forest_module._feature_subsets(got, d, k)
             assert [next(subsets) for _ in range(12)] == \
-                choice_subsets(ref, 5, 3, 12)
+                choice_subsets(ref, d, k, 12)
             assert got.bit_generator.state == ref.bit_generator.state
 
     def test_grow_calls_no_choice(self, monkeypatch):
@@ -560,13 +558,6 @@ class TestTrainEnsemble:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-def test_spread_is_linspace():
-    n_mids = np.arange(MAX_THRESHOLDS + 1, 20_000)
-    expected = [np.linspace(0, m - 1, MAX_THRESHOLDS).astype(int)
-                for m in n_mids.tolist()]
-    assert np.array_equal(forest_module._spread(n_mids), expected)
 
 
 class TestEvaluate:

@@ -136,7 +136,7 @@ def test_golden_hashes(case, tmp_path):
         pytest.skip(f"no golden hashes recorded for numpy {np.__version__}")
     assert case_hashes(case, tmp_path) == expected[case]
     if "model.json" in expected[case]:
-        # CSV read -> Dataset -> train_forest, through the CLI
+        # CSV read -> Dataset -> train_ensemble, through the CLI
         assert cli_train_hash(tmp_path) == expected[case]["model.json"]
 
 

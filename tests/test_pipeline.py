@@ -14,7 +14,7 @@ from ecoinfer.reconstruct import load_candidates
 from ecoinfer.synth import (builtin_configs, configs_from_json,
                             configs_to_json, generate_ground_truth,
                             with_overrides)
-from ecoinfer.tabular import Dataset
+from ecoinfer.tabular import Dataset, sidecar_path
 
 from conftest import dataset_from_rows, small_schema
 
@@ -187,6 +187,38 @@ class TestSweeps:
         with pytest.raises(ValueError, match="got 1.5"):
             run_undersampling_sweep(small_plan(out_dir=out), [0.5, 1.5])
         assert not out.exists()
+
+
+# (command, path to the deleted key, what the error says): reconstruct
+# reads a spec JSON, summarize a CSV's schema sidecar
+MISSING_KEYS = [
+    ("reconstruct", ("n",), "missing key 'n' in the spec"),
+    ("reconstruct", ("class_fraction",),
+     "missing key 'class_fraction' in the spec"),
+    ("reconstruct", ("schema",), "missing key 'schema' in the spec"),
+    ("reconstruct", ("features",), "missing key 'features' in the spec"),
+    ("reconstruct", ("features", 0, "name"),
+     "missing key 'name' in feature {'kind': 'binary'"),
+    ("reconstruct", ("features", 1, "odds_ratio"),
+     "missing key 'odds_ratio' in feature 'PT'"),
+    ("reconstruct", ("features", 1, "occurrence_fraction"),
+     "missing key 'occurrence_fraction' in feature 'PT'"),
+    ("reconstruct", ("features", 4, "mean"),
+     "missing key 'mean' in feature 'Age'"),
+    ("reconstruct", ("features", 4, "stddev"),
+     "missing key 'stddev' in feature 'Age'"),
+    ("reconstruct", ("schema", "outcome"),
+     "missing key 'outcome' in the schema"),
+    ("reconstruct", ("schema", "features", 2, "name"),
+     "missing key 'name' in feature {'kind': 'binary'"),
+    ("summarize", ("schema",), "missing key 'schema'"),
+    ("summarize", ("schema", "features"),
+     "missing key 'features' in the schema"),
+    ("summarize", ("schema", "outcome"),
+     "missing key 'outcome' in the schema"),
+    ("summarize", ("schema", "features", 0, "name"),
+     "missing key 'name' in feature {'kind': 'binary'"),
+]
 
 
 class TestCli:
@@ -377,6 +409,34 @@ class TestCli:
         assert code == 1
         assert says in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, where, says", MISSING_KEYS,
+        ids=[f"{c}-{'.'.join(map(str, w))}" for c, w, _ in MISSING_KEYS])
+    def test_missing_key_is_named(self, tmp_path, capsys, command, where,
+                                  says):
+        if command == "reconstruct":
+            path = edited = tmp_path / "spec.json"
+            doc = builtin_configs(n=200)[0].to_spec().to_dict()
+            says = f"error [reconstruct]: {says}"
+        else:
+            path = tmp_path / "t.csv"
+            dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
+                                                [1, 0]]).to_csv(path)
+            edited = sidecar_path(path)
+            doc = json.loads(edited.read_text())
+            says = f"error [summarize]: {edited}: {says}"
+        *parents, key = where
+        entry = doc
+        for p in parents:
+            entry = entry[p]
+        del entry[key]
+        edited.write_text(json.dumps(doc))
+        args = ["--candidates", "2"] if command == "reconstruct" else []
+        code = main([command, str(path), *args, "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        assert says in capsys.readouterr().err
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = main(["summarize", str(tmp_path / "nope.csv"),

@@ -69,9 +69,9 @@ def test_reconstruction_keeps_counts_and_cells(n, r1, stats, seed):
         back = summarize(ds)
         assert round(back.class_fraction * n) == round(r1 * n)
         for name in names:
-            l1, l2, _, _ = cells[name].l_int
+            l1, l2, l3, l4 = cells[name].l_int
             assert round(back.binary[name].occurrence_fraction * n) == l1 + l2
-            assert back.binary[name].odds_ratio == cells[name].achieved_or
+            assert back.binary[name].odds_ratio == (l1 * l4) / (l2 * l3)
 
 
 @PROPERTY

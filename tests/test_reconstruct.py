@@ -14,11 +14,27 @@ from ecoinfer.tabular import CONTINUOUS, FeatureSpec, Schema
 from conftest import dataset_from_rows, small_schema
 
 
+def real_cells(o, r1, f, n):
+    """The real cells (a, B-a, A-a, n-A-B+a) with margins A = r1*n and
+    B = f*n and odds ratio o, by bisection on a: a*l4 - o*l2*l3 rises from
+    <= 0 to >= 0 across the range where every cell is >= 0."""
+    A, B = r1 * n, f * n
+    lo, hi = max(0.0, A + B - n), min(A, B)
+    for _ in range(100):
+        a = (lo + hi) / 2
+        if a * (n - A - B + a) < o * (B - a) * (A - a):
+            lo = a
+        else:
+            hi = a
+    return (lo, B - lo, A - lo, n - A - B + lo)
+
+
 class TestSolveCells:
     def test_recovers_published_table(self):
         sol = solve_cells(3.58, 1068 / 10790, 2994 / 10790, 10790)
         assert sol.l_int == (579, 2415, 489, 7307)
-        assert sol.l_real[0] == pytest.approx(578.84, abs=0.01)
+        assert real_cells(3.58, 1068 / 10790, 2994 / 10790, 10790)[0] == \
+            pytest.approx(578.84, abs=0.01)
 
     def test_independence_linear_case(self):
         sol = solve_cells(1.0, 0.5, 0.5, 100)
@@ -40,7 +56,9 @@ class TestSolveCells:
             if best is None or gap < best[0]:
                 best = (gap, (l1, l2, l3, l4))
         assert sol.l_int == best[1]
-        assert 3.6 <= sol.achieved_or <= 4.4
+        l1, l2, l3, l4 = sol.l_int
+        assert 3.6 <= (l1 * l4) / (l2 * l3) <= 4.4
+        assert sol.or_deviation == abs((l1 * l4) / (l2 * l3) - o) / o
 
     def test_margins_always_exact(self):
         rng = np.random.default_rng(42)
@@ -58,7 +76,7 @@ class TestSolveCells:
             # each derived cell can drift by up to 1.5 once both margins
             # are independently rounded to the nearest integer
             assert all(abs(i - r) <= 1.5
-                       for i, r in zip(sol.l_int, sol.l_real))
+                       for i, r in zip(sol.l_int, real_cells(o, r1, f, n)))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
