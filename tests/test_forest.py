@@ -371,23 +371,40 @@ class TestFeatureSubsets:
             assert [next(subsets) for _ in range(count)] == \
                 choice_subsets(np.random.default_rng(seed), d, k, count)
 
-    @pytest.mark.parametrize("d, k", [(5, 3), (8, 3), (30, 6)])
-    def test_rejected_word_is_drawn_again(self, d, k, monkeypatch):
-        # a generator holding the 32-bit word 0 gives it next; the first
-        # bound b = d - k + 1 rejects it, as (0 * b) mod 2**32 = 0 is below
-        # 2**32 mod b, so choice draws another word in its place
-        assert 2**32 % (d - k + 1) > 0
+    @staticmethod
+    def holding_zero(seed):
+        """A fresh generator whose next 32-bit word is 0. The first bound
+        b = d - k + 1 rejects it when 2**32 mod b > 0, as (0 * b) mod 2**32
+        = 0 is below that, so choice draws another word in its place."""
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        rng.bit_generator.state = state
+        return rng
+
+    def test_possible_rejection_is_not_decoded(self, monkeypatch):
+        # the rejected word is skipped: the subsets, and the generator after
+        # them, are those of the same generator without the word
         monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 4)
         for seed in range(5):
-            got, ref = (np.random.default_rng(seed) for _ in range(2))
-            for rng in (got, ref):
-                state = rng.bit_generator.state
-                state.update(has_uint32=1, uinteger=0)
-                rng.bit_generator.state = state
-            subsets = forest_module._feature_subsets(got, d, k)
+            got, ref = self.holding_zero(seed), np.random.default_rng(seed)
+            subsets = forest_module._feature_subsets(got, 5, 3)
+            expected = forest_module._feature_subsets(ref, 5, 3)
             assert [next(subsets) for _ in range(12)] == \
-                choice_subsets(ref, d, k, 12)
+                [next(expected) for _ in range(12)]
             assert got.bit_generator.state == ref.bit_generator.state
+
+    def test_fallback_draws_with_choice(self, monkeypatch):
+        # a block holding a rejected word draws what choice draws
+        monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 4)
+        for d, k in [(5, 3), (8, 3), (30, 6)]:
+            assert 2**32 % (d - k + 1) > 0
+            for seed in range(5):
+                got, ref = self.holding_zero(seed), self.holding_zero(seed)
+                subsets = forest_module._feature_subsets(got, d, k)
+                assert [next(subsets) for _ in range(12)] == \
+                    choice_subsets(ref, d, k, 12), (d, k, seed)
+                assert got.bit_generator.state == ref.bit_generator.state
 
     def test_grow_calls_no_choice(self, monkeypatch):
         class CountingGenerator(np.random.Generator):
