@@ -160,10 +160,11 @@ class AggregateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregateSpec":
-        """The inverse of to_dict. A missing key, or a statistic that is not
-        a JSON number or a list of them for a range, raises ValueError
-        naming it and its feature; n is passed as loaded, so the
-        constructor refuses 200.7 and true."""
+        """The inverse of to_dict. A missing key, a statistic that is not a
+        JSON number or a list of them for a range, or a feature the schema
+        lacks or that has two entries raises ValueError naming it and its
+        feature; n is passed as loaded, so the constructor refuses 200.7
+        and true."""
         def num(key: str, v) -> int | float:
             # type(), not isinstance(): a JSON true loads as a bool
             if type(v) not in (int, float):
@@ -176,11 +177,16 @@ class AggregateSpec:
             return float(num(key, v))
 
         schema = Schema.from_dict(require(d, "schema", "the spec"))
+        names = schema.feature_names
         binary = {}
         continuous = {}
         for f in require(d, "features", "the spec"):
             name = require(f, "name", f"feature {f}")
             owner = f"feature {name!r}"
+            if name not in names:
+                raise ValueError(f"{owner} is not in the schema")
+            if name in binary or name in continuous:
+                raise ValueError(f"{owner} has more than one entry")
             if f.get("kind", BINARY) == BINARY:
                 binary[name] = BinaryStat(
                     dec(f"odds_ratio[{name}]",
@@ -207,8 +213,11 @@ class AggregateSpec:
 
 
 def summarize(dataset: Dataset) -> AggregateSpec:
-    """Aggregate statistics of a dataset; the inverse of reconstruction."""
+    """Aggregate statistics of a dataset; the inverse of reconstruction.
+    A dataset with no rows raises ValueError."""
     n = dataset.n_rows
+    if n == 0:
+        raise ValueError("dataset has no rows")
     y = dataset.outcome
     r1 = float(np.count_nonzero(y == 0)) / n
     binary = {}

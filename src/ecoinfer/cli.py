@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=Path)
     p.add_argument("--method", choices=["greedy", "exact", "identity"],
                    default="greedy")
-    p.add_argument("--features", nargs="*", default=None,
+    p.add_argument("--features", nargs="+", default=None,
                    help="column subset (default: all columns)")
     p.add_argument("--out", type=Path, default=None,
                    help="write the JSON report here instead of stdout")
@@ -188,15 +188,14 @@ def _cmd_similarity(args) -> int:
     b = Dataset.from_csv(args.b)
     method = {"greedy": GREEDY_RANK, "exact": EXACT_ASSIGNMENT,
               "identity": IDENTITY}[args.method]
-    subset = args.features if args.features else None
-    matching = match_rows(a, b, method, subset)
+    matching = match_rows(a, b, method, args.features)
     report = {
         "method": method,
         "average_distance": matching.average_distance,
         "similarity": 1.0 - matching.average_distance,
         "exact_match_fraction": matching.exact_match,
         "n_rows": a.n_rows,
-        "feature_subset": subset,
+        "feature_subset": args.features,
     }
     if args.out:
         write_json(report, args.out)

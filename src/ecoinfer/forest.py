@@ -17,10 +17,10 @@ every split node grows.
 Every tree of an ensemble grows in lockstep (_Lockstep): each step takes
 the next node of every unfinished tree and scores and splits them all with
 a fixed number of numpy calls, instead of a dozen calls per node. Each tree
-still takes its nodes in depth-first order from its own stack and its
-subsets from its own generator, and each node's split is chosen by the
-same exact counts and tie rules, so the trees do not depend on which other
-trees grow beside them.
+still takes its nodes in depth-first order from its own stack, writing each
+node's row as it takes it, and its subsets from its own generator, and each
+node's split is chosen by the same exact counts and tie rules, so the trees
+do not depend on which other trees grow beside them.
 """
 
 from __future__ import annotations
@@ -139,24 +139,16 @@ class DecisionTree:
 
 
 class SingleClassError(ValueError):
-    """A training set holds a single outcome class; ``dataset`` is its index
-    in the ensemble."""
+    """A training set holds a single outcome class, or no rows if
+    ``empty``; ``dataset`` is its index in the ensemble."""
 
-    def __init__(self, dataset: int):
-        super().__init__(f"dataset {dataset}: training data contains a "
-                         "single outcome class")
-        self.dataset = dataset
+    def __init__(self, dataset: int, empty: bool = False):
+        what = "has no rows" if empty else "contains a single outcome class"
+        super().__init__(f"dataset {dataset}: training data {what}")
+        self.dataset, self.empty = dataset, empty
 
     def __reduce__(self):  # raised in a pool worker, pickled back
-        return type(self), (self.dataset,)
-
-
-# One grown node: its tree, its depth-first index there, the index of the
-# parent it is the right child of (-1 for a root or a left child, which
-# always follows its parent), and its NODE_DTYPE feature, threshold, counts.
-_GROWN = np.dtype([("tree", np.int64), ("id", np.int64),
-                   ("right_of", np.int64), ("feature", np.int64),
-                   ("threshold", np.float64), ("counts", np.int64, (2,))])
+        return type(self), (self.dataset, self.empty)
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -183,6 +175,11 @@ class _Lockstep:
     unless one node alone has more. Every count is an integer, exact in
     float64, and each node scores, breaks ties and settles features as it
     would grown alone, so every tree is node for node the tree grown alone.
+
+    A tree writes a node's row, as a leaf, when it pops the node, so the
+    row's index is its depth-first id. _split rewrites the row of a node
+    that splits, and a popped right child writes its index into its
+    parent's row. A tree whose stack empties becomes its DecisionTree.
     """
 
     def __init__(self, datasets: Iterable[Dataset], params: ForestParams,
@@ -196,14 +193,15 @@ class _Lockstep:
         n_slots = n_values = 0
         # per tree: its forest's first column, its subsets, and its stack of
         # (patterns, or None where the node cannot split; depth, weight,
-        # positive weight, settled features as a bit mask, right_of)
-        self.tree_col, self.subsets, self.stacks = [], [], []
+        # positive weight, settled features as a bit mask, the index of the
+        # parent it is the right child of or -1), and its node rows
+        self.tree_col, self.subsets, self.stacks, self.nodes = [], [], [], []
         for k, data in enumerate(datasets, start=first):
             names = data.schema.feature_names
             X, y = data.to_matrix(names), data.outcome
             # one class, or no rows; np.unique(y) would import numpy.ma
             if not (y != y[:1]).any():
-                raise SingleClassError(k)
+                raise SingleClassError(k, empty=not len(y))
             negative = y != POSITIVE_CLASS
             rep, inverse = distinct_rows(np.column_stack([X, negative]))
             negative = negative[rep]
@@ -231,6 +229,7 @@ class _Lockstep:
                 self.stacks.append([self._entry(
                     np.array([pats, w[pats]], dtype=np.int32), 0,
                     float(w.sum()), float(w[~negative].sum()), 0, -1)])
+                self.nodes.append([])
         self.slots, self.bins = np.concatenate(slots), np.concatenate(bins)
         self.col_slot, self.col_bin, self.n_bins = (
             np.array(a, dtype=np.intp) for a in (col_slot, col_bin, n_bins))
@@ -246,21 +245,22 @@ class _Lockstep:
         return pats, depth, n, n_pos, settled, right_of
 
     def grow(self) -> list[RandomForest]:
-        grown = [np.zeros(0, dtype=_GROWN)]
-        count = [0] * len(self.stacks)
+        trees = [None] * len(self.stacks)
         live = list(range(len(self.stacks)))
         # A threshold above every value leaves no weight right: 0 / 0. The
         # midpoint of two huge finite values overflows to +-inf, which
         # leaves one side empty and so scores inf, like any such threshold.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while live:
-                rows, batch = [], []
+                batch = []
                 for t in live:
-                    stack = self.stacks[t]
+                    stack, nodes = self.stacks[t], self.nodes[t]
                     while stack:
                         pats, depth, n, n_pos, settled, right_of = stack.pop()
-                        i = count[t]
-                        count[t] += 1
+                        i = len(nodes)
+                        if right_of >= 0:
+                            nodes[right_of][3] = i  # the parent's right
+                        nodes.append(_leaf(n, n_pos))
                         if pats is not None:
                             # drawn even when every feature is settled, so
                             # that each tree takes the same draws as one
@@ -268,32 +268,34 @@ class _Lockstep:
                             feats = [f for f in next(self.subsets[t])
                                      if not settled >> f & 1]
                             if feats:
-                                batch.append((t, i, right_of, pats, depth, n,
-                                              n_pos, settled, feats))
+                                batch.append((t, i, pats, depth, n, n_pos,
+                                              settled, feats))
                                 break
-                        rows.append((t, i, right_of, -1, 0.0,
-                                     (int(n_pos), int(n - n_pos))))
                 start = size = 0
                 for end, (*_, pats, _, _, _, _, feats) in enumerate(batch):
                     entries = pats.shape[1] * len(feats)
                     if size and size + entries > _STEP_BLOCK:
-                        self._split(batch[start:end], rows)
+                        self._split(batch[start:end])
                         start, size = end, 0
                     size += entries
                 if batch:
-                    self._split(batch[start:], rows)
-                grown.append(np.array(rows, dtype=_GROWN))
+                    self._split(batch[start:])
                 for t in live:
                     if not self.stacks[t]:
-                        self.subsets[t] = None  # frees its last block
+                        trees[t] = DecisionTree(np.array(
+                            [tuple(row) for row in self.nodes[t]],
+                            dtype=NODE_DTYPE))
+                        # frees its rows and its last block of subsets
+                        self.nodes[t] = self.subsets[t] = None
                 live = [t for t in live if self.stacks[t]]
-        return self._forests(np.concatenate(grown), count)
+        return [RandomForest(member, trees[k * self.n_trees:
+                                           (k + 1) * self.n_trees], names)
+                for k, (member, names) in enumerate(self.forests)]
 
-    def _split(self, block: list, rows: list) -> None:
-        """Score the block's nodes, record each, and push the children of
-        every node that splits onto its tree's stack."""
-        trees, ids, right_ofs, patss, depths, ns, n_poss, settleds, featss = \
-            zip(*block)
+    def _split(self, block: list) -> None:
+        """Score the block's nodes, rewrite the row of every node that
+        splits, and push its children onto its tree's stack."""
+        trees, ids, patss, depths, ns, n_poss, settleds, featss = zip(*block)
         size = np.array([pats.shape[1] for pats in patss])
         held = np.concatenate(patss, axis=1)  # the nodes' patterns, in order
         pats, weight = held
@@ -376,13 +378,10 @@ class _Lockstep:
         settled = list(settleds)
         for p in np.flatnonzero(n_present < 2).tolist():
             settled[pair_node[p]] |= 1 << pair_feat[p]
-        is_split = np.zeros(len(block), dtype=bool)
-        is_split[split] = True
-        for i in np.flatnonzero(~is_split).tolist():
-            rows.append((trees[i], ids[i], right_ofs[i], -1, 0.0,
-                         (int(n_poss[i]), int(ns[i] - n_poss[i]))))
         if not len(split):
             return
+        is_split = np.zeros(len(block), dtype=bool)
+        is_split[split] = True
 
         # partition each split node's patterns on its winning column's bin
         # codes, in order: left sides in one array, right sides in another
@@ -401,7 +400,7 @@ class _Lockstep:
                 split.tolist(), win_pair.tolist(), mid[win].tolist(),
                 n_l[win].tolist(), pos_l[win].tolist())):
             t, node, f = trees[i], ids[i], pair_feat[p]
-            rows.append((t, node, right_ofs[i], f, threshold, (0, 0)))
+            self.nodes[t][node] = [f, threshold, node + 1, -1, (0, 0), 1]
             # a split of a feature with two values here leaves each child
             # one of them
             mask = settled[i] | (1 << f if n_present[p] == 2 else 0)
@@ -412,29 +411,6 @@ class _Lockstep:
             stack.append(self._entry(
                 lefts[:, left_at[s]:left_at[s + 1]], depth, n_left, pos_left,
                 mask, -1))
-
-    def _forests(self, grown: np.ndarray, count: list) -> list[RandomForest]:
-        """The grown nodes as NODE_DTYPE trees, n_trees per forest."""
-        grown = grown[np.lexsort((grown["id"], grown["tree"]))]
-        tree_at = _starts(np.array(count, dtype=np.intp))
-        internal = grown["feature"] >= 0
-        nodes = np.empty(len(grown), dtype=NODE_DTYPE)
-        for key in ("feature", "threshold", "counts"):
-            nodes[key] = grown[key]
-        nodes["left"] = np.where(internal, grown["id"] + 1, -1)
-        nodes["right"] = -1
-        is_right = grown["right_of"] >= 0
-        nodes["right"][tree_at[grown["tree"][is_right]]
-                       + grown["right_of"][is_right]] = grown["id"][is_right]
-        counts = grown["counts"]
-        nodes["pred"] = np.where(
-            internal, 1, np.where(counts[:, 0] >= counts[:, 1],
-                                  POSITIVE_CLASS, 1 - POSITIVE_CLASS))
-        trees = [DecisionTree(nodes[a:a + c].copy())
-                 for a, c in zip(tree_at.tolist(), count)]
-        return [RandomForest(member, trees[k * self.n_trees:
-                                           (k + 1) * self.n_trees], names)
-                for k, (member, names) in enumerate(self.forests)]
 
 
 def _feature_subsets(rng: np.random.Generator, d: int, k: int):
@@ -465,6 +441,14 @@ def _feature_subsets(rng: np.random.Generator, d: int, k: int):
             picks[:, i] = swapped
         for subset in picks:  # one list at a time: every tree holds a block
             yield subset.tolist()
+
+
+def _leaf(n: float, n_pos: float) -> list:
+    """The node row of a leaf of weight n, n_pos of it positive: its
+    bootstrap counts, and its prediction, ties toward the positive class."""
+    counts = int(n_pos), int(n - n_pos)
+    return [-1, 0.0, -1, -1, counts,
+            POSITIVE_CLASS if counts[0] >= counts[1] else 1 - POSITIVE_CLASS]
 
 
 def _split_score(n, n_pos, n_l, pos_l):
@@ -539,15 +523,15 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
 
     Every tree of every forest grows in lockstep (see _Lockstep), one node
     per tree per step, so that numpy's per-call cost is paid per step and
-    not per node. Each tree still pops its nodes depth-first from its own
-    stack and draws each node's feature subset from its own generator, so
-    it is node for node the tree it would be if grown alone.
+    not per node. Each tree still pops and writes its nodes depth-first
+    from its own stack and draws each node's feature subset from its own
+    generator, so it is node for node the tree it would be if grown alone.
 
     One worker reads the datasets one at a time and keeps only their
     binned distinct rows. More workers split the datasets into contiguous
     chunks and grow each chunk in lockstep in a process pool. The forests
-    are the same either way. No datasets raise ValueError; a dataset with a
-    single outcome class raises SingleClassError naming its index."""
+    are the same either way. No datasets raise ValueError, and a dataset of
+    one outcome class or no rows raises SingleClassError naming its index."""
     if workers > 1 and len(datasets := list(datasets)) > 1:
         # Local: the pool pulls in multiprocessing, which one worker never needs.
         from concurrent.futures import ProcessPoolExecutor

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import AggregateSpec, Value, _check_open
-from .tabular import BINARY, Dataset, write_json
+from .tabular import BINARY, Dataset, require, write_json
 
 # Seed stride for derived candidate seeds (golden-ratio increment).
 SEED_STRIDE = 0x9E3779B9
@@ -222,6 +222,8 @@ def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
 
     kept: list[Dataset] = []
     ranked: list[np.ndarray] = []  # _rank_binary of each kept candidate
@@ -270,13 +272,19 @@ def save_candidates(cs: CandidateSet, out_dir: str | Path) -> None:
 
 
 def load_candidates(in_dir: str | Path) -> CandidateSet:
+    """The candidate set save_candidates wrote to in_dir. A manifest that
+    lacks n_candidates, delta or attempts_used raises ValueError naming the
+    key and the manifest."""
     src = Path(in_dir)
     spec = AggregateSpec.from_json(src / "spec.json")
-    with open(src / "manifest.json", encoding="utf-8") as fh:
+    path = src / "manifest.json"
+    with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    n_candidates, delta, attempts_used = (
+        require(manifest, key, str(path))
+        for key in ("n_candidates", "delta", "attempts_used"))
     candidates = [Dataset.from_csv(src / f"candidate_{k}.csv")
-                  for k in range(manifest["n_candidates"])]
-    return CandidateSet(spec=spec, delta=manifest["delta"],
-                        candidates=candidates,
-                        attempts_used=manifest["attempts_used"],
+                  for k in range(n_candidates)]
+    return CandidateSet(spec=spec, delta=delta, candidates=candidates,
+                        attempts_used=attempts_used,
                         or_deviations=manifest.get("or_deviations", {}))

@@ -100,6 +100,12 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(ds)
 
+    def test_no_rows_rejected(self):
+        # and not as a division by zero
+        empty = dataset_from_rows(small_schema(1), np.zeros((0, 2), dtype=int))
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            summarize(empty)
+
     def test_round_trip_through_reconstruction(self):
         schema = small_schema(2, names=("a", "b"))
         spec = AggregateSpec(schema=schema, n=4000, class_fraction=0.2,
@@ -258,4 +264,20 @@ class TestFromDictTypes:
         d = mixed_spec_dict()
         d["class_fraction"] = [0.3, 0.1]
         with pytest.raises(ValueError, match=r"^class_fraction range must be"):
+            AggregateSpec.from_dict(d)
+
+    def test_repeated_feature_is_refused(self):
+        # a second entry would otherwise replace the first one's statistics
+        d = mixed_spec_dict()
+        d["features"].append(dict(d["features"][0], odds_ratio=99.0))
+        with pytest.raises(ValueError,
+                           match=r"^feature 'x' has more than one entry$"):
+            AggregateSpec.from_dict(d)
+
+    def test_feature_missing_from_the_schema_is_refused(self):
+        # to_dict would otherwise drop it without a word
+        d = mixed_spec_dict()
+        d["features"].append(dict(d["features"][0], name="Foo"))
+        with pytest.raises(ValueError,
+                           match=r"^feature 'Foo' is not in the schema$"):
             AggregateSpec.from_dict(d)

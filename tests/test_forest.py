@@ -152,9 +152,9 @@ class TestTrainForest:
         scored = []
         split = forest_module._Lockstep._split
 
-        def spy(self, block, rows):
+        def spy(self, block):
             scored.extend((t, i, feats) for t, i, *_, feats in block)
-            return split(self, block, rows)
+            return split(self, block)
 
         monkeypatch.setattr(forest_module._Lockstep, "_split", spy)
         forest = train_forest(ds, ForestParams(n_trees=4, max_depth=12,

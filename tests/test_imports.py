@@ -8,11 +8,14 @@ runs in a fresh interpreter, because the test process has already imported
 both.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,3 +80,11 @@ def test_only_exact_matching_loads_scipy(tmp_path):
     assert result["before"] == []
     assert result["exact"] == 0
     assert "scipy.optimize" in result["after"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (SRC / "ecoinfer").glob("*.py")))
+def test_module_parses_as_python_3_10(module):
+    # pyproject.toml declares requires-python >= 3.10
+    source = (SRC / "ecoinfer" / module).read_text(encoding="utf-8")
+    ast.parse(source, filename=module, feature_version=(3, 10))

@@ -335,6 +335,15 @@ class TestCli:
                   "--out", str(tmp_path / "x")])
         assert err.value.code == 2
 
+    def test_similarity_features_needs_a_name(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        dataset_from_rows(small_schema(1), [[0, 0], [1, 1]]).to_csv(path)
+        with pytest.raises(SystemExit) as err:
+            main(["similarity", str(path), str(path), "--features"])
+        assert err.value.code == 2
+        assert "--features: expected at least one argument" in \
+            capsys.readouterr().err
+
     def test_experiment_truth_needs_a_spec(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         assert main(["synth", "--builtin", "2", "--n", "200",
@@ -454,6 +463,28 @@ class TestCli:
         assert code == 1
         assert (f"error [train]: {one}: dataset 1: training data contains a "
                 "single outcome class") in capsys.readouterr().err
+
+    def test_summarize_says_a_file_has_no_rows(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        dataset_from_rows(small_schema(1), np.zeros((0, 2), dtype=int)
+                          ).to_csv(path)
+        code = main(["summarize", str(path), "--out",
+                     str(tmp_path / "s.json")])
+        assert code == 1
+        assert "error [summarize]: dataset has no rows" in \
+            capsys.readouterr().err
+
+    def test_train_names_a_file_with_no_rows(self, tmp_path, capsys):
+        good, empty = tmp_path / "t.csv", tmp_path / "empty.csv"
+        dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
+                                            [1, 0]]).to_csv(good)
+        dataset_from_rows(small_schema(1), np.zeros((0, 2), dtype=int)
+                          ).to_csv(empty)
+        code = main(["train", str(good), str(empty), "--trees", "2",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert (f"error [train]: {empty}: dataset 1: training data has no "
+                "rows") in capsys.readouterr().err
 
     def test_unreachable_delta_exit_code(self, tmp_path, capsys):
         code = main(["experiment", "--builtin", "1", "--n", "200",

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -352,6 +355,12 @@ class TestGenerateCandidates:
         assert err.value.attempts_used == 30
         assert len(err.value.candidates) <= 1
 
+    def test_max_attempts_must_be_positive(self):
+        with pytest.raises(ValueError,
+                           match=r"^max_attempts must be >= 1, got 0$"):
+            generate_candidates(trio_spec(), 1, 0.0, base_seed=1,
+                                max_attempts=0)
+
     def test_derived_seeds_follow_stride(self):
         cs = generate_candidates(trio_spec(), 3, 0.0, base_seed=10,
                                  max_attempts=10)
@@ -365,3 +374,15 @@ class TestGenerateCandidates:
         assert back.delta == cs.delta
         assert back.attempts_used == cs.attempts_used
         assert all(a == b for a, b in zip(back.candidates, cs.candidates))
+
+    @pytest.mark.parametrize("key", ["n_candidates", "delta", "attempts_used"])
+    def test_manifest_missing_key_is_named(self, tmp_path, key):
+        cs = generate_candidates(trio_spec(n=200), 1, 0.0, base_seed=8)
+        save_candidates(cs, tmp_path / "cands")
+        manifest = tmp_path / "cands" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc[key]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^missing key '{key}' in "
+                                             f"{re.escape(str(manifest))}$"):
+            load_candidates(tmp_path / "cands")
