@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .tabular import (BINARY, CONTINUOUS, Dataset, Schema, SchemaError,
-                      require, write_json)
+                      check_integer, require, write_json)
 
 # A scalar statistic, or a (lo, hi) range to be drawn per candidate.
 Value = float | tuple[float, float]
@@ -118,9 +118,7 @@ class AggregateSpec:
     continuous: dict[str, ContinuousStat] = field(default_factory=dict)
 
     def __post_init__(self):
-        # a bool is an int, but not a row count
-        if type(self.n) is bool or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        check_integer("n", self.n)
         _check_open("n", self.n, 0, np.inf)
         _check_open("class_fraction", self.class_fraction, 0, 1)
         for name in self.schema.binary_feature_names:

@@ -219,6 +219,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     forests = load_ensemble(args.model)
     ds = Dataset.from_csv(args.dataset)
+    if ds.n_rows == 0:
+        raise ValueError(f"{args.dataset}: dataset has no rows")
     labels = ensemble_predict(forests, ds)
     if args.out:
         write_columns(args.out, ["prediction"], [labels], ["%d"])

@@ -21,8 +21,8 @@ from .forest import (ForestParams, Metrics, ensemble_labels, evaluate,
 from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
                           save_candidates)
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
-from .tabular import (Dataset, undersample, write_columns, write_json,
-                      write_rows)
+from .tabular import (Dataset, check_integer, undersample, write_columns,
+                      write_json, write_rows)
 
 # Sweepable GroundTruthConfig parameters for controlled experiments.
 SWEEPABLE = ("gender_or", "gender_fraction", "pt_or", "pt_fraction",
@@ -55,6 +55,7 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        check_integer("n_candidates", self.n_candidates)
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
         rate = self.undersample_rate

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import AggregateSpec, Value, _check_open
-from .tabular import BINARY, Dataset, require, write_json
+from .tabular import BINARY, Dataset, check_integer, require, write_json
 
 # Seed stride for derived candidate seeds (golden-ratio increment).
 SEED_STRIDE = 0x9E3779B9
@@ -123,42 +123,79 @@ def reconstruct(spec: AggregateSpec, seed: int) -> Dataset:
     uniformly), then each binary feature assigns its solved cell counts
     uniformly within each outcome class. Continuous features are drawn
     i.i.d. from a normal truncated at 0 and rounded to integers (ages in
-    whole years), independent of the outcome. Deterministic given seed.
+    whole years), independent of the outcome. Every draw comes from one
+    generator seeded with seed, in schema order, so the dataset is
+    deterministic given seed. The draws are made in two steps
+    (_draw_binary, then _complete), which generate_candidates runs apart.
+    """
+    return _complete(spec, seed, *_draw_binary(spec, seed))
+
+
+def _draw_binary(spec: AggregateSpec, seed: int
+                 ) -> tuple[np.random.Generator, dict[str, np.ndarray]]:
+    """reconstruct's first step: the seeded generator, and the outcome and
+    every feature up to the last binary one, drawn in schema order.
+
+    A continuous feature before a binary one is drawn here, so the
+    binary columns, which are all the delta check reads, come from the
+    same stream as in the whole dataset. The generator is returned where
+    _complete continues it.
     """
     rng = np.random.default_rng(seed)
     n = spec.n
     r1 = _resolve(spec.class_fraction, rng)
 
-    y = np.ones(n, dtype=np.int64)
+    # int8, as _rank_binary reads them; Dataset stores binary cells as int64
+    y = np.ones(n, dtype=np.int8)
     n_pos = round(r1 * n)
     y[rng.choice(n, size=n_pos, replace=False)] = 0
     pos_rows = np.flatnonzero(y == 0)
     neg_rows = np.flatnonzero(y == 1)
 
     columns = {spec.schema.outcome.name: y}
-    for feat in spec.schema.features:
+    features = spec.schema.features
+    last = max((i for i, feat in enumerate(features) if feat.kind == BINARY),
+               default=-1)
+    for feat in features[:last + 1]:
         if feat.kind == BINARY:
             stat = spec.binary[feat.name]
             o = _resolve(stat.odds_ratio, rng)
             f = _resolve(stat.occurrence_fraction, rng)
             sol = solve_cells(o, r1, f, n)
             l1, l2, _, _ = sol.l_int
-            col = np.ones(n, dtype=np.int64)
+            col = np.ones(n, dtype=np.int8)
             col[rng.choice(pos_rows, size=l1, replace=False)] = 0
             col[rng.choice(neg_rows, size=l2, replace=False)] = 0
             columns[feat.name] = col
         else:
-            stat = spec.continuous[feat.name]
-            # draw every row, then redraw those < 0 (or inf) until none are;
-            # the spec's mean >= 0 keeps about half of each round or more
-            # (a third with an sd near the float max), so this ends
-            vals, todo = np.empty(n), np.arange(n)
-            while todo.size:
-                drawn = rng.normal(stat.mean, stat.stddev, size=todo.size)
-                vals[todo] = drawn
-                todo = todo[(drawn < 0) | (drawn == np.inf)]
-            columns[feat.name] = np.round(vals)
+            columns[feat.name] = _truncated_normal(spec, feat.name, rng)
+    return rng, columns
+
+
+def _complete(spec: AggregateSpec, seed: int, rng: np.random.Generator,
+              columns: dict[str, np.ndarray]) -> Dataset:
+    """reconstruct's second step: the continuous features after the last
+    binary one, drawn from where _draw_binary left rng, and the Dataset."""
+    # columns holds the outcome and the features _draw_binary drew
+    for feat in spec.schema.features[len(columns) - 1:]:
+        columns[feat.name] = _truncated_normal(spec, feat.name, rng)
     return Dataset(spec.schema, columns, seed=seed)
+
+
+def _truncated_normal(spec: AggregateSpec, name: str,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Continuous feature name: n draws from its normal truncated at 0,
+    rounded to integers."""
+    stat = spec.continuous[name]
+    # draw every row, then redraw those < 0 (or inf) until none are;
+    # the spec's mean >= 0 keeps about half of each round or more
+    # (a third with an sd near the float max), so this ends
+    vals, todo = np.empty(spec.n), np.arange(spec.n)
+    while todo.size:
+        drawn = rng.normal(stat.mean, stat.stddev, size=todo.size)
+        vals[todo] = drawn
+        todo = todo[(drawn < 0) | (drawn == np.inf)]
+    return np.round(vals)
 
 
 def derived_seed(base_seed: int, k: int) -> int:
@@ -176,8 +213,10 @@ class CandidateSet:
     or_deviations: dict[str, float] = field(default_factory=dict)
 
 
-def _rank_binary(ds: Dataset) -> np.ndarray:
-    """Binary columns (incl. outcome) as int8 rows in greedy rank order.
+def _rank_binary(columns: list[np.ndarray]) -> np.ndarray:
+    """A dataset's binary columns (schema.binary_columns() order, outcome
+    last), given as equal-length 0/1 arrays, as int8 rows in greedy rank
+    order.
 
     Rows are stably sorted by their sum, so row i of two ranked datasets is
     the pair the similarity module's greedy matcher would form on binary
@@ -186,14 +225,14 @@ def _rank_binary(ds: Dataset) -> np.ndarray:
     columns), where numpy's stable argsort is a radix sort; any stable sort
     of the same sums gives the same order.
     """
-    columns = [ds.column(c).astype(np.int8)
-               for c in ds.schema.binary_columns()]
-    sums = np.zeros(ds.n_rows, dtype=np.min_scalar_type(len(columns)))
+    columns = [column.astype(np.int8, copy=False) for column in columns]
+    n_rows = len(columns[0])
+    sums = np.zeros(n_rows, dtype=np.min_scalar_type(len(columns)))
     for column in columns:
         # int8 into unsigned is not a same_kind cast; 0/1 values fit either
         np.add(sums, column, out=sums, casting="unsafe")
     order = np.argsort(sums, kind="stable")
-    ranked = np.empty((ds.n_rows, len(columns)), dtype=np.int8)
+    ranked = np.empty((n_rows, len(columns)), dtype=np.int8)
     for j, column in enumerate(columns):
         ranked[:, j] = column[order]
     return ranked
@@ -214,26 +253,34 @@ def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
     """Produce n_candidates datasets whose pairwise greedy average distance
     (over binary columns) is at least delta.
 
-    Derived seeds walk base_seed + k*SEED_STRIDE; acceptance is decided in
-    seed-index order, so the result is independent of how candidates are
-    generated behind the scenes.
+    Attempt k is reconstruct(spec, derived_seed(base_seed, k)), for k = 0,
+    1, ...; acceptance is decided in attempt order, so the result is
+    independent of how candidates are generated behind the scenes. An
+    attempt draws only reconstruct's first step (_draw_binary), which holds
+    every binary column the delta check reads; the trailing continuous
+    features and the Dataset are made only for an accepted attempt. The
+    candidates are the same, byte for byte, as reconstruct's.
+    n_candidates and max_attempts must be integers >= 1.
     """
     if not 0 <= delta < 1:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    if n_candidates < 1:
-        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    for name, value in (("n_candidates", n_candidates),
+                        ("max_attempts", max_attempts)):
+        check_integer(name, value)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
+    binary = spec.schema.binary_columns()
     kept: list[Dataset] = []
     ranked: list[np.ndarray] = []  # _rank_binary of each kept candidate
     attempts = 0
     while len(kept) < n_candidates and attempts < max_attempts:
-        cand = reconstruct(spec, derived_seed(base_seed, attempts))
+        seed = derived_seed(base_seed, attempts)
         attempts += 1
-        r = _rank_binary(cand)
+        rng, columns = _draw_binary(spec, seed)
+        r = _rank_binary([columns[name] for name in binary])
         if all(_ranked_distance(r, other) >= delta for other in ranked):
-            kept.append(cand)
+            kept.append(_complete(spec, seed, rng, columns))
             ranked.append(r)
     if len(kept) < n_candidates:
         raise PartialCandidateSetError(kept, attempts)

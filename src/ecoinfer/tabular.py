@@ -227,6 +227,13 @@ def require(d: dict, key: str, owner: str | None = None):
     return d[key]
 
 
+def check_integer(name: str, value) -> None:
+    """A ValueError naming name and value unless value is an int or a numpy
+    integer; a bool is an int, but not a count, so it is refused."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def sidecar_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".schema.json")
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -126,6 +127,15 @@ class TestRunExperiment:
             small_plan(n_candidates=0)
         with pytest.raises(ValueError, match="ground_truth"):
             small_plan(ground_truth=generate_ground_truth(small_plan().config))
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_n_candidates_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_candidates must be an integer, got {value!r}")):
+            small_plan(n_candidates=value)
+
+    def test_numpy_integer_n_candidates_passes(self):
+        assert small_plan(n_candidates=np.int64(2)).n_candidates == 2
 
     @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5])
     def test_undersample_rate_checked_by_the_plan(self, rate):
@@ -485,6 +495,28 @@ class TestCli:
         assert code == 1
         assert (f"error [train]: {empty}: dataset 1: training data has no "
                 "rows") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["stdout", "truth", "out"])
+    def test_predict_refuses_a_file_with_no_rows(self, tmp_path, capsys,
+                                                 case):
+        good, empty = tmp_path / "t.csv", tmp_path / "empty.csv"
+        model, out = tmp_path / "m.json", tmp_path / "preds.csv"
+        dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
+                                            [1, 0]]).to_csv(good)
+        dataset_from_rows(small_schema(1), np.zeros((0, 2), dtype=int)
+                          ).to_csv(empty)
+        assert main(["train", str(good), "--trees", "2",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        flags = {"stdout": [], "truth": ["--truth"],
+                 "out": ["--out", str(out)]}[case]
+        code = main(["predict", str(model), str(empty), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == \
+            f"error [predict]: {empty}: dataset has no rows\n"
+        assert not out.exists()
 
     def test_unreachable_delta_exit_code(self, tmp_path, capsys):
         code = main(["experiment", "--builtin", "1", "--n", "200",

@@ -12,7 +12,7 @@ from ecoinfer.reconstruct import (InfeasibleSpecError,
                                   generate_candidates, load_candidates,
                                   reconstruct, save_candidates, solve_cells)
 from ecoinfer.synth import builtin_configs, generate_ground_truth
-from ecoinfer.tabular import CONTINUOUS, FeatureSpec, Schema
+from ecoinfer.tabular import BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema
 
 from conftest import dataset_from_rows, small_schema
 
@@ -251,6 +251,11 @@ def config_spec(index, n):
     return summarize(generate_ground_truth(builtin_configs(n=n)[index - 1]))
 
 
+def rank(ds):
+    """_rank_binary of a dataset's binary columns."""
+    return _rank_binary([ds.column(c) for c in ds.schema.binary_columns()])
+
+
 def reference_rank(ds):
     """_rank_binary as first written: the binary columns stacked into int8
     rows, stably sorted by their int64 row sums."""
@@ -271,7 +276,7 @@ class TestRankBinary:
 
     @staticmethod
     def assert_same_bytes(ds):
-        got, want = _rank_binary(ds), reference_rank(ds)
+        got, want = rank(ds), reference_rank(ds)
         assert got.dtype == want.dtype == np.int8
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -294,12 +299,112 @@ class TestRankBinary:
     def test_every_row_ties(self):
         # each row holds one 1, so every sum is 1 and the order is the rows'
         rows = np.roll(np.eye(4, dtype=int), 1, axis=0)
-        ranked = _rank_binary(binary_rows(rows))
+        ranked = rank(binary_rows(rows))
         assert np.array_equal(ranked, rows)
         self.assert_same_bytes(binary_rows(rows))
 
 
+def reference_reconstruct(spec, seed):
+    """reconstruct as it was before it drew in two steps: one generator,
+    every column in schema order, then the Dataset."""
+    rng = np.random.default_rng(seed)
+
+    def resolve(v):
+        return float(rng.uniform(*v)) if isinstance(v, tuple) else float(v)
+
+    n = spec.n
+    r1 = resolve(spec.class_fraction)
+    y = np.ones(n, dtype=np.int64)
+    y[rng.choice(n, size=round(r1 * n), replace=False)] = 0
+    pos_rows, neg_rows = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
+    columns = {spec.schema.outcome.name: y}
+    for feat in spec.schema.features:
+        if feat.kind == BINARY:
+            stat = spec.binary[feat.name]
+            o = resolve(stat.odds_ratio)
+            f = resolve(stat.occurrence_fraction)
+            l1, l2, _, _ = solve_cells(o, r1, f, n).l_int
+            col = np.ones(n, dtype=np.int64)
+            col[rng.choice(pos_rows, size=l1, replace=False)] = 0
+            col[rng.choice(neg_rows, size=l2, replace=False)] = 0
+            columns[feat.name] = col
+        else:
+            stat = spec.continuous[feat.name]
+            vals, todo = np.empty(n), np.arange(n)
+            while todo.size:
+                drawn = rng.normal(stat.mean, stat.stddev, size=todo.size)
+                vals[todo] = drawn
+                todo = todo[(drawn < 0) | (drawn == np.inf)]
+            columns[feat.name] = np.round(vals)
+    return Dataset(spec.schema, columns, seed=seed)
+
+
+def reference_candidates(spec, n_candidates, delta, base_seed, max_attempts):
+    """generate_candidates as a plain loop: reconstruct every attempt whole
+    and keep it if its reference_distance to each kept one is >= delta.
+    Returns the kept datasets and the attempts made."""
+    kept, attempts = [], 0
+    while len(kept) < n_candidates and attempts < max_attempts:
+        cand = reconstruct(spec, derived_seed(base_seed, attempts))
+        attempts += 1
+        if all(reference_distance(cand, o) >= delta for o in kept):
+            kept.append(cand)
+    return kept, attempts
+
+
+def interleaved_spec(n):
+    """Binary, continuous, binary, continuous: Age is drawn between the
+    binary columns, Lab after the last one."""
+    schema = Schema(features=(FeatureSpec("PT"), FeatureSpec("Age", CONTINUOUS),
+                              FeatureSpec("Plt"),
+                              FeatureSpec("Lab", CONTINUOUS)),
+                    outcome=FeatureSpec("Dead"))
+    return AggregateSpec(
+        schema=schema, n=n, class_fraction=0.3,
+        binary={"PT": BinaryStat(3.0, 0.3), "Plt": BinaryStat(2.0, 0.2)},
+        continuous={"Age": ContinuousStat(40.0, 15.0),
+                    "Lab": ContinuousStat(5.0, 2.0)})
+
+
+def ranged_spec(n):
+    """Ranges in the class fraction, an odds ratio and an occurrence
+    fraction, each drawn from the candidate's own generator."""
+    return AggregateSpec(
+        schema=small_schema(), n=n, class_fraction=(0.2, 0.4),
+        binary={"PTT": BinaryStat((2.0, 6.0), 0.3),
+                "PT": BinaryStat(3.0, (0.2, 0.5)),
+                "Plt": BinaryStat(1.5, 0.4)})
+
+
+# (spec, n_candidates, delta, base_seed, max_attempts, attempts it takes)
+LOOP_CASES = {
+    "config-10": (lambda: config_spec(10, n=1000), 4, 0.23, 7, 1000, 8),
+    "interleaved": (lambda: interleaved_spec(500), 4, 0.22, 7, 1000, 21),
+    "continuous-only": (lambda: age_spec(36.0, 19.0, n=300), 3, 0.0, 7,
+                        1000, 3),
+    "ranged": (lambda: ranged_spec(500), 4, 0.3, 7, 1000, 22),
+    # 2 of 4 candidates kept when the attempts run out
+    "partial": (lambda: config_spec(1, n=1000), 4, 0.21, 7, 30, 30),
+}
+
+
 class TestGenerateCandidates:
+    @staticmethod
+    def assert_same_as_reference_loop(spec, n_candidates, delta, base_seed,
+                                      max_attempts, attempts):
+        kept, used = reference_candidates(spec, n_candidates, delta,
+                                          base_seed, max_attempts)
+        try:
+            cs = generate_candidates(spec, n_candidates, delta, base_seed,
+                                     max_attempts)
+            got, got_used = cs.candidates, cs.attempts_used
+        except PartialCandidateSetError as err:
+            assert len(kept) < n_candidates
+            got, got_used = err.candidates, err.attempts_used
+        assert got_used == used == attempts
+        assert [c.seed for c in got] == [c.seed for c in kept]
+        assert got == kept
+
     def test_delta_separated_set(self):
         spec = trio_spec(n=500)
         cs = generate_candidates(spec, n_candidates=5, delta=0.05,
@@ -315,7 +420,7 @@ class TestGenerateCandidates:
     def test_ranked_distance_is_the_reference_bitwise(self, config):
         spec = config_spec(config, n=1000)
         cands = [reconstruct(spec, derived_seed(2000, k)) for k in range(12)]
-        ranked = [_rank_binary(c) for c in cands]
+        ranked = [rank(c) for c in cands]
         for i in range(12):
             for j in range(12):
                 if i != j:
@@ -323,17 +428,39 @@ class TestGenerateCandidates:
                         reference_distance(cands[i], cands[j])
 
     def test_same_candidates_as_reference_loop(self):
-        # n=1000 at delta 0.2 rejects 26 of 31 attempts
-        spec, delta = config_spec(1, n=1000), 0.2
-        kept, attempts = [], 0
-        while len(kept) < 5:
-            cand = reconstruct(spec, derived_seed(7, attempts))
-            attempts += 1
-            if all(reference_distance(cand, o) >= delta for o in kept):
-                kept.append(cand)
-        cs = generate_candidates(spec, 5, delta, base_seed=7)
-        assert cs.attempts_used == attempts == 31
-        assert [c.seed for c in cs.candidates] == [c.seed for c in kept]
+        # config 1 at n=1000 and delta 0.2 rejects 26 of 31 attempts
+        self.assert_same_as_reference_loop(config_spec(1, n=1000), 5, 0.2,
+                                           7, 1000, 31)
+
+    @pytest.mark.parametrize("case", LOOP_CASES)
+    def test_same_candidates_as_reference_loop_on(self, case):
+        make, *args = LOOP_CASES[case]
+        self.assert_same_as_reference_loop(make(), *args)
+
+    @pytest.mark.parametrize("case", ["config-1", *LOOP_CASES])
+    def test_reconstruct_is_the_one_step_body(self, case):
+        spec = (config_spec(1, n=1000) if case == "config-1"
+                else LOOP_CASES[case][0]())
+        for seed in (0, 7, derived_seed(7, 5)):
+            got, want = reconstruct(spec, seed), reference_reconstruct(spec,
+                                                                       seed)
+            assert got.seed == want.seed == seed
+            for name in spec.schema.column_names:
+                assert got.column(name).dtype == want.column(name).dtype
+                assert got.column(name).tobytes() == \
+                    want.column(name).tobytes()
+
+    def test_rejected_attempts_build_no_dataset(self, monkeypatch):
+        spec = config_spec(1, n=2000)
+        built, init = [], Dataset.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(Dataset, "__init__", counted)
+        cs = generate_candidates(spec, 9, 0.2, base_seed=2000)
+        assert cs.attempts_used == 60
+        assert built == cs.candidates and len(built) == 9
 
     def test_acceptance_order_pinned(self):
         # n=2,000 at delta 0.2 rejects 51 of 60 attempts
@@ -360,6 +487,21 @@ class TestGenerateCandidates:
                            match=r"^max_attempts must be >= 1, got 0$"):
             generate_candidates(trio_spec(), 1, 0.0, base_seed=1,
                                 max_attempts=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_candidates", 2.5), ("n_candidates", True), ("n_candidates", "3"),
+        ("max_attempts", 1.5), ("max_attempts", False)])
+    def test_counts_must_be_integers(self, name, value):
+        counts = {"n_candidates": 1, "max_attempts": 10, name: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            generate_candidates(trio_spec(), delta=0.0, base_seed=1,
+                                **counts)
+
+    def test_numpy_integer_counts_pass(self):
+        cs = generate_candidates(trio_spec(), np.int64(2), 0.0, base_seed=1,
+                                 max_attempts=np.int32(5))
+        assert len(cs.candidates) == cs.attempts_used == 2
 
     def test_derived_seeds_follow_stride(self):
         cs = generate_candidates(trio_spec(), 3, 0.0, base_seed=10,
