@@ -118,8 +118,7 @@ class AggregateSpec:
     continuous: dict[str, ContinuousStat] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_integer("n", self.n)
-        _check_open("n", self.n, 0, np.inf)
+        check_integer("n", self.n, least=1)
         _check_open("class_fraction", self.class_fraction, 0, 1)
         for name in self.schema.binary_feature_names:
             if name not in self.binary:

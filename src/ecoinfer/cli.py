@@ -20,7 +20,8 @@ from .reconstruct import MAX_ATTEMPTS, generate_candidates, save_candidates
 from .similarity import EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY, match_rows
 from .synth import (builtin_configs, configs_from_json, configs_to_json,
                     generate_ground_truth, with_overrides)
-from .tabular import Dataset, json_text, write_columns, write_json
+from .tabular import (Dataset, check_integer, json_text, write_columns,
+                      write_json)
 
 
 def _add_seed(p, default=0):
@@ -248,8 +249,7 @@ def _experiment_plan(args, base_seed: int, out: Path) -> ExperimentPlan:
 
 
 def _cmd_experiment(args) -> int:
-    if args.repeats < 1:
-        raise ValueError("--repeats must be >= 1")
+    check_integer("--repeats", args.repeats, least=1)
     if args.repeats == 1:
         report = run_experiment(_experiment_plan(args, args.seed, args.out))
     else:

@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import Dataset, SchemaError, distinct_rows, require
+from .tabular import (Dataset, SchemaError, check_integer, distinct_rows,
+                      require)
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
@@ -50,10 +51,9 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        check_integer("n_trees", self.n_trees, least=1)
+        check_integer("max_depth", self.max_depth, least=1)
+        check_integer("seed", self.seed, least=0)  # numpy's seed rule
 
 
 # One tree node per record. A leaf has feature -1 and its bootstrap class
@@ -532,6 +532,7 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
     chunks and grow each chunk in lockstep in a process pool. The forests
     are the same either way. No datasets raise ValueError, and a dataset of
     one outcome class or no rows raises SingleClassError naming its index."""
+    check_integer("workers", workers, least=1)
     if workers > 1 and len(datasets := list(datasets)) > 1:
         # Local: the pool pulls in multiprocessing, which one worker never needs.
         from concurrent.futures import ProcessPoolExecutor

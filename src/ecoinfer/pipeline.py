@@ -55,9 +55,9 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
-        check_integer("n_candidates", self.n_candidates)
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
+        check_integer("n_candidates", self.n_candidates, least=1)
+        check_integer("workers", self.workers, least=1)
+        check_integer("base_seed", self.base_seed)
         rate = self.undersample_rate
         if rate is not None and not 0 < rate <= 1:
             raise ValueError(f"undersample_rate must be in (0, 1], got {rate}")
@@ -66,8 +66,6 @@ class ExperimentPlan:
                              "aggregate spec")
         if self.ground_truth is not None and self.config is not None:
             raise ValueError("ground_truth goes with a spec, not a config")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass

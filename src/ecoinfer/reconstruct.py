@@ -13,6 +13,7 @@ delta.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,6 +55,10 @@ class CellSolution:
     or_deviation: float  # relative error of their odds ratio vs the target
 
 
+# Every attempt of a spec without ranges asks for the same cells, so the
+# frozen solutions are kept; typed, so that a cached n of 100 does not let
+# 100.0 past the integer check.
+@functools.lru_cache(typed=True)
 def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
     """Solve the four-constraint system for one feature's cell counts.
 
@@ -66,7 +71,7 @@ def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
     _check_open("r1", r1, 0, 1)
     _check_open("f", f, 0, 1)
     _check_open("odds ratio", o, 0, math.inf)
-    _check_open("n", n, 0, math.inf)
+    check_integer("n", n, least=1)
 
     A = r1 * n
     B = f * n
@@ -199,7 +204,7 @@ def _truncated_normal(spec: AggregateSpec, name: str,
 
 
 def derived_seed(base_seed: int, k: int) -> int:
-    return (base_seed + k * SEED_STRIDE) % _SEED_MOD
+    return (int(base_seed) + k * SEED_STRIDE) % _SEED_MOD
 
 
 @dataclass
@@ -264,11 +269,9 @@ def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
     """
     if not 0 <= delta < 1:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    for name, value in (("n_candidates", n_candidates),
-                        ("max_attempts", max_attempts)):
-        check_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_integer("n_candidates", n_candidates, least=1)
+    check_integer("max_attempts", max_attempts, least=1)
+    check_integer("base_seed", base_seed)
 
     binary = spec.schema.binary_columns()
     kept: list[Dataset] = []

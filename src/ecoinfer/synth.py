@@ -15,7 +15,7 @@ from pathlib import Path
 from .aggregate import AggregateSpec, BinaryStat, ContinuousStat
 from .reconstruct import reconstruct
 from .tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                      write_json)
+                      check_integer, write_json)
 
 DEFAULT_N = 10_000
 AGE_MEAN = 36.0
@@ -59,6 +59,7 @@ class GroundTruthConfig:
 
     def __post_init__(self):
         self.to_spec()  # the spec checks every statistic and n
+        check_integer("seed", self.seed, least=0)  # numpy's seed rule
 
     def to_spec(self) -> AggregateSpec:
         return AggregateSpec(

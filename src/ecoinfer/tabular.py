@@ -227,11 +227,14 @@ def require(d: dict, key: str, owner: str | None = None):
     return d[key]
 
 
-def check_integer(name: str, value) -> None:
+def check_integer(name: str, value, least: int | None = None) -> None:
     """A ValueError naming name and value unless value is an int or a numpy
-    integer; a bool is an int, but not a count, so it is refused."""
+    integer, and at least least if that is given; a bool is an int, but
+    not a count or a seed, so it is refused."""
     if type(value) is bool or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def sidecar_path(csv_path: str | Path) -> Path:

@@ -185,11 +185,6 @@ class TestSpecValidationAndJson:
             AggregateSpec(schema=schema, n=n, class_fraction=0.5,
                           binary={"x": BinaryStat(1.0, 0.5)})
 
-    def test_n_may_be_a_numpy_integer(self):
-        schema = small_schema(1, names=("x",))
-        AggregateSpec(schema=schema, n=np.int64(10), class_fraction=0.5,
-                      binary={"x": BinaryStat(1.0, 0.5)})
-
     def test_json_round_trip(self, tmp_path, trauma_cohort_pt):
         spec = summarize(trauma_cohort_pt)
         path = tmp_path / "spec.json"

@@ -693,6 +693,16 @@ class TestModelFileChecks:
         with pytest.raises(ValueError, match="model 0 has no trees"):
             load_ensemble(model_file(tmp_path / "m.json"))
 
+    def test_non_integer_params(self, tmp_path):
+        path = model_file(tmp_path / "m.json", [LEAVES[1]])
+        payload = json.loads(path.read_text())
+        payload["models"][0]["params"]["max_depth"] = 2.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, max_depth must be an integer, got 2.5" \
+            in str(err.value)
+
     def test_tree_with_no_nodes(self, tmp_path):
         with pytest.raises(ValueError, match="model 0, tree 1: has no nodes"):
             load_ensemble(model_file(tmp_path / "m.json", [LEAVES[0]], []))

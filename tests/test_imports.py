@@ -88,3 +88,30 @@ def test_module_parses_as_python_3_10(module):
     # pyproject.toml declares requires-python >= 3.10
     source = (SRC / "ecoinfer" / module).read_text(encoding="utf-8")
     ast.parse(source, filename=module, feature_version=(3, 10))
+
+
+def test_every_private_module_name_is_used():
+    # a private function, class or constant that nothing reads is dead code
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=p.name)
+             for p in sorted((SRC / "ecoinfer").glob("*.py"))]
+    defined = set()
+    for stmt in (stmt for tree in trees for stmt in tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            defined.update(node.id for target in targets
+                           for node in ast.walk(target)
+                           if isinstance(node, ast.Name))
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert private
+    assert sorted(private - read) == []

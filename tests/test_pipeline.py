@@ -134,9 +134,6 @@ class TestRunExperiment:
                 f"n_candidates must be an integer, got {value!r}")):
             small_plan(n_candidates=value)
 
-    def test_numpy_integer_n_candidates_passes(self):
-        assert small_plan(n_candidates=np.int64(2)).n_candidates == 2
-
     @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5])
     def test_undersample_rate_checked_by_the_plan(self, rate):
         with pytest.raises(ValueError, match="undersample_rate must be in"):
@@ -380,7 +377,31 @@ class TestCli:
         code = main(["experiment", "--builtin", "1", "--n", "0",
                      "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "n must be in (0, inf), got 0" in capsys.readouterr().err
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_experiment_seed_checked_before_writing(self, tmp_path, capsys):
+        # the forests are seeded --seed + 1, and numpy refuses seeds < 0
+        out = tmp_path / "x"
+        code = main(["experiment", "--builtin", "1", *SMALL_RUN,
+                     "--seed", "-2", "--out", str(out)])
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_seed_minus_one_runs(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["experiment", "--builtin", "1", *SMALL_RUN,
+                     "--seed", "-1", "--out", str(out)]) == 0
+        seeds = json.loads((out / "report.json").read_text())["seeds"]
+        assert seeds["base_seed"] == -1
+        assert seeds["forest_seeds"] == [0, 1]
+
+    def test_train_seed_checked_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["train", str(missing), "--seed", "-1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_experiment_rate_checked_before_writing(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -89,6 +89,15 @@ class TestSolveCells:
         with pytest.raises(ValueError):
             solve_cells(2.0, 0.1, 1.0, 100)
 
+    @pytest.mark.parametrize("n", [100.5, 100.0])
+    def test_n_must_be_an_integer_after_a_cached_call(self, n):
+        # 100.5 gave l_int (7, 43, 3, 47.5); a cached n = 100 must not
+        # answer for 100.0, which equals it
+        solve_cells(2.0, 0.1, 0.5, 100)
+        with pytest.raises(ValueError, match=f"^n must be an integer, "
+                                             f"got {n}$"):
+            solve_cells(2.0, 0.1, 0.5, n)
+
 
 def trio_spec(n=400, r1=0.25, ors=(2.0, 3.0, 1.5), fs=(0.4, 0.3, 0.5)):
     schema = small_schema()
@@ -323,7 +332,7 @@ def reference_reconstruct(spec, seed):
             stat = spec.binary[feat.name]
             o = resolve(stat.odds_ratio)
             f = resolve(stat.occurrence_fraction)
-            l1, l2, _, _ = solve_cells(o, r1, f, n).l_int
+            l1, l2, _, _ = solve_cells.__wrapped__(o, r1, f, n).l_int
             col = np.ones(n, dtype=np.int64)
             col[rng.choice(pos_rows, size=l1, replace=False)] = 0
             col[rng.choice(neg_rows, size=l2, replace=False)] = 0
@@ -450,6 +459,14 @@ class TestGenerateCandidates:
                 assert got.column(name).tobytes() == \
                     want.column(name).tobytes()
 
+    def test_point_spec_solves_each_feature_once(self):
+        spec = config_spec(1, n=1000)
+        solve_cells.cache_clear()
+        cs = generate_candidates(spec, 5, 0.2, base_seed=7)
+        assert cs.attempts_used == 31
+        assert solve_cells.cache_info().misses == \
+            len(spec.schema.binary_feature_names)
+
     def test_rejected_attempts_build_no_dataset(self, monkeypatch):
         spec = config_spec(1, n=2000)
         built, init = [], Dataset.__init__
@@ -481,12 +498,6 @@ class TestGenerateCandidates:
                                 max_attempts=30)
         assert err.value.attempts_used == 30
         assert len(err.value.candidates) <= 1
-
-    def test_max_attempts_must_be_positive(self):
-        with pytest.raises(ValueError,
-                           match=r"^max_attempts must be >= 1, got 0$"):
-            generate_candidates(trio_spec(), 1, 0.0, base_seed=1,
-                                max_attempts=0)
 
     @pytest.mark.parametrize("name, value", [
         ("n_candidates", 2.5), ("n_candidates", True), ("n_candidates", "3"),

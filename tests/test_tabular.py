@@ -1,8 +1,15 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ecoinfer.aggregate import AggregateSpec, BinaryStat
+from ecoinfer.forest import ForestParams, train_ensemble
+from ecoinfer.pipeline import ExperimentPlan
+from ecoinfer.reconstruct import generate_candidates, reconstruct, solve_cells
+from ecoinfer.synth import builtin_configs
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError, distinct_rows, undersample,
                               write_columns)
@@ -285,3 +292,65 @@ class TestDistinctRows:
         # -0.0 and 0.0 fall into one group, which bit patterns would split
         assert len(distinct_rows(X)[0]) < len(np.unique(X.view(np.int64),
                                                         axis=0)) < len(X)
+
+
+def one_feature_spec(n=200):
+    return AggregateSpec(schema=small_schema(1, names=("x",)), n=n,
+                         class_fraction=0.5, binary={"x": BinaryStat(1.0, 0.5)})
+
+
+def candidates(**counts):
+    generate_candidates(one_feature_spec(), delta=0.0, **{
+        "n_candidates": 1, "max_attempts": 3, "base_seed": 1, **counts})
+
+
+def config_1(**fields):
+    return replace(builtin_configs(n=200)[0], **fields)
+
+
+# owner.parameter: (the name its error gives, the least value it takes or
+# None for any integer, a call that hands it the value). Seeds at least 0
+# go to numpy; base seeds are reduced modulo 2**63 first.
+INTEGERS = {
+    "AggregateSpec.n": ("n", 1, lambda v: one_feature_spec(n=v)),
+    "solve_cells.n": ("n", 1, lambda v: solve_cells(2.0, 0.1, 0.5, v)),
+    "ExperimentPlan.n_candidates": (
+        "n_candidates", 1,
+        lambda v: ExperimentPlan(config=config_1(), n_candidates=v)),
+    "ExperimentPlan.workers": (
+        "workers", 1, lambda v: ExperimentPlan(config=config_1(), workers=v)),
+    "ExperimentPlan.base_seed": (
+        "base_seed", None,
+        lambda v: ExperimentPlan(config=config_1(), base_seed=v)),
+    "generate_candidates.n_candidates": (
+        "n_candidates", 1, lambda v: candidates(n_candidates=v)),
+    "generate_candidates.max_attempts": (
+        "max_attempts", 1, lambda v: candidates(max_attempts=v)),
+    "generate_candidates.base_seed": (
+        "base_seed", None, lambda v: candidates(base_seed=v)),
+    "ForestParams.n_trees": ("n_trees", 1, lambda v: ForestParams(n_trees=v)),
+    "ForestParams.max_depth": (
+        "max_depth", 1, lambda v: ForestParams(max_depth=v)),
+    "ForestParams.seed": ("seed", 0, lambda v: ForestParams(seed=v)),
+    "GroundTruthConfig.seed": ("seed", 0, lambda v: config_1(seed=v)),
+    "train_ensemble.workers": (
+        "workers", 1,
+        lambda v: train_ensemble([reconstruct(one_feature_spec(), 0)],
+                                 ForestParams(n_trees=1), workers=v)),
+}
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("owner", INTEGERS)
+    def test_every_count_and_seed_follows_the_rule(self, owner):
+        name, least, call = INTEGERS[owner]
+        refused = {2.5: "an integer, got 2.5", True: "an integer, got True"}
+        if least is not None:
+            refused[least - 1] = f">= {least}, got {least - 1}"
+        for value, says in refused.items():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be {says}") + "$"):
+                call(value)
+        call(np.int64(3))
+        if least is None:
+            call(-1)
