@@ -10,13 +10,14 @@ are feature-positive and outcome-positive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .tabular import (BINARY, CONTINUOUS, Dataset, Schema, SchemaError,
-                      check_integer, require, write_json)
+                      check_integer, check_real, require, write_json)
 
 # A scalar statistic, or a (lo, hi) range to be drawn per candidate.
 Value = float | tuple[float, float]
@@ -92,17 +93,6 @@ class ContinuousStat:
     stddev: float
 
 
-def _check_open(name: str, v: Value, lo: float, hi: float) -> None:
-    """A value, or each end of a range, must be in (lo, hi); NaN never is.
-    A range must be two ends with the low end first."""
-    if isinstance(v, tuple) and (len(v) != 2 or not v[0] <= v[1]):
-        raise ValueError(f"{name} range must be (lo, hi) with lo <= hi, "
-                         f"got {v}")
-    for x in v if isinstance(v, tuple) else (v,):
-        if not lo < x < hi:
-            raise ValueError(f"{name} must be in ({lo}, {hi}), got {v}")
-
-
 @dataclass(frozen=True)
 class AggregateSpec:
     """The sole input to reconstruction: N, outcome class fraction, and
@@ -119,21 +109,31 @@ class AggregateSpec:
 
     def __post_init__(self):
         check_integer("n", self.n, least=1)
-        _check_open("class_fraction", self.class_fraction, 0, 1)
+        self._check_value("class_fraction", self.class_fraction, 0, 1)
         for name in self.schema.binary_feature_names:
             if name not in self.binary:
                 raise ValueError(f"missing binary stats for {name!r}")
-            _check_open(f"odds_ratio[{name}]", self.binary[name].odds_ratio,
-                        0, np.inf)
-            _check_open(f"occurrence_fraction[{name}]",
-                        self.binary[name].occurrence_fraction, 0, 1)
+            stat = self.binary[name]
+            self._check_value(f"odds_ratio[{name}]", stat.odds_ratio,
+                              0, math.inf)
+            self._check_value(f"occurrence_fraction[{name}]",
+                              stat.occurrence_fraction, 0, 1)
         for name in self.schema.continuous_feature_names:
             if name not in self.continuous:
                 raise ValueError(f"missing continuous stats for {name!r}")
             s = self.continuous[name]  # drawn from a normal truncated at 0
-            if not (0 <= s.mean < np.inf and 0 <= s.stddev < np.inf):
-                raise ValueError(f"mean[{name}] and stddev[{name}] must be "
-                                 f"finite and >= 0, got {s}")
+            check_real(f"mean[{name}]", s.mean, 0, math.inf, "[)")
+            check_real(f"stddev[{name}]", s.stddev, 0, math.inf, "[)")
+
+    @staticmethod
+    def _check_value(name: str, v: Value, lo: float, hi: float) -> None:
+        """A statistic, or each end of a (lo, hi) range, must be in
+        (lo, hi); a range must be two ends with the low end first."""
+        for end in v if isinstance(v, tuple) else (v,):
+            check_real(name, end, lo, hi)
+        if isinstance(v, tuple) and (len(v) != 2 or v[0] > v[1]):
+            raise ValueError(f"{name} range must be (lo, hi) with lo <= hi, "
+                             f"got {v}")
 
     def to_dict(self) -> dict:
         def enc(v: Value):
@@ -157,21 +157,16 @@ class AggregateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregateSpec":
-        """The inverse of to_dict. A missing key, a statistic that is not a
-        JSON number or a list of them for a range, or a feature the schema
-        lacks or that has two entries raises ValueError naming it and its
-        feature; n is passed as loaded, so the constructor refuses 200.7
-        and true."""
-        def num(key: str, v) -> int | float:
+        """The inverse of to_dict. A missing key, a feature the schema lacks
+        or that has two entries, or an entry whose kind is not the
+        schema's raises ValueError naming it and its feature. Values are
+        passed as loaded, so the constructor checks them and refuses "0.1"
+        and true; only a JSON integer statistic becomes a float."""
+        def dec(v) -> Value:
+            if isinstance(v, list):  # a range
+                return tuple(v)
             # type(), not isinstance(): a JSON true loads as a bool
-            if type(v) not in (int, float):
-                raise ValueError(f"{key} must be a JSON number, got {v!r}")
-            return v
-
-        def dec(key: str, v) -> Value:
-            if isinstance(v, (list, tuple)):
-                return tuple(num(key, x) for x in v)
-            return float(num(key, v))
+            return float(v) if type(v) is int else v
 
         schema = Schema.from_dict(require(d, "schema", "the spec"))
         names = schema.feature_names
@@ -184,20 +179,21 @@ class AggregateSpec:
                 raise ValueError(f"{owner} is not in the schema")
             if name in binary or name in continuous:
                 raise ValueError(f"{owner} has more than one entry")
-            if f.get("kind", BINARY) == BINARY:
+            kind = schema.spec_for(name).kind
+            if f.get("kind", kind) != kind:
+                raise ValueError(f"{owner} is {kind} in the schema, "
+                                 f"not {f['kind']!r}")
+            if kind == BINARY:
                 binary[name] = BinaryStat(
-                    dec(f"odds_ratio[{name}]",
-                        require(f, "odds_ratio", owner)),
-                    dec(f"occurrence_fraction[{name}]",
-                        require(f, "occurrence_fraction", owner)))
+                    dec(require(f, "odds_ratio", owner)),
+                    dec(require(f, "occurrence_fraction", owner)))
             else:
                 continuous[name] = ContinuousStat(
-                    float(num(f"mean[{name}]", require(f, "mean", owner))),
-                    float(num(f"stddev[{name}]",
-                              require(f, "stddev", owner))))
-        r1 = require(d, "class_fraction", "the spec")
+                    dec(require(f, "mean", owner)),
+                    dec(require(f, "stddev", owner)))
         return cls(schema=schema, n=require(d, "n", "the spec"),
-                   class_fraction=dec("class_fraction", r1),
+                   class_fraction=dec(require(d, "class_fraction",
+                                              "the spec")),
                    binary=binary, continuous=continuous)
 
     def to_json(self, path: str | Path) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .tabular import (Dataset, SchemaError, check_integer, distinct_rows,
-                      require)
+                      plain_number, require)
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
@@ -616,7 +616,7 @@ def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
     payload = {"models": [forest.to_dict() for forest in forests]}
     with open(path, "w", encoding="utf-8") as fh:
         # json.dumps runs the C encoder; json.dump streams through Python.
-        fh.write(json.dumps(payload))
+        fh.write(json.dumps(payload, default=plain_number))
         fh.write("\n")
 
 

@@ -21,8 +21,8 @@ from .forest import (ForestParams, Metrics, ensemble_labels, evaluate,
 from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
                           save_candidates)
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
-from .tabular import (Dataset, check_integer, undersample, write_columns,
-                      write_json, write_rows)
+from .tabular import (Dataset, check_integer, check_real, undersample,
+                      write_columns, write_json, write_rows)
 
 # Sweepable GroundTruthConfig parameters for controlled experiments.
 SWEEPABLE = ("gender_or", "gender_fraction", "pt_or", "pt_fraction",
@@ -58,9 +58,9 @@ class ExperimentPlan:
         check_integer("n_candidates", self.n_candidates, least=1)
         check_integer("workers", self.workers, least=1)
         check_integer("base_seed", self.base_seed)
-        rate = self.undersample_rate
-        if rate is not None and not 0 < rate <= 1:
-            raise ValueError(f"undersample_rate must be in (0, 1], got {rate}")
+        check_real("delta", self.delta, 0, 1, "[)")
+        if self.undersample_rate is not None:
+            check_real("undersample_rate", self.undersample_rate, 0, 1, "(]")
         if (self.config is None) == (self.spec is None):
             raise ValueError("plan needs exactly one of a config and an "
                              "aggregate spec")
@@ -216,17 +216,18 @@ def run_undersampling_sweep(plan: ExperimentPlan,
                             rates: list[float]) -> list[EvalReport]:
     """One report per majority-class sampling rate, sharing candidates: the
     plan with its undersample_rate set to each rate in turn."""
-    if not rates:
-        raise ValueError("an undersampling sweep needs at least one rate")
-    plans = [replace(plan, undersample_rate=rate,  # checks each rate
-                     out_dir=plan.out_dir / f"rate_{rate:g}"
-                     if plan.out_dir else None) for rate in rates]
+    # each plan checks its rate before anything runs
+    plans = [replace(plan, undersample_rate=rate) for rate in rates]
+    labels = _labels("rate", rates)
+    if plan.out_dir is not None:
+        plans = [replace(p, out_dir=plan.out_dir / f"rate_{label}")
+                 for p, label in zip(plans, labels)]
     truth, cs = _prepare(plan)
     reports = [_evaluate(p, truth, cs) for p in plans]
     if plan.out_dir is not None:
         _write_metrics_csv(plan.out_dir / "fig6_undersampling.csv", "rate",
-                           [(f"{r:g}", rep.ensemble_metrics)
-                            for r, rep in zip(rates, reports)])
+                           [(label, rep.ensemble_metrics)
+                            for label, rep in zip(labels, reports)])
     return reports
 
 
@@ -239,16 +240,31 @@ def run_controlled_sweep(plan: ExperimentPlan, parameter: str,
                          f"one of {SWEEPABLE}")
     if plan.config is None:
         raise ValueError("a controlled sweep needs a plan with a config")
-    reports = []
-    for v in values:
-        cfg = with_overrides(plan.config, **{parameter: v})
-        sub = plan.out_dir / f"{parameter}_{v:g}" if plan.out_dir else None
-        reports.append(run_experiment(replace(plan, config=cfg, out_dir=sub)))
+    # each config checks its value before anything runs
+    configs = [with_overrides(plan.config, **{parameter: v}) for v in values]
+    labels = _labels(f"{parameter} value", values)
+    reports = [run_experiment(replace(
+        plan, config=cfg,
+        out_dir=plan.out_dir / f"{parameter}_{label}" if plan.out_dir
+        else None)) for cfg, label in zip(configs, labels)]
     if plan.out_dir is not None:
         _write_metrics_csv(plan.out_dir / f"controlled_{parameter}.csv",
-                           parameter, [(f"{v:g}", rep.ensemble_metrics)
-                                       for v, rep in zip(values, reports)])
+                           parameter, [(label, rep.ensemble_metrics)
+                                       for label, rep in zip(labels, reports)])
     return reports
+
+
+def _labels(what: str, values: list[float]) -> list[str]:
+    """Each swept value's :g label, which names its report directory and
+    its row of the sweep's CSV; a sweep with no value, or with two values
+    of one label (one would overwrite the other), is refused."""
+    if not values:
+        raise ValueError(f"a sweep needs at least one {what}")
+    labels = [f"{v:g}" for v in values]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"two {what}s share the label {label!r}")
+    return labels
 
 
 # --- plot-ready CSV outputs ----------------------------------------------

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import AggregateSpec, Value, _check_open
-from .tabular import BINARY, Dataset, check_integer, require, write_json
+from .aggregate import AggregateSpec, Value
+from .tabular import (BINARY, Dataset, check_integer, check_real, require,
+                      write_json)
 
 # Seed stride for derived candidate seeds (golden-ratio increment).
 SEED_STRIDE = 0x9E3779B9
@@ -68,9 +69,9 @@ def solve_cells(o: float, r1: float, f: float, n: int) -> CellSolution:
     [max(0, A+B-n), min(A, B)] is selected and rounded so that all margins
     are preserved exactly.
     """
-    _check_open("r1", r1, 0, 1)
-    _check_open("f", f, 0, 1)
-    _check_open("odds ratio", o, 0, math.inf)
+    check_real("o", o, 0, math.inf)
+    check_real("r1", r1, 0, 1)
+    check_real("f", f, 0, 1)
     check_integer("n", n, least=1)
 
     A = r1 * n
@@ -267,8 +268,7 @@ def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
     candidates are the same, byte for byte, as reconstruct's.
     n_candidates and max_attempts must be integers >= 1.
     """
-    if not 0 <= delta < 1:
-        raise ValueError(f"delta must be in [0, 1), got {delta}")
+    check_real("delta", delta, 0, 1, "[)")
     check_integer("n_candidates", n_candidates, least=1)
     check_integer("max_attempts", max_attempts, least=1)
     check_integer("base_seed", base_seed)

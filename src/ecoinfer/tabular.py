@@ -187,8 +187,9 @@ class Dataset:
                       [self.columns[spec.name] for spec in specs],
                       ["%d" if spec.kind == BINARY else "%r" for spec in specs])
         sidecar = {"schema": self.schema.to_dict(), "seed": self.seed}
-        sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n",
-                                      encoding="utf-8")
+        sidecar_path(path).write_text(
+            json.dumps(sidecar, indent=2, default=plain_number) + "\n",
+            encoding="utf-8")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -235,6 +236,33 @@ def check_integer(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_real(name: str, value, lo: float, hi: float,
+               ends: str = "()") -> None:
+    """A ValueError naming name and value unless value is an int, a float
+    or a numpy integer or floating scalar in the interval from lo to hi,
+    whose ends are open or closed as the brackets in ends say. A bool is
+    refused, as check_integer refuses it, and NaN is in no interval."""
+    if type(value) is bool or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    above = lo <= value if ends[0] == "[" else lo < value
+    below = value <= hi if ends[1] == "]" else value < hi
+    if not (above and below):
+        raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, "
+                         f"got {value!r}")
+
+
+def plain_number(value) -> int | float:
+    """json's default hook: a numpy integer or floating scalar, which
+    check_integer and check_real let in, as the plain number it holds."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -296,7 +324,8 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def json_text(value) -> str:
     """The layout of every JSON report, spec and manifest: indent 2, sorted
     keys, a trailing newline."""
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return json.dumps(value, indent=2, sort_keys=True,
+                      default=plain_number) + "\n"
 
 
 def write_json(value, path: str | Path) -> None:
@@ -336,8 +365,7 @@ def undersample(dataset: Dataset, rate: float, seed: int) -> Dataset:
     floor(rate * majority_count) majority rows are kept; the original
     relative row order is preserved.
     """
-    if not 0 < rate <= 1:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    check_real("rate", rate, 0, 1, "(]")
     y = dataset.outcome
     majority_class = int(2 * np.count_nonzero(y) >= y.size)
     majority = np.flatnonzero(y == majority_class)

@@ -38,9 +38,17 @@ def _plan(config, **overrides):
 
 
 @pytest.fixture(scope="session")
-def full_reports():
-    """One default full-size experiment per builtin config."""
-    return [run_experiment(_plan(cfg)) for cfg in builtin_configs()]
+def config_1_dir(tmp_path_factory):
+    """Where full_reports writes config 1's run."""
+    return tmp_path_factory.mktemp("det") / "w1"
+
+
+@pytest.fixture(scope="session")
+def full_reports(config_1_dir):
+    """One default full-size experiment per builtin config; config 1's
+    writes its files to config_1_dir."""
+    return [run_experiment(_plan(cfg, out_dir=None if k else config_1_dir))
+            for k, cfg in enumerate(builtin_configs())]
 
 
 @pytest.fixture(scope="session")
@@ -239,12 +247,12 @@ def test_criterion_11_coverage_property():
               f"non-decreasing and reaches 1.0 by n = {first_full} <= 200")
 
 
-def test_criterion_12_determinism_across_workers(tmp_path_factory):
-    out1 = tmp_path_factory.mktemp("det") / "w1"
+def test_criterion_12_determinism_across_workers(full_reports, config_1_dir,
+                                                 tmp_path_factory):
+    # full_reports ran config 1 with 1 worker into config_1_dir
+    out1 = config_1_dir
     out8 = tmp_path_factory.mktemp("det") / "w8"
-    cfg = builtin_configs()[0]
-    run_experiment(_plan(cfg, out_dir=out1, workers=1))
-    run_experiment(_plan(cfg, out_dir=out8, workers=8))
+    run_experiment(_plan(builtin_configs()[0], out_dir=out8, workers=8))
     names = ["report.json", "fig4_similarity.csv", "fig5_metrics.csv",
              "predictions.csv", "ground_truth.csv"]
     for name in names:  # timings.json is wall-clock and excluded by design

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -138,7 +141,11 @@ class TestSpecValidationAndJson:
     def test_invalid_moments_rejected(self, mean, stddev):
         schema = Schema(features=(FeatureSpec("Age", CONTINUOUS),),
                         outcome=FeatureSpec("Dead"))
-        with pytest.raises(ValueError, match=r"mean\[Age\] and stddev\[Age\]"):
+        # each moment is checked on its own, the mean first
+        name, value = ("mean", mean) if not 0 <= mean < np.inf \
+            else ("stddev", stddev)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}[Age] must be in [0, inf), got {value!r}") + "$"):
             AggregateSpec(schema=schema, n=10, class_fraction=0.5,
                           continuous={"Age": ContinuousStat(mean, stddev)})
 
@@ -215,7 +222,8 @@ def mixed_spec_dict():
 
 
 class TestFromDictTypes:
-    """from_dict takes JSON numbers as they are and coerces nothing."""
+    """from_dict passes JSON values as they are to the constructor, which
+    coerces nothing."""
 
     def test_round_trip(self):
         d = mixed_spec_dict()
@@ -252,7 +260,7 @@ class TestFromDictTypes:
     def test_statistic_must_be_a_json_number(self, where, key, bad, name):
         d = mixed_spec_dict()
         (d if where is None else d["features"][where])[key] = bad
-        with pytest.raises(ValueError, match=f"^{name} must be a JSON number"):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             AggregateSpec.from_dict(d)
 
     def test_reversed_range_names_the_field(self):
@@ -276,3 +284,34 @@ class TestFromDictTypes:
         with pytest.raises(ValueError,
                            match=r"^feature 'Foo' is not in the schema$"):
             AggregateSpec.from_dict(d)
+
+    @pytest.mark.parametrize("where, kind, says", [
+        (0, "continuous", "feature 'x' is binary in the schema, "
+                          "not 'continuous'"),
+        (1, "ordinal", "feature 'Age' is continuous in the schema, "
+                       "not 'ordinal'"),
+        (1, None, None),
+    ], ids=["binary-marked-continuous", "continuous-marked-ordinal",
+            "continuous-without-kind"])
+    def test_kind_comes_from_the_schema(self, where, kind, says):
+        # an entry's kind may only repeat the schema's
+        d = mixed_spec_dict()
+        if kind is None:
+            del d["features"][where]["kind"]
+            assert AggregateSpec.from_dict(d).to_dict() == mixed_spec_dict()
+            return
+        d["features"][where]["kind"] = kind
+        with pytest.raises(ValueError, match=re.escape(says) + "$"):
+            AggregateSpec.from_dict(d)
+
+    @pytest.mark.parametrize("where, says", [
+        (0, "missing binary stats for 'x'"),
+        (1, "missing continuous stats for 'Age'"),
+    ], ids=["binary", "continuous"])
+    def test_every_schema_feature_needs_an_entry(self, tmp_path, where, says):
+        d = mixed_spec_dict()
+        del d["features"][where]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(says) + "$"):
+            AggregateSpec.from_json(path)

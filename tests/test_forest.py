@@ -638,6 +638,16 @@ class TestSerialization:
         assert np.array_equal(ensemble_labels(back, rows),
                               ensemble_labels(ens, rows))
 
+    def test_numpy_seed_saves_as_a_plain_number(self, tmp_path):
+        rng = np.random.default_rng(13)
+        ds = random_rows(rng)
+        for seed, name in ((3, "int.json"), (np.int64(3), "numpy.json")):
+            save_ensemble(train_ensemble([ds], ForestParams(n_trees=2,
+                                                            seed=seed)),
+                          tmp_path / name)
+        assert (tmp_path / "int.json").read_bytes() == \
+            (tmp_path / "numpy.json").read_bytes()
+
     def test_loads_older_format(self, tmp_path):
         # Older model files carry a "task" key and four more training
         # settings per forest; both are ignored on load.

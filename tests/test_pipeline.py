@@ -111,6 +111,24 @@ class TestRunExperiment:
         assert report.similarity_binary == []
         assert report.per_candidate_metrics == []
         assert report.ensemble_metrics is None
+        assert report.to_dict()["similarity_stats"] == {}
+
+    def test_numpy_integers_write_the_same_report(self, tmp_path):
+        # every count and seed the checks let in is also written as JSON
+        def run(number):
+            cfg = with_overrides(builtin_configs()[0], n=number(200),
+                                 seed=number(1))
+            out = tmp_path / number.__name__
+            run_experiment(small_plan(
+                config=cfg, n_candidates=2, base_seed=number(5),
+                forest=ForestParams(n_trees=2, max_depth=3, seed=number(3)),
+                out_dir=out))
+            return out
+
+        plain, numpy = run(int), run(np.int64)
+        for name in ("report.json", "ground_truth.csv.schema.json",
+                     "candidates/manifest.json", "candidates/spec.json"):
+            assert (plain / name).read_bytes() == (numpy / name).read_bytes()
 
     def test_candidate_stage_failure_is_tagged(self):
         with pytest.raises(StageError) as err:
@@ -188,6 +206,21 @@ class TestSweeps:
     def test_undersampling_sweep_needs_rates(self):
         with pytest.raises(ValueError, match="rate"):
             run_undersampling_sweep(small_plan(), [])
+
+    @pytest.mark.parametrize("sweep, says", [
+        (lambda plan: run_undersampling_sweep(plan, [0.55, 0.550000001]),
+         "two rates share the label '0.55'"),
+        (lambda plan: run_controlled_sweep(plan, "pt_or", [4, 2, 4.0000001]),
+         "two pt_or values share the label '4'"),
+        (lambda plan: run_controlled_sweep(plan, "pt_or", []),
+         "a sweep needs at least one pt_or value"),
+    ], ids=["undersampling-label", "controlled-label", "controlled-empty"])
+    def test_sweep_refused_before_it_runs(self, tmp_path, sweep, says):
+        # each label names a report directory and a CSV row
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match=re.escape(says) + "$"):
+            sweep(small_plan(out_dir=out))
+        assert not out.exists()
 
     def test_undersampling_sweep_checks_every_rate_first(self, tmp_path):
         out = tmp_path / "sweep"
@@ -379,6 +412,32 @@ class TestCli:
         assert code == 1
         assert "n must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["1.5", "nan"])
+    def test_experiment_delta_checked_before_writing(self, tmp_path, capsys,
+                                                     delta):
+        # it used to fail only at the candidate stage, exit 2
+        out = tmp_path / "x"
+        code = main(["experiment", "--builtin", "1", "--n", "200",
+                     "--delta", delta, "--out", str(out)])
+        assert code == 1
+        assert f"delta must be in [0, 1), got {delta}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_builtin_index_is_checked(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--builtin", "11", "--out", str(out)]) == 1
+        assert "builtin config index must be 1..10" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_seed_replaces_the_configs(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--builtin", "2", "--n", "300", "--seed", "7",
+                     "--out", str(out)]) == 0
+        cfg = with_overrides(builtin_configs()[1], n=300, seed=7)
+        assert Dataset.from_csv(out) == generate_ground_truth(cfg)
+        assert json.loads(sidecar_path(out).read_text())["seed"] == 7
+
     def test_experiment_seed_checked_before_writing(self, tmp_path, capsys):
         # the forests are seeded --seed + 1, and numpy refuses seeds < 0
         out = tmp_path / "x"
@@ -435,7 +494,8 @@ class TestCli:
         ("n", 200.7, "n must be an integer, got 200.7"),
         ("n", True, "n must be an integer, got True"),
         ("class_fraction", [0.3, 0.1], "class_fraction range must be"),
-        ("class_fraction", "0.1", "class_fraction must be a JSON number"),
+        ("class_fraction", "0.1",
+         "class_fraction must be a real number, got '0.1'"),
     ], ids=["float-n", "bool-n", "reversed-range", "string-fraction"])
     def test_reconstruct_names_a_bad_spec_key(self, tmp_path, capsys, key,
                                               bad, says):

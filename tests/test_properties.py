@@ -1,17 +1,20 @@
-"""Property tests: CSV round trips, exact margins and cells through
-reconstruction, and a truncated-normal draw that always ends for every
-spec AggregateSpec accepts."""
+"""Property tests: CSV and spec JSON round trips, exact margins and cells
+through reconstruction, and a truncated-normal draw that always ends for
+every spec AggregateSpec accepts."""
 
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
                                 contingency_table, summarize)
 from ecoinfer.reconstruct import InfeasibleSpecError, reconstruct, solve_cells
-from ecoinfer.tabular import CONTINUOUS, Dataset, FeatureSpec, Schema
+from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
+                              write_json)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -89,3 +92,62 @@ def test_finite_moments_reconstruct_or_raise(mean, stddev, n, seed):
     assert mean >= 0  # the spec refuses exactly the negative means
     ages = reconstruct(spec, seed).column("Age")  # and every other one draws
     assert np.isfinite(ages).all() and (ages >= 0).all()
+
+
+def numbers(lo, hi):
+    """Python and numpy numbers from lo to hi, integers too if any fit."""
+    x = st.floats(lo, hi)
+    found = x | x.map(np.float32) | x.map(np.float64)
+    if math.ceil(lo) <= math.floor(hi):
+        k = st.integers(math.ceil(lo), math.floor(hi))
+        found |= k | k.map(np.int64)
+    return found
+
+
+def statistic(inside, outside):
+    """A value a spec field may or may not hold: a number of any kind
+    inside its interval, a plain float outside it, something that is not a
+    number, or a (lo, hi) pair of plain floats, in either order. Only plain
+    values are ever refused, so the error spells them as their JSON does."""
+    plain = outside | st.sampled_from([math.nan, math.inf, True, "0.1", None])
+    end = plain | st.floats(0.05, 0.95)
+    return inside | plain | st.tuples(end, end)
+
+
+fractions = statistic(numbers(0.05, 0.95), st.floats(-2, 0) | st.floats(1, 2))
+moments = statistic(numbers(0, 100), st.floats(-100, -1e-9))
+
+
+@PROPERTY
+@given(r1=fractions, o=statistic(numbers(0.05, 50), st.floats(-50, 0)),
+       f=fractions, mean=moments, sd=moments)
+def test_spec_json_round_trip(r1, o, f, mean, sd):
+    schema = Schema(features=(FeatureSpec("x"),
+                              FeatureSpec("Age", CONTINUOUS)),
+                    outcome=FeatureSpec("Dead"))
+    try:
+        spec = AggregateSpec(schema=schema, n=200, class_fraction=r1,
+                             binary={"x": BinaryStat(o, f)},
+                             continuous={"Age": ContinuousStat(mean, sd)})
+    except ValueError as e:
+        spec, refused = None, str(e)
+
+    def enc(v):
+        return list(v) if isinstance(v, tuple) else v
+
+    doc = {"n": 200, "class_fraction": enc(r1), "schema": schema.to_dict(),
+           "features": [{"name": "x", "kind": "binary", "odds_ratio": enc(o),
+                         "occurrence_fraction": enc(f)},
+                        {"name": "Age", "kind": "continuous",
+                         "mean": enc(mean), "stddev": enc(sd)}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, saved = Path(tmp) / "doc.json", Path(tmp) / "spec.json"
+        write_json(doc, path)
+        if spec is None:
+            with pytest.raises(ValueError) as err:
+                AggregateSpec.from_json(path)
+            assert str(err.value) == refused
+            return
+        spec.to_json(saved)
+        assert saved.read_bytes() == path.read_bytes()
+        assert AggregateSpec.from_json(saved) == spec

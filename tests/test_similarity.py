@@ -62,6 +62,18 @@ class TestMatchRows:
         with pytest.raises(SchemaError):
             match_rows(table_s1, other)
 
+    def test_schemas_must_match(self, table_s1):
+        renamed = dataset_from_rows(small_schema(3, names=("a", "b", "c")),
+                                    table_s1.to_matrix().astype(int))
+        with pytest.raises(SchemaError,
+                           match="^datasets have different schemas$"):
+            match_rows(table_s1, renamed)
+
+    def test_unknown_method_rejected(self, table_s1):
+        with pytest.raises(ValueError,
+                           match="^unknown matching method 'nearest'$"):
+            match_rows(table_s1, table_s1, "nearest")
+
     @pytest.mark.parametrize("subset", [[], ["PT", "PT"], ["PT", "Age", "PT"]],
                              ids=["empty", "repeated", "repeated-apart"])
     @pytest.mark.parametrize("method",
@@ -130,6 +142,15 @@ class TestExactMatchFraction:
             a, b = mixed_pair(rng, n_rows, 3, 1, levels=3)
             m = match_rows(a, b, method, subset)
             assert m.exact_match == exact_match_fraction(a, b, m, subset)
+
+
+    def test_matching_must_fit_the_datasets(self, table_s1, table_s2):
+        matching = match_rows(table_s1, table_s2, IDENTITY)  # four rows
+        first = np.arange(3)
+        with pytest.raises(SchemaError, match="^matching size does not fit "
+                                              "the datasets$"):
+            exact_match_fraction(table_s1.take(first), table_s2.take(first),
+                                 matching)
 
 
 class TestOracles:

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecoinfer.aggregate import AggregateSpec, BinaryStat
+from ecoinfer.aggregate import AggregateSpec, BinaryStat, ContinuousStat
 from ecoinfer.forest import ForestParams, train_ensemble
 from ecoinfer.pipeline import ExperimentPlan
 from ecoinfer.reconstruct import generate_candidates, reconstruct, solve_cells
 from ecoinfer.synth import builtin_configs
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              SchemaError, distinct_rows, undersample,
+                              SchemaError, check_real, distinct_rows,
+                              json_text, sidecar_path, undersample,
                               write_columns)
 
 from conftest import dataset_from_rows, small_schema
@@ -49,6 +50,15 @@ class TestValidate:
         ds = Dataset(table_s1.schema, floats)
         assert ds == table_s1
         assert ds.column("PTT").dtype == np.int64
+
+    @pytest.mark.parametrize("columns, says", [
+        ({"flag": [0, 1], "y": [0, 1]}, "missing column 'value'"),
+        ({"flag": [0, 1], "value": [1.5], "y": [0, 1]},
+         "ragged columns: lengths [1, 2]"),
+    ], ids=["missing", "ragged"])
+    def test_every_column_of_one_length(self, columns, says):
+        with pytest.raises(SchemaError, match=re.escape(says) + "$"):
+            Dataset(mixed_schema(), columns)
 
     def test_binary_value_out_of_range(self):
         schema = small_schema(1, names=("x",))
@@ -251,6 +261,30 @@ class TestCsvErrors:
         assert str(err.value) == f"{path}: {named}"
 
 
+    def test_header_must_be_the_schemas(self, tmp_path):
+        path = tmp_path / "data.csv"
+        Dataset(mixed_schema(), {"flag": [0], "value": [1.5],
+                                 "y": [1]}).to_csv(path)
+        path.write_text(path.read_text().replace("flag,value", "value,flag"))
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == (
+            f"{path}: line 1: header ['value', 'flag', 'y'] does not match "
+            "schema ['flag', 'value', 'y']")
+
+    def test_sidecar_kind_must_be_known(self, tmp_path):
+        path = tmp_path / "data.csv"
+        Dataset(mixed_schema(), {"flag": [0], "value": [1.5],
+                                 "y": [1]}).to_csv(path)
+        sidecar = sidecar_path(path)
+        sidecar.write_text(sidecar.read_text().replace('"continuous"',
+                                                       '"ordinal"'))
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == \
+            f"{sidecar}: unknown feature kind 'ordinal' for 'value'"
+
+
 class TestDistinctRows:
     """distinct_rows groups rows as np.unique(axis=0) does, in its order."""
 
@@ -299,9 +333,10 @@ def one_feature_spec(n=200):
                          class_fraction=0.5, binary={"x": BinaryStat(1.0, 0.5)})
 
 
-def candidates(**counts):
-    generate_candidates(one_feature_spec(), delta=0.0, **{
-        "n_candidates": 1, "max_attempts": 3, "base_seed": 1, **counts})
+def candidates(**arguments):
+    generate_candidates(one_feature_spec(), **{
+        "n_candidates": 1, "delta": 0.0, "max_attempts": 3, "base_seed": 1,
+        **arguments})
 
 
 def config_1(**fields):
@@ -354,3 +389,95 @@ class TestCheckInteger:
         call(np.int64(3))
         if least is None:
             call(-1)
+
+
+def mixed_spec(class_fraction=0.5, odds_ratio=2.0, occurrence=0.5, mean=36.0,
+               stddev=19.0):
+    schema = Schema(features=(FeatureSpec("x"),
+                              FeatureSpec("Age", CONTINUOUS)),
+                    outcome=FeatureSpec("Dead"))
+    return AggregateSpec(schema=schema, n=200, class_fraction=class_fraction,
+                         binary={"x": BinaryStat(odds_ratio, occurrence)},
+                         continuous={"Age": ContinuousStat(mean, stddev)})
+
+
+# owner.parameter: (the name its error gives, the interval as the error
+# writes it, a number outside it, numbers inside it, a call that hands it
+# the value). A range's ends are checked one by one, before their order.
+REALS = {
+    "AggregateSpec.class_fraction": (
+        "class_fraction", "(0, 1)", 1.5, [0.5],
+        lambda v: mixed_spec(class_fraction=v)),
+    "AggregateSpec.class_fraction.lo": (
+        "class_fraction", "(0, 1)", 0, [0.5],
+        lambda v: mixed_spec(class_fraction=(v, 0.75))),
+    "AggregateSpec.class_fraction.hi": (
+        "class_fraction", "(0, 1)", 1, [0.5],
+        lambda v: mixed_spec(class_fraction=(0.25, v))),
+    "AggregateSpec.odds_ratio": (
+        "odds_ratio[x]", "(0, inf)", -2.0, [0.5, 3],
+        lambda v: mixed_spec(odds_ratio=v)),
+    "AggregateSpec.odds_ratio.hi": (
+        "odds_ratio[x]", "(0, inf)", math.inf, [0.5, 3],
+        lambda v: mixed_spec(odds_ratio=(0.25, v))),
+    "AggregateSpec.occurrence_fraction": (
+        "occurrence_fraction[x]", "(0, 1)", 0.0, [0.5],
+        lambda v: mixed_spec(occurrence=v)),
+    "AggregateSpec.mean": (
+        "mean[Age]", "[0, inf)", -1.0, [0.5, 0, 36],
+        lambda v: mixed_spec(mean=v)),
+    "AggregateSpec.stddev": (
+        "stddev[Age]", "[0, inf)", math.inf, [0.5, 0, 19],
+        lambda v: mixed_spec(stddev=v)),
+    "GroundTruthConfig.gender_or": (
+        "odds_ratio[Gender]", "(0, inf)", 0, [0.5, 2],
+        lambda v: config_1(gender_or=v)),
+    "solve_cells.o": (
+        "o", "(0, inf)", 0.0, [0.5, 2],
+        lambda v: solve_cells(v, 0.25, 0.5, 200)),
+    "solve_cells.r1": (
+        "r1", "(0, 1)", 1.0, [0.5], lambda v: solve_cells(2.0, v, 0.5, 200)),
+    "solve_cells.f": (
+        "f", "(0, 1)", -0.5, [0.5], lambda v: solve_cells(2.0, 0.25, v, 200)),
+    "ExperimentPlan.delta": (
+        "delta", "[0, 1)", 1, [0.5, 0],
+        lambda v: ExperimentPlan(config=config_1(), delta=v)),
+    "ExperimentPlan.undersample_rate": (
+        "undersample_rate", "(0, 1]", 0, [0.5, 1],
+        lambda v: ExperimentPlan(config=config_1(), undersample_rate=v)),
+    "generate_candidates.delta": (
+        "delta", "[0, 1)", 1.5, [0.5, 0], lambda v: candidates(delta=v)),
+    "undersample.rate": (
+        "rate", "(0, 1]", 0.0, [0.5, 1],
+        lambda v: undersample(imbalanced_dataset(), v, 0)),
+}
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("owner", REALS)
+    def test_every_real_follows_the_rule(self, owner):
+        name, interval, outside, inside, call = REALS[owner]
+        refused = [(True, "a real number, got True"),
+                   ("0.1", "a real number, got '0.1'"),
+                   (math.nan, f"in {interval}, got nan"),
+                   (outside, f"in {interval}, got {outside!r}")]
+        for value, says in refused:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be {says}") + "$"):
+                call(value)
+        for value in inside:
+            for number in (value, np.float32(value), np.float64(value)):
+                call(number)
+
+    @pytest.mark.parametrize("value", [np.True_, 1j, np.complex128(0.5),
+                                       None, [0.5], (0.5,), "nan"])
+    def test_only_real_numbers_pass(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x must be a real number, got {value!r}") + "$"):
+            check_real("x", value, 0, 1)
+
+    def test_numpy_scalars_are_written_as_plain_numbers(self):
+        value = {"n": np.int64(3), "x": np.float32(0.5), "y": np.float64(0.1)}
+        assert json_text(value) == json_text({"n": 3, "x": 0.5, "y": 0.1})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json_text({"flag": np.True_})
