@@ -7,20 +7,10 @@ class is the dead outcome (encoded 0) and all prediction ties resolve
 toward it: in the trauma setting a false negative is worse than a false
 positive.
 
-A tree's generator draws its feature subsets in blocks of SUBSET_BLOCK,
-each block one ``Generator.integers`` call for the bounds that
-``Generator.choice(d, size=k, replace=False)`` draws with, picked by the
-same Floyd and Fisher-Yates steps. Nothing else draws from it after the
-bootstrap, so each tree is node for node the one that a ``choice`` call at
-every split node grows.
-
-Every tree of an ensemble grows in lockstep (_Lockstep): each step takes
-the next node of every unfinished tree and scores and splits them all with
-a fixed number of numpy calls, instead of a dozen calls per node. Each tree
-still takes its nodes in depth-first order from its own stack, writing each
-node's row as it takes it, and its subsets from its own generator, and each
-node's split is chosen by the same exact counts and tie rules, so the trees
-do not depend on which other trees grow beside them.
+Every tree of an ensemble grows in lockstep (_Lockstep), one node per tree
+per step, a step costing a fixed number of numpy calls. Each tree draws its
+feature subsets a block at a time, as per-node ``Generator.choice`` calls
+would, so it is node for node the tree grown alone, depth-first.
 """
 
 from __future__ import annotations
@@ -156,6 +146,11 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
+def _ranges(at: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the ranges of these sizes starting at at, in order."""
+    return np.repeat(at - _starts(sizes), sizes) + np.arange(sizes.sum())
+
+
 class _Lockstep:
     """Every tree of some forests, grown together one node per tree per step.
 
@@ -163,39 +158,34 @@ class _Lockstep:
     outcome) rows, its patterns, and each feature column to per-pattern
     slots ``2 * bin + (1 if negative)`` over that column's sorted distinct
     values. The columns of every forest sit end to end in one slot array and
-    one bin-value array. A node holds a (2, patterns) array: the ids of its
-    patterns in its forest, and their weights in its tree's bootstrap.
+    one bin-value array.
 
-    A step pops the next node of every unfinished tree from that tree's own
-    depth-first stack and draws the node's feature subset from the tree's
-    own generator. It then scores all of the step's (node, feature) pairs
-    with one weighted ``bincount`` and partitions the patterns of every
-    node that splits, in order, into one array of left and one of right
-    sides, in blocks of at most _STEP_BLOCK (pattern, feature) entries
-    unless one node alone has more. Every count is an integer, exact in
-    float64, and each node scores, breaks ties and settles features as it
-    would grown alone, so every tree is node for node the tree grown alone.
+    The bookkeeping is arrays. A node is a column of ``rec`` (``thr`` for
+    its threshold) made when its parent splits; one that cannot split
+    (depth limit or pure) is a leaf at once. ``pool`` holds each tree's
+    bootstrap patterns (id and weight packed in an int64), a node a range
+    of them, which its split partitions in place. ``stack`` holds each
+    tree's pending nodes, ``height`` of them, and ``settled`` their settled
+    features; it is as wide as a tree can be deep. ``subsets`` holds each
+    tree's block of feature subsets, read through ``cursor``.
 
-    A tree writes a node's row, as a leaf, when it pops the node, so the
-    row's index is its depth-first id. _split rewrites the row of a node
-    that splits, and a popped right child writes its index into its
-    parent's row. A tree whose stack empties becomes its DecisionTree.
+    A step pops the top node of every tree with one pending, and again
+    where every feature of its subset is settled. It scores the step's
+    (node, feature) pairs with one weighted ``bincount``, in blocks of at
+    most _STEP_BLOCK (pattern, feature) entries unless one node has more.
+    Counts are integers, exact in float64, and each node scores, breaks ties
+    and settles features as grown alone, so every tree is node for node the
+    tree grown alone. At the end the nodes are renumbered into preorder.
     """
 
     def __init__(self, datasets: Iterable[Dataset], params: ForestParams,
                  first: int):
-        self.max_depth = params.max_depth
-        self.n_trees = params.n_trees
-        self.forests: list[tuple[ForestParams, list[str]]] = []
+        self.params, self.forests = params, []  # (params, feature names)
         # an empty first part lets an ensemble of no datasets concatenate
         slots, bins = [np.zeros(0, np.int32)], [np.zeros(0)]
-        n_bins, col_slot, col_bin = [], [], []
-        n_slots = n_values = 0
-        # per tree: its forest's first column, its subsets, and its stack of
-        # (patterns, or None where the node cannot split; depth, weight,
-        # positive weight, settled features as a bit mask, the index of the
-        # parent it is the right child of or -1), and its node rows
-        self.tree_col, self.subsets, self.stacks, self.nodes = [], [], [], []
+        # per tree: its forest's first column, its generator with its
+        # feature and subset counts, and its root's patterns and weights
+        tree_col, self.draws, roots, weights = [], [], [], []
         for k, data in enumerate(datasets, start=first):
             names = data.schema.feature_names
             X, y = data.to_matrix(names), data.outcome
@@ -205,122 +195,110 @@ class _Lockstep:
             negative = y != POSITIVE_CLASS
             rep, inverse = distinct_rows(np.column_stack([X, negative]))
             negative = negative[rep]
-            d, first_col = X.shape[1], len(col_slot)
+            d, first_col = X.shape[1], len(bins) - 1
             for column in X[rep].T:
                 values, code = np.unique(column, return_inverse=True)
-                col_slot.append(n_slots)
-                col_bin.append(n_values)
-                n_bins.append(len(values))
                 slots.append((2 * code + negative).astype(np.int32))
                 bins.append(values)
-                n_slots += len(code)
-                n_values += len(values)
             del X
             member = member_params(params, k)
             self.forests.append((member, names))
-            for ss in np.random.SeedSequence(member.seed).spawn(self.n_trees):
-                rng = np.random.default_rng(ss)
+            for s in np.random.SeedSequence(member.seed).spawn(params.n_trees):
+                rng = np.random.default_rng(s)
                 w = np.bincount(inverse[rng.integers(0, len(y), size=len(y))],
                                 minlength=len(rep))
                 pats = np.flatnonzero(w)
-                self.tree_col.append(first_col)
-                self.subsets.append(_feature_subsets(
-                    rng, d, math.ceil(math.sqrt(d))))
-                self.stacks.append([self._entry(
-                    np.array([pats, w[pats]], dtype=np.int32), 0,
-                    float(w.sum()), float(w[~negative].sum()), 0, -1)])
-                self.nodes.append([])
+                tree_col.append(first_col)
+                self.draws.append((rng, d, math.ceil(math.sqrt(d))))
+                roots.append(np.column_stack([pats, w[pats]]).astype(np.int32))
+                weights.append((w.sum(), w[~negative].sum()))
+        self.n_bins = np.array([len(part) for part in bins[1:]], np.intp)
+        self.col_slot = _starts(np.array([len(part) for part in slots[1:]]))
+        self.col_bin, self.tree_col = _starts(self.n_bins), np.array(tree_col)
         self.slots, self.bins = np.concatenate(slots), np.concatenate(bins)
-        self.col_slot, self.col_bin, self.n_bins = (
-            np.array(a, dtype=np.intp) for a in (col_slot, col_bin, n_bins))
-
-    def _entry(self, pats, depth, n, n_pos, settled, right_of):
-        """A stack entry. A node that cannot split keeps no patterns; one
-        that can keeps a copy, as a view would keep its whole step's array
-        alive."""
-        if depth >= self.max_depth or n_pos == 0 or n_pos == n:
-            pats = None
-        elif pats.base is not None:
-            pats = pats.copy()
-        return pats, depth, n, n_pos, settled, right_of
+        # a pattern's id and weight, packed into one int64 to move as one
+        self.pool = np.concatenate([np.zeros((0, 2), np.int32), *roots]).view(
+            np.int64).ravel()
+        trees, d = len(roots), max((d for _, d, _ in self.draws), default=0)
+        m = np.array([len(root) for root in roots], dtype=np.int64)
+        self.rec = np.full((9, trees), -1)  # the roots are nodes 0, 1, ...
+        self.rec[:6] = [np.arange(trees), np.zeros(trees),
+                        *np.reshape(weights, (trees, 2)).T, _starts(m), m]
+        self.thr, self.n_records = np.zeros(trees), trees
+        width = min(params.max_depth, m.max(initial=0)) + 1
+        self.stack = np.zeros((trees, width), np.int64)
+        self.stack[:, 0], (n, n_pos) = np.arange(trees), self.rec[2:4]
+        self.height = ((n_pos > 0) & (n_pos < n)).astype(np.int64)
+        self.settled = np.zeros((trees, width, d), bool)
+        self.subsets = np.full(
+            (trees, SUBSET_BLOCK, math.ceil(math.sqrt(d))), -1)
+        self.cursor = np.full(trees, SUBSET_BLOCK)
 
     def grow(self) -> list[RandomForest]:
-        trees = [None] * len(self.stacks)
-        live = list(range(len(self.stacks)))
         # A threshold above every value leaves no weight right: 0 / 0. The
         # midpoint of two huge finite values overflows to +-inf, which
         # leaves one side empty and so scores inf, like any such threshold.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            while live:
-                batch = []
-                for t in live:
-                    stack, nodes = self.stacks[t], self.nodes[t]
-                    while stack:
-                        pats, depth, n, n_pos, settled, right_of = stack.pop()
-                        i = len(nodes)
-                        if right_of >= 0:
-                            nodes[right_of][3] = i  # the parent's right
-                        nodes.append(_leaf(n, n_pos))
-                        if pats is not None:
-                            # drawn even when every feature is settled, so
-                            # that each tree takes the same draws as one
-                            # that scores them all
-                            feats = [f for f in next(self.subsets[t])
-                                     if not settled >> f & 1]
-                            if feats:
-                                batch.append((t, i, pats, depth, n, n_pos,
-                                              settled, feats))
-                                break
-                start = size = 0
-                for end, (*_, pats, _, _, _, _, feats) in enumerate(batch):
-                    entries = pats.shape[1] * len(feats)
-                    if size and size + entries > _STEP_BLOCK:
-                        self._split(batch[start:end])
-                        start, size = end, 0
-                    size += entries
-                if batch:
-                    self._split(batch[start:])
-                for t in live:
-                    if not self.stacks[t]:
-                        trees[t] = DecisionTree(np.array(
-                            [tuple(row) for row in self.nodes[t]],
-                            dtype=NODE_DTYPE))
-                        # frees its rows and its last block of subsets
-                        self.nodes[t] = self.subsets[t] = None
-                live = [t for t in live if self.stacks[t]]
-        return [RandomForest(member, trees[k * self.n_trees:
-                                           (k + 1) * self.n_trees], names)
+            while (live := np.flatnonzero(self.height)).size:
+                _, recs, _, free = step = self._pop(live)
+                entries = (self.rec[5, recs] * free.sum(axis=1)).cumsum()
+                start = 0
+                while start < len(entries):
+                    # as many nodes as _STEP_BLOCK entries hold, at least one
+                    end = max(start + 1, int(np.searchsorted(
+                        entries, (entries[start - 1] if start else 0)
+                        + _STEP_BLOCK, side="right")))
+                    self._split(*(a[start:end] for a in step))
+                    start = end
+        trees, per = self._trees(), self.params.n_trees
+        return [RandomForest(member, trees[k * per:(k + 1) * per], names)
                 for k, (member, names) in enumerate(self.forests)]
 
-    def _split(self, block: list) -> None:
-        """Score the block's nodes, rewrite the row of every node that
-        splits, and push its children onto its tree's stack."""
-        trees, ids, patss, depths, ns, n_poss, settleds, featss = zip(*block)
-        size = np.array([pats.shape[1] for pats in patss])
-        held = np.concatenate(patss, axis=1)  # the nodes' patterns, in order
-        pats, weight = held
-        node_at = _starts(size)
-        # one (node, feature) pair per candidate feature, in subset order;
-        # a pair's column is its forest's first column plus its feature
-        n_feats = [len(feats) for feats in featss]
-        pair_feat = [f for feats in featss for f in feats]
-        pair_node = np.repeat(np.arange(len(block)), n_feats)
-        pair_col = (np.repeat([self.tree_col[t] for t in trees], n_feats)
-                    + pair_feat)
+    def _pop(self, trees: np.ndarray) -> list[np.ndarray]:
+        """Pop, and read a subset, in each of these trees, again where all of
+        it is settled (read all the same, so each tree draws as if it scored
+        every node): the trees, nodes, subsets and free features to score."""
+        taken = []
+        while trees.size:
+            self.height[trees] -= 1
+            height = self.height[trees]
+            for t in trees[self.cursor[trees] == SUBSET_BLOCK].tolist():
+                rng, d, k = self.draws[t]
+                self.subsets[t, :, :k] = _feature_subsets(rng, d, k)
+                self.cursor[t] = 0
+            subsets = self.subsets[trees, self.cursor[trees]]
+            self.cursor[trees] += 1
+            free = (subsets >= 0) & ~self.settled[
+                trees[:, None], height[:, None], subsets]
+            scored = free.any(axis=1)
+            taken.append([a[scored] for a in (
+                trees, self.stack[trees, height], subsets, free)])
+            trees = trees[~scored & (height > 0)]
+        return [np.concatenate(parts) for parts in zip(*taken)]
+
+    def _split(self, trees, recs, subsets, free) -> None:
+        """Score these nodes on their free subset features; split each that
+        gains into two new nodes, and push each of them that can split."""
+        _, depth, n, n_pos, off, size = self.rec[:6, recs]
+        n, n_pos = n.astype(float), n_pos.astype(float)
+        # one (node, feature) pair per free feature, in subset order; a
+        # pair's column is its forest's first column plus its feature
+        pair_node, slot = free.nonzero()
+        pair_feat = subsets[pair_node, slot]
+        pair_col = self.tree_col[trees][pair_node] + pair_feat
         pair_size = size[pair_node]
         # pair p counts its column's bins from hist_at[p] on; its entries
-        # are its node's patterns, found in pats through entry
+        # are its node's patterns, each an id and a weight
         n_bins = self.n_bins[pair_col]
         hist_at = _starts(n_bins)
-        entry = np.repeat(node_at[pair_node] - _starts(pair_size), pair_size)
-        entry += np.arange(len(entry))
+        pats, weights = self.pool[_ranges(off[pair_node], pair_size)].view(
+            np.int32).reshape(-1, 2).T
         key = np.repeat(self.col_slot[pair_col], pair_size)
-        key += pats[entry]
+        key += pats
         key = self.slots[key]
         key += np.repeat(2 * hist_at, pair_size)
-        hist = np.bincount(key, weights=weight[entry],
-                           minlength=2 * n_bins.sum())
-        del key, entry
+        hist = np.bincount(key, weights=weights, minlength=2 * n_bins.sum())
+        del key, pats, weights
         pos = hist[0::2]
         total = pos + hist[1::2]
         present = total.nonzero()[0]
@@ -356,99 +334,126 @@ class _Lockstep:
         n_l = n_cum[at] - n_before[cand_pair]
         pos_l = pos_cum[at] - pos_before[cand_pair]
         cand_node = pair_node[cand_pair]
-        n = np.array(ns)[cand_node]
-        score = _split_score(n, np.array(n_poss)[cand_node], n_l, pos_l)
-        score[(n_l == n) | np.isinf(mid)] = np.inf
+        score = _split_score(n[cand_node], n_pos[cand_node], n_l, pos_l)
+        score[(n_l == n[cand_node]) | np.isinf(mid)] = np.inf
 
         # each node's first minimum in subset order, then threshold order,
         # kept if it beats the node's own impurity
-        per_node = np.bincount(cand_node, minlength=len(block))
-        split = win = np.flatnonzero(per_node)
-        if len(split):
-            best = np.minimum.reduceat(score, _starts(per_node)[split])
-            win = np.flatnonzero(score == np.repeat(best, per_node[split]))
-            win = win[np.searchsorted(cand_node[win], split)]
-            # in Python floats, whose ** 2 rounds as one node's always did
-            gini = [1.0 - ((n_poss[i] / ns[i]) ** 2
-                           + ((ns[i] - n_poss[i]) / ns[i]) ** 2)
-                    for i in split.tolist()]
-            keep = best < np.array(gini) - 1e-12
-            split, win = split[keep], win[keep]
-
-        settled = list(settleds)
-        for p in np.flatnonzero(n_present < 2).tolist():
-            settled[pair_node[p]] |= 1 << pair_feat[p]
+        per_node = np.bincount(cand_node, minlength=len(recs))
+        split = np.flatnonzero(per_node)
         if not len(split):
             return
-        is_split = np.zeros(len(block), dtype=bool)
-        is_split[split] = True
+        best = np.minimum.reduceat(score, _starts(per_node)[split])
+        win = np.flatnonzero(score == np.repeat(best, per_node[split]))
+        win = win[np.searchsorted(cand_node[win], split)]
+        # squared as Python floats, whose ** 2 rounds as one node's always
+        # did; numpy's array ** 2 is x * x, which can differ in the last bit
+        share = (np.concatenate([n_pos[split], n[split] - n_pos[split]])
+                 / np.concatenate([n[split], n[split]])).astype(object) ** 2
+        gini = 1.0 - (share[:len(split)] + share[len(split):]).astype(float)
+        keep = best < gini - 1e-12
+        split, win = split[keep], win[keep]
+        if not len(split):
+            return
 
+        # children settle their parent's settled features, those with one
+        # value here, and a split feature with two (each child keeps one)
+        s, t, m = len(split), trees[split], size[split]
+        win_pair = cand_pair[win]
+        feature = pair_feat[win_pair]
+        settled = self.settled[trees, self.height[trees]]
+        settled[pair_node, pair_feat] |= n_present < 2
+        settled = settled[split]
+        settled[np.arange(s), feature] |= n_present[win_pair] == 2
         # partition each split node's patterns on its winning column's bin
-        # codes, in order: left sides in one array, right sides in another
-        win_pair, win_size = cand_pair[win], size[split]
-        moved = np.compress(np.repeat(is_split, size), held, axis=1)
-        right = ((self.slots[np.repeat(self.col_slot[pair_col[win_pair]],
-                                       win_size) + moved[0]] >> 1)
-                 > np.repeat(code[at[win]], win_size))
-        n_right = np.add.reduceat(right, _starts(win_size))
-        lefts = np.compress(~right, moved, axis=1)
-        rights = np.compress(right, moved, axis=1)
-        left_at = [0] + (win_size - n_right).cumsum().tolist()
-        right_at = [0] + n_right.cumsum().tolist()
-        n_present = n_present.tolist()
-        for s, (i, p, threshold, n_left, pos_left) in enumerate(zip(
-                split.tolist(), win_pair.tolist(), mid[win].tolist(),
-                n_l[win].tolist(), pos_l[win].tolist())):
-            t, node, f = trees[i], ids[i], pair_feat[p]
-            self.nodes[t][node] = [f, threshold, node + 1, -1, (0, 0), 1]
-            # a split of a feature with two values here leaves each child
-            # one of them
-            mask = settled[i] | (1 << f if n_present[p] == 2 else 0)
-            stack, depth = self.stacks[t], depths[i] + 1
-            stack.append(self._entry(
-                rights[:, right_at[s]:right_at[s + 1]], depth, ns[i] - n_left,
-                n_poss[i] - pos_left, mask, node))
-            stack.append(self._entry(
-                lefts[:, left_at[s]:left_at[s + 1]], depth, n_left, pos_left,
-                mask, -1))
+        # codes, in place and in order: its left child's, then its right's
+        moved = self.pool[_ranges(off[split], m)]
+        right = (self.slots[np.repeat(self.col_slot[pair_col[win_pair]], m)
+                            + moved.view(np.int32)[0::2]]
+                 > np.repeat(2 * code[at[win]] + 1, m))
+        n_left = m - np.add.reduceat(right, _starts(m))
+        kid_off, kid_m = (off[split], off[split] + n_left), (n_left, m - n_left)
+        for start, count, side in zip(kid_off, kid_m, (~right, right)):
+            self.pool[_ranges(start, count)] = moved[side]
+
+        # new nodes, the left children then the right; a full table doubles
+        first, self.n_records = self.n_records, self.n_records + 2 * s
+        if self.n_records > self.rec.shape[1]:
+            more = max(2 * s, self.rec.shape[1])
+            self.rec = np.concatenate([self.rec, np.full((9, more), -1)], 1)
+            self.thr = np.concatenate([self.thr, np.zeros(more)])
+        depth = depth[split] + 1
+        kids = self.rec[:6, first:first + 2 * s]  # a view
+        kids[:, :s] = t, depth, n_l[win], pos_l[win], kid_off[0], kid_m[0]
+        kids[:, s:] = (t, depth, n[split] - n_l[win], n_pos[split] - pos_l[win],
+                       kid_off[1], kid_m[1])
+        parents, lefts = recs[split], first + np.arange(s)
+        self.rec[6:, parents] = lefts, lefts + s, feature
+        self.thr[parents] = mid[win]
+        # push the children that can split, the right first to pop last
+        kid_n, kid_pos = self.rec[2:4, first:first + 2 * s]
+        deep = depth < self.params.max_depth
+        can = np.concatenate([deep, deep]) & (kid_pos > 0) & (kid_pos < kid_n)
+        h = self.height[t]
+        for side in (s, 0):
+            push = can[side:side + s]
+            self.stack[t[push], h[push]] = lefts[push] + side
+            self.settled[t[push], h[push]] = settled[push]
+            h = h + push
+        self.height[t] = h
+
+    def _trees(self) -> list[DecisionTree]:
+        """Each tree's node table, filled column by column, its nodes
+        renumbered into depth-first preorder from their subtree sizes."""
+        count = self.n_records
+        tree, depth, n, n_pos, _, _, left, right, feature = self.rec[:, :count]
+        inner = np.flatnonzero(left >= 0)
+        inner = inner[np.argsort(depth[inner], kind="stable")]
+        levels = np.split(inner, np.flatnonzero(np.diff(depth[inner])) + 1)
+        size = np.ones(count, np.int64)
+        for ids in reversed(levels):  # subtree sizes, the deepest first
+            size[ids] += size[left[ids]] + size[right[ids]]
+        at = np.zeros(count, np.int64)  # each node's row in its tree
+        for ids in levels:
+            at[left[ids]] = at[ids] + 1
+            at[right[ids]] = at[ids] + 1 + size[left[ids]]
+        leaf, negative = left < 0, n - n_pos
+        roots = size[:len(self.stack)]
+        row = at + _starts(roots)[tree]  # and in one table of every tree
+        table = np.empty(count, dtype=NODE_DTYPE)
+        # a leaf keeps its bootstrap counts and predicts, ties toward the
+        # positive class; an internal node keeps (0, 0) and 1
+        for name, column in zip(NODE_DTYPE.names, (
+                feature, self.thr[:count], np.where(leaf, -1, at[left]),
+                np.where(leaf, -1, at[right]),
+                np.where(leaf[:, None], np.column_stack([n_pos, negative]), 0),
+                np.where(leaf, np.where(n_pos >= negative, POSITIVE_CLASS,
+                                        1 - POSITIVE_CLASS), 1))):
+            table[name][row] = column
+        return [DecisionTree(nodes)
+                for nodes in np.split(table, np.cumsum(roots)[:-1])]
 
 
-def _feature_subsets(rng: np.random.Generator, d: int, k: int):
-    """Endless iterator over the lists ``rng.choice(d, size=k,
-    replace=False).tolist()`` would return call after call, leaving
-    ``rng`` where those calls would have left it at the end of each block.
+def _feature_subsets(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """The next SUBSET_BLOCK subsets, one per row: the lists
+    ``rng.choice(d, size=k, replace=False).tolist()`` would return call
+    after call, leaving ``rng`` where those calls would have left it.
 
     ``choice`` draws k of d by Floyd's algorithm unless d > 10,000 and
     k > d // 50, which k = ceil(sqrt(d)) never meets: for j = d-k ... d-1
     it draws v in [0, j] and keeps v, or j when v is already kept; then it
     shuffles the k picks Fisher-Yates, swapping pick i with a draw in
     [0, i] for i = k-1 ... 1. Each draw is numpy's bounded draw, the one
-    ``rng.integers`` makes for an array of bounds, so each block of
-    SUBSET_BLOCK subsets takes one ``integers`` call."""
+    ``rng.integers`` makes for an array of bounds: one call a block."""
     high = [j + 1 for j in range(d - k, d)] + list(range(k, 1, -1))
     rows = np.arange(SUBSET_BLOCK)
-    while True:
-        draws = iter(rng.integers(0, high, size=(len(rows), len(high))).T)
-        picks = np.empty((len(rows), k), dtype=np.int64)
-        for t, j in enumerate(range(d - k, d)):
-            v = next(draws)
-            kept = (picks[:, :t] == v[:, None]).any(axis=1)
-            picks[:, t] = np.where(kept, j, v)
-        for i in range(k - 1, 0, -1):
-            to = next(draws)
-            swapped = picks[rows, to]
-            picks[rows, to] = picks[:, i]
-            picks[:, i] = swapped
-        for subset in picks:  # one list at a time: every tree holds a block
-            yield subset.tolist()
-
-
-def _leaf(n: float, n_pos: float) -> list:
-    """The node row of a leaf of weight n, n_pos of it positive: its
-    bootstrap counts, and its prediction, ties toward the positive class."""
-    counts = int(n_pos), int(n - n_pos)
-    return [-1, 0.0, -1, -1, counts,
-            POSITIVE_CLASS if counts[0] >= counts[1] else 1 - POSITIVE_CLASS]
+    draws = iter(rng.integers(0, high, size=(len(rows), len(high))).T)
+    picks = np.empty((len(rows), k), dtype=np.int64)
+    for t, (j, v) in enumerate(zip(range(d - k, d), draws)):
+        picks[:, t] = np.where((picks[:, :t] == v[:, None]).any(axis=1), j, v)
+    for i, to in zip(range(k - 1, 0, -1), draws):
+        picks[rows, to], picks[:, i] = picks[:, i].copy(), picks[rows, to]
+    return picks
 
 
 def _split_score(n, n_pos, n_l, pos_l):
@@ -520,12 +525,7 @@ def member_params(params: ForestParams, k: int) -> ForestParams:
 def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
                    workers: int = 1) -> list[RandomForest]:
     """One forest per dataset, forest k trained with member_params(params, k).
-
-    Every tree of every forest grows in lockstep (see _Lockstep), one node
-    per tree per step, so that numpy's per-call cost is paid per step and
-    not per node. Each tree still pops and writes its nodes depth-first
-    from its own stack and draws each node's feature subset from its own
-    generator, so it is node for node the tree it would be if grown alone.
+    Every tree grows in lockstep (see _Lockstep), as it would grown alone.
 
     One worker reads the datasets one at a time and keeps only their
     binned distinct rows. More workers split the datasets into contiguous

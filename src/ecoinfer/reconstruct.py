@@ -323,8 +323,9 @@ def save_candidates(cs: CandidateSet, out_dir: str | Path) -> None:
 
 def load_candidates(in_dir: str | Path) -> CandidateSet:
     """The candidate set save_candidates wrote to in_dir. A manifest that
-    lacks n_candidates, delta or attempts_used raises ValueError naming the
-    key and the manifest."""
+    lacks n_candidates, delta or attempts_used, or whose value breaks the
+    rule generate_candidates holds it to (counts at least 1, delta in
+    [0, 1)), raises ValueError naming the key and the manifest."""
     src = Path(in_dir)
     spec = AggregateSpec.from_json(src / "spec.json")
     path = src / "manifest.json"
@@ -333,6 +334,12 @@ def load_candidates(in_dir: str | Path) -> CandidateSet:
     n_candidates, delta, attempts_used = (
         require(manifest, key, str(path))
         for key in ("n_candidates", "delta", "attempts_used"))
+    try:
+        check_integer("n_candidates", n_candidates, least=1)
+        check_real("delta", delta, 0, 1, "[)")
+        check_integer("attempts_used", attempts_used, least=1)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     candidates = [Dataset.from_csv(src / f"candidate_{k}.csv")
                   for k in range(n_candidates)]
     return CandidateSet(spec=spec, delta=delta, candidates=candidates,

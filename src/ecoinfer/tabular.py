@@ -243,10 +243,18 @@ def check_real(name: str, value, lo: float, hi: float,
     """A ValueError naming name and value unless value is an int, a float
     or a numpy integer or floating scalar in the interval from lo to hi,
     whose ends are open or closed as the brackets in ends say. A bool is
-    refused, as check_integer refuses it, and NaN is in no interval."""
+    refused, as check_integer refuses it, and so is an int too large for a
+    float; NaN is in no interval."""
     if type(value) is bool or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        # named by its size: repr of an int past 4300 digits raises
+        raise ValueError(f"{name} must be a real number a float can hold, "
+                         f"got an integer of {value.bit_length()} bits"
+                         ) from None
     above = lo <= value if ends[0] == "[" else lo < value
     below = value <= hi if ends[1] == "]" else value < hi
     if not (above and below):

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ecoinfer.forest as forest_module
 from ecoinfer.forest import (MAX_THRESHOLDS, NODE_DTYPE, DecisionTree,
@@ -17,8 +19,8 @@ from ecoinfer.forest import (MAX_THRESHOLDS, NODE_DTYPE, DecisionTree,
                              ensemble_predict, evaluate, load_ensemble,
                              member_params, save_ensemble, train_ensemble,
                              train_forest)
-from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              SchemaError)
+from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec,
+                              Schema, SchemaError)
 
 from conftest import small_schema
 
@@ -149,23 +151,29 @@ class TestTrainForest:
         cols = {f"b{j}": rng.integers(0, 2, 300) for j in range(6)}
         ds = continuous_dataset(cols, cols["b0"] ^ cols["b1"]
                                 ^ (rng.random(300) < 0.2))
-        scored = []
+        scored, grown = [], []
         split = forest_module._Lockstep._split
 
-        def spy(self, block):
-            scored.extend((t, i, feats) for t, i, *_, feats in block)
-            return split(self, block)
+        def spy(self, trees, recs, subsets, free):
+            grown[:] = [self]
+            scored.extend((r, set(sub[f].tolist()))
+                          for r, sub, f in zip(recs.tolist(), subsets, free))
+            return split(self, trees, recs, subsets, free)
 
         monkeypatch.setattr(forest_module._Lockstep, "_split", spy)
-        forest = train_forest(ds, ForestParams(n_trees=4, max_depth=12,
-                                               seed=2))
+        train_forest(ds, ForestParams(n_trees=4, max_depth=12, seed=2))
         assert len(scored) > 40
-        for t, i, feats in scored:
-            nodes, j, above = forest.trees[t].nodes, 0, set()
-            while j != i:  # preorder: i is right of j from right[j] on
-                above.add(int(nodes["feature"][j]))
-                j = nodes["right" if i >= nodes["right"][j] else "left"][j]
-            assert not above & set(feats), (t, i)
+        # each node record's parent, and the feature a split record splits on
+        *_, left, right, feature = grown[0].rec[:, :grown[0].n_records]
+        parent = np.full(len(left), -1)
+        inner = np.flatnonzero(left >= 0)
+        parent[left[inner]] = parent[right[inner]] = inner
+        for r, feats in scored:
+            j, above = parent[r], set()
+            while j >= 0:
+                above.add(int(feature[j]))
+                j = parent[j]
+            assert not above & feats, r
 
 
 def reference_depth(nodes, i=0):
@@ -318,10 +326,113 @@ class TestSameTreesAsRowByRow:
         assert json.dumps(got) == json.dumps(expected)
 
 
+# a column draws its values from one of these: binary, ties among a few
+# values, +-1e308 (whose midpoints overflow), adjacent floats (whose
+# midpoint rounds onto the upper one), or floats spread wide enough that a
+# column can have more than MAX_THRESHOLDS + 1 values in a node
+ADJACENT = 1 + 2.0 ** -52
+COLUMN_VALUES = [
+    st.sampled_from([0, 1]),
+    st.sampled_from([-2.5, 0.5, 3.0, 7.25]),
+    st.sampled_from([-1e308, 1e308, -1.7e308, 1.7e308, 0.0]),
+    st.sampled_from([ADJACENT, float(np.nextafter(ADJACENT, 2.0)), 1.0]),
+    st.floats(-1e3, 1e3)]
+
+
+@st.composite
+def mixed_datasets(draw):
+    """1-3 small datasets, each with binary and continuous columns and
+    both outcome classes."""
+    datasets = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 80))
+        kinds = draw(st.lists(st.integers(0, len(COLUMN_VALUES) - 1),
+                              min_size=1, max_size=7))
+        columns = {f"c{j}": draw(st.lists(COLUMN_VALUES[kind], min_size=n,
+                                          max_size=n))
+                   for j, kind in enumerate(kinds)}
+        y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                 .filter(lambda y: 0 < sum(y) < len(y)))
+        schema = Schema(features=tuple(
+            FeatureSpec(name, BINARY if kind == 0 else CONTINUOUS)
+            for name, kind in zip(columns, kinds)),
+            outcome=FeatureSpec("Dead"))
+        datasets.append(Dataset(schema, {**columns, "Dead": y}))
+    return datasets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(datasets=mixed_datasets(), n_trees=st.integers(1, 4),
+       max_depth=st.integers(1, 12), seed=st.integers(0, 2 ** 32))
+def test_ensemble_is_row_by_row_forest_by_forest(datasets, n_trees, max_depth,
+                                                 seed):
+    """Trees of different depths finish at different steps, and deep ones
+    on binary columns pop nodes whose subset features are all settled;
+    every forest is still the row-by-row one."""
+    params = ForestParams(n_trees=n_trees, max_depth=max_depth, seed=seed)
+    ensemble = train_ensemble(datasets, params)
+    for k, (model, data) in enumerate(zip(ensemble, datasets)):
+        X = data.to_matrix(data.schema.feature_names)
+        with np.errstate(over="ignore"):
+            expected = reference_trees(X, data.outcome,
+                                       member_params(params, k))
+        assert json.dumps([t.to_dict() for t in model.trees]) == \
+            json.dumps(expected), k
+
+
+class TestEdgesAgainstRowByRow:
+    def test_more_features_than_bits_in_a_word(self):
+        # 70 features: splits on features past 64 settle them below
+        rng = np.random.default_rng(23)
+        cols = {f"b{j}": rng.integers(0, 2, 300) for j in range(66)}
+        cols.update({f"c{j}": np.round(rng.normal(0, 2, 300))
+                     for j in range(4)})
+        y = cols["b65"] ^ cols["b64"] ^ (rng.random(300) < 0.1)
+        ds = continuous_dataset(cols, y.astype(int))
+        params = ForestParams(n_trees=3, max_depth=14, seed=4)
+        forest = train_forest(ds, params)
+        assert {64, 65} <= {int(f) for t in forest.trees
+                            for f in t.nodes["feature"]}
+        expected = reference_trees(ds.to_matrix(ds.schema.feature_names),
+                                   ds.outcome, params)
+        assert json.dumps([t.to_dict() for t in forest.trees]) == \
+            json.dumps(expected)
+
+    def test_stack_is_as_wide_as_trees_can_grow(self):
+        # max_depth 10**6 on 400 rows: a stack that wide would take 8 MB a
+        # tree, but no tree can be deeper than its 400 rows
+        rng = np.random.default_rng(29)
+        z = rng.random(400)
+        ds = continuous_dataset({"z": z, "r": np.round(z * 40)},
+                                rng.integers(0, 2, 400))
+        params = ForestParams(n_trees=4, max_depth=10 ** 6, seed=6)
+        tracemalloc.start()
+        try:
+            forest = train_forest(ds, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.n_trees * params.max_depth * 8 / 20
+        assert max(t.depth() for t in forest.trees) > 12
+        expected = reference_trees(ds.to_matrix(ds.schema.feature_names),
+                                   ds.outcome, params)
+        assert json.dumps([t.to_dict() for t in forest.trees]) == \
+            json.dumps(expected)
+
+
 def choice_subsets(rng, d, k, count):
     """The oracle: one rng.choice call per subset, as a node once drew."""
     return [rng.choice(d, size=k, replace=False).tolist()
             for _ in range(count)]
+
+
+def block_subsets(rng, d, k, count):
+    """The first count subsets of the blocks _feature_subsets draws from
+    rng, block after block."""
+    subsets = []
+    while len(subsets) < count:
+        subsets += forest_module._feature_subsets(rng, d, k).tolist()
+    return subsets[:count]
 
 
 def pre_drawn(seed, words):
@@ -342,8 +453,7 @@ class TestFeatureSubsets:
         for k in sorted({math.ceil(math.sqrt(d)), d}):
             for seed in range(50):
                 got, ref = pre_drawn(seed, seed % 4), pre_drawn(seed, seed % 4)
-                subsets = forest_module._feature_subsets(got, d, k)
-                assert [next(subsets) for _ in range(6)] == \
+                assert block_subsets(got, d, k, 6) == \
                     choice_subsets(ref, d, k, 6), (k, seed)
                 assert got.bit_generator.state == ref.bit_generator.state
 
@@ -355,8 +465,7 @@ class TestFeatureSubsets:
         for k in sorted({math.ceil(math.sqrt(d)), d}):
             for seed in range(8):
                 got, ref = pre_drawn(seed, seed % 4), pre_drawn(seed, seed % 4)
-                subsets = forest_module._feature_subsets(got, d, k)
-                assert [next(subsets) for _ in range(7)] == \
+                assert block_subsets(got, d, k, 7) == \
                     choice_subsets(ref, d, k, 7), (k, seed)
                 choice_subsets(ref, d, k, 1)
                 assert got.bit_generator.state == ref.bit_generator.state
@@ -366,10 +475,8 @@ class TestFeatureSubsets:
         k = math.ceil(math.sqrt(d))
         count = 2 * forest_module.SUBSET_BLOCK + 1
         for seed in range(3):
-            subsets = forest_module._feature_subsets(
-                np.random.default_rng(seed), d, k)
-            assert [next(subsets) for _ in range(count)] == \
-                choice_subsets(np.random.default_rng(seed), d, k, count)
+            assert block_subsets(np.random.default_rng(seed), d, k, count) \
+                == choice_subsets(np.random.default_rng(seed), d, k, count)
 
     @staticmethod
     def holding_zero(seed):
@@ -388,10 +495,8 @@ class TestFeatureSubsets:
         monkeypatch.setattr(forest_module, "SUBSET_BLOCK", 4)
         for seed in range(5):
             got, ref = self.holding_zero(seed), np.random.default_rng(seed)
-            subsets = forest_module._feature_subsets(got, 5, 3)
-            expected = forest_module._feature_subsets(ref, 5, 3)
-            assert [next(subsets) for _ in range(12)] == \
-                [next(expected) for _ in range(12)]
+            assert block_subsets(got, 5, 3, 12) == \
+                block_subsets(ref, 5, 3, 12)
             assert got.bit_generator.state == ref.bit_generator.state
 
     def test_fallback_draws_with_choice(self, monkeypatch):
@@ -401,8 +506,7 @@ class TestFeatureSubsets:
             assert 2**32 % (d - k + 1) > 0
             for seed in range(5):
                 got, ref = self.holding_zero(seed), self.holding_zero(seed)
-                subsets = forest_module._feature_subsets(got, d, k)
-                assert [next(subsets) for _ in range(12)] == \
+                assert block_subsets(got, d, k, 12) == \
                     choice_subsets(ref, d, k, 12), (d, k, seed)
                 assert got.bit_generator.state == ref.bit_generator.state
 

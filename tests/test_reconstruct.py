@@ -539,3 +539,22 @@ class TestGenerateCandidates:
         with pytest.raises(ValueError, match=f"^missing key '{key}' in "
                                              f"{re.escape(str(manifest))}$"):
             load_candidates(tmp_path / "cands")
+
+    @pytest.mark.parametrize("key, value, says", [
+        ("delta", "x", "delta must be a real number, got 'x'"),
+        ("delta", 1.5, "delta must be in [0, 1), got 1.5"),
+        ("attempts_used", True, "attempts_used must be an integer, got True"),
+        ("attempts_used", 0, "attempts_used must be >= 1, got 0"),
+        ("n_candidates", 2.0, "n_candidates must be an integer, got 2.0")])
+    def test_manifest_values_follow_the_rules(self, tmp_path, key, value,
+                                              says):
+        # the rules generate_candidates holds these values to
+        cs = generate_candidates(trio_spec(n=200), 1, 0.0, base_seed=8)
+        save_candidates(cs, tmp_path / "cands")
+        manifest = tmp_path / "cands" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[key] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{manifest}: {says}')}$"):
+            load_candidates(tmp_path / "cands")

@@ -9,7 +9,7 @@ from ecoinfer.aggregate import AggregateSpec, BinaryStat, ContinuousStat
 from ecoinfer.forest import ForestParams, train_ensemble
 from ecoinfer.pipeline import ExperimentPlan
 from ecoinfer.reconstruct import generate_candidates, reconstruct, solve_cells
-from ecoinfer.synth import builtin_configs
+from ecoinfer.synth import builtin_configs, with_overrides
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError, check_real, distinct_rows,
                               json_text, sidecar_path, undersample,
@@ -459,6 +459,8 @@ class TestCheckReal:
         name, interval, outside, inside, call = REALS[owner]
         refused = [(True, "a real number, got True"),
                    ("0.1", "a real number, got '0.1'"),
+                   (10**400, "a real number a float can hold, got an "
+                             "integer of 1329 bits"),
                    (math.nan, f"in {interval}, got nan"),
                    (outside, f"in {interval}, got {outside!r}")]
         for value, says in refused:
@@ -475,6 +477,24 @@ class TestCheckReal:
         with pytest.raises(ValueError, match=re.escape(
                 f"x must be a real number, got {value!r}") + "$"):
             check_real("x", value, 0, 1)
+
+    @pytest.mark.parametrize("value", [10**400, -2**1024, 10**5000],
+                             ids=["10**400", "-2**1024", "10**5000"])
+    def test_ints_too_large_for_a_float_are_refused(self, value):
+        # named by size, as repr of an int past 4300 digits raises
+        with pytest.raises(ValueError, match=re.escape(
+                "x must be a real number a float can hold, got an integer "
+                f"of {value.bit_length()} bits") + "$"):
+            check_real("x", value, -math.inf, math.inf)
+        check_real("x", int(np.finfo(float).max), -math.inf, math.inf)
+
+    def test_override_too_large_for_a_float_is_named(self):
+        # it used to build, and reconstruct then raised a bare
+        # OverflowError; the config's gender_or is the spec's
+        # odds_ratio[Gender]
+        with pytest.raises(ValueError, match=re.escape(
+                "odds_ratio[Gender] must be a real number a float can hold")):
+            with_overrides(builtin_configs(n=200)[0], gender_or=10**400)
 
     def test_numpy_scalars_are_written_as_plain_numbers(self):
         value = {"n": np.int64(3), "x": np.float32(0.5), "y": np.float64(0.1)}
