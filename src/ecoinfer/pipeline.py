@@ -14,15 +14,16 @@ import time
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
-from .similarity import GREEDY_RANK, match_rows, similarity as similarity_score
+from .similarity import (GREEDY_RANK, _rank_binary, _ranked_distance,
+                         match_rows)
 from .aggregate import AggregateSpec, summarize
 from .forest import (ForestParams, Metrics, ensemble_labels, evaluate,
                      majority_vote, member_params, train_ensemble)
 from .reconstruct import (CandidateSet, derived_seed, generate_candidates,
                           save_candidates)
 from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
-from .tabular import (Dataset, check_integer, check_real, undersample,
-                      write_columns, write_json, write_rows)
+from .tabular import (Dataset, SchemaError, check_integer, check_real,
+                      undersample, write_columns, write_json, write_rows)
 
 # Sweepable GroundTruthConfig parameters for controlled experiments.
 SWEEPABLE = ("gender_or", "gender_fraction", "pt_or", "pt_fraction",
@@ -64,8 +65,13 @@ class ExperimentPlan:
         if (self.config is None) == (self.spec is None):
             raise ValueError("plan needs exactly one of a config and an "
                              "aggregate spec")
-        if self.ground_truth is not None and self.config is not None:
+        truth, spec = self.ground_truth, self.spec
+        if truth is not None and spec is None:
             raise ValueError("ground_truth goes with a spec, not a config")
+        if truth is not None and truth.schema != spec.schema:
+            raise SchemaError("truth and spec have different schemas")
+        if truth is not None and truth.n_rows != spec.n:
+            raise SchemaError(f"truth has {truth.n_rows} rows, spec {spec.n}")
 
 
 @dataclass
@@ -137,9 +143,10 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
     if truth is not None:
         t0 = time.perf_counter()
         binary_cols = truth.schema.binary_columns()
+        ranked = _rank_binary([truth.column(name) for name in binary_cols])
         for cand in cs.candidates:
-            sim_binary.append(similarity_score(truth, cand, GREEDY_RANK,
-                                               binary_cols))
+            sim_binary.append(1.0 - _ranked_distance(ranked, _rank_binary(
+                [cand.column(name) for name in binary_cols])))
             matching = match_rows(truth, cand, GREEDY_RANK)
             sim_all.append(1.0 - matching.average_distance)
             exact.append(matching.exact_match)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import AggregateSpec, Value
+from .similarity import _rank_binary, _ranked_distance
 from .tabular import (BINARY, Dataset, check_integer, check_real, require,
                       write_json)
 
@@ -151,7 +152,7 @@ def _draw_binary(spec: AggregateSpec, seed: int
     n = spec.n
     r1 = _resolve(spec.class_fraction, rng)
 
-    # int8, as _rank_binary reads them; Dataset stores binary cells as int64
+    # int8, as _rank_binary ranks them; Dataset stores binary cells as int64
     y = np.ones(n, dtype=np.int8)
     n_pos = round(r1 * n)
     y[rng.choice(n, size=n_pos, replace=False)] = 0
@@ -219,45 +220,11 @@ class CandidateSet:
     or_deviations: dict[str, float] = field(default_factory=dict)
 
 
-def _rank_binary(columns: list[np.ndarray]) -> np.ndarray:
-    """A dataset's binary columns (schema.binary_columns() order, outcome
-    last), given as equal-length 0/1 arrays, as int8 rows in greedy rank
-    order.
-
-    Rows are stably sorted by their sum, so row i of two ranked datasets is
-    the pair the similarity module's greedy matcher would form on binary
-    columns. Binary 0/1 columns need no normalization. The sums are held in
-    the narrowest unsigned type that fits the column count (uint8 up to 255
-    columns), where numpy's stable argsort is a radix sort; any stable sort
-    of the same sums gives the same order.
-    """
-    columns = [column.astype(np.int8, copy=False) for column in columns]
-    n_rows = len(columns[0])
-    sums = np.zeros(n_rows, dtype=np.min_scalar_type(len(columns)))
-    for column in columns:
-        # int8 into unsigned is not a same_kind cast; 0/1 values fit either
-        np.add(sums, column, out=sums, casting="unsafe")
-    order = np.argsort(sums, kind="stable")
-    ranked = np.empty((n_rows, len(columns)), dtype=np.int8)
-    for j, column in enumerate(columns):
-        ranked[:, j] = column[order]
-    return ranked
-
-
-def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
-    """Greedy average distance of two _rank_binary matrices.
-
-    It stays separate from match_rows: that path divides by m and n in
-    turn, which moves some distances by one ulp, and it is slower.
-    """
-    return np.count_nonzero(r != o) / r.size
-
-
 def generate_candidates(spec: AggregateSpec, n_candidates: int, delta: float,
                         base_seed: int,
                         max_attempts: int = MAX_ATTEMPTS) -> CandidateSet:
     """Produce n_candidates datasets whose pairwise greedy average distance
-    (over binary columns) is at least delta.
+    over binary columns, match_rows's bit for bit, is at least delta.
 
     Attempt k is reconstruct(spec, derived_seed(base_seed, k)), for k = 0,
     1, ...; acceptance is decided in attempt order, so the result is

@@ -129,6 +129,32 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
                        average_distance=total / n, exact_match=_zero_share(diff))
 
 
+def _rank_binary(columns: list[np.ndarray]) -> np.ndarray:
+    """Equal-length 0/1 columns (schema.binary_columns() order) as int8 rows
+    in greedy rank order, for _ranked_distance: stably sorted by row sum, so
+    row i of two ranked datasets is the pair match_rows's greedy_rank forms
+    (a 0/1 column normalizes to itself, or to zeros if constant). The sums
+    are held in the narrowest unsigned type that fits the column count,
+    where numpy's stable argsort is a radix sort."""
+    columns = [column.astype(np.int8, copy=False) for column in columns]
+    n_rows = len(columns[0])
+    sums = np.zeros(n_rows, dtype=np.min_scalar_type(len(columns)))
+    for column in columns:
+        # int8 into unsigned is not a same_kind cast; 0/1 values fit either
+        np.add(sums, column, out=sums, casting="unsafe")
+    order = np.argsort(sums, kind="stable")
+    ranked = np.empty((n_rows, len(columns)), dtype=np.int8)
+    for j, column in enumerate(columns):
+        ranked[:, j] = column[order]
+    return ranked
+
+
+def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
+    """Greedy average distance of two _rank_binary matrices: the mismatch
+    count over m columns, then n rows, as match_rows divides, bit for bit."""
+    return np.count_nonzero(r != o) / r.shape[1] / len(r)
+
+
 def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """A minimum-total-distance permutation. The row distance is an L1
     metric, so some optimum pairs min(count_a(v), count_b(v)) rows in place

@@ -12,6 +12,7 @@ from ecoinfer.pipeline import (ExperimentPlan, StageError,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
 from ecoinfer.reconstruct import load_candidates
+from ecoinfer.similarity import GREEDY_RANK, match_rows
 from ecoinfer.synth import (builtin_configs, configs_from_json,
                             configs_to_json, generate_ground_truth,
                             with_overrides)
@@ -103,6 +104,20 @@ class TestRunExperiment:
         monkeypatch.setattr(RandomForest, "predict", counted)
         run_experiment(plan)
         assert sizes == [distinct] * 3 and distinct < truth.n_rows
+
+    @pytest.mark.parametrize("config", [1, 10])
+    def test_binary_similarity_is_the_public_matcher(self, tmp_path, config):
+        cfg = with_overrides(builtin_configs()[config - 1], n=2000)
+        out = tmp_path / "exp"
+        report = run_experiment(small_plan(
+            config=cfg, n_candidates=9, delta=0.15, out_dir=out,
+            forest=ForestParams(n_trees=1, max_depth=2, seed=100)))
+        truth = generate_ground_truth(cfg)
+        binary = truth.schema.binary_columns()
+        cands = load_candidates(out / "candidates").candidates
+        assert report.similarity_binary == [
+            1 - match_rows(truth, c, GREEDY_RANK, binary).average_distance
+            for c in cands]
 
     def test_spec_only_plan_skips_evaluation(self):
         truth = generate_ground_truth(with_overrides(builtin_configs()[0],
@@ -392,6 +407,30 @@ class TestCli:
                      "--truth", str(gt), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "ground_truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mismatch", ["size", "schema"])
+    def test_experiment_truth_must_fit_the_spec(self, tmp_path, capsys,
+                                                mismatch):
+        gt, spec = tmp_path / "gt.csv", tmp_path / "spec.json"
+        out = tmp_path / "x"
+        assert main(["synth", "--builtin", "1", "--n", "200",
+                     "--out", str(gt)]) == 0
+        assert main(["summarize", str(gt), "--out", str(spec)]) == 0
+        if mismatch == "size":
+            assert main(["synth", "--builtin", "1", "--n", "300",
+                         "--out", str(gt)]) == 0
+        else:
+            rows = np.arange(400).reshape(200, 2) % 2
+            dataset_from_rows(small_schema(1), rows).to_csv(gt)
+        capsys.readouterr()
+        code = main(["experiment", "--spec", str(spec), "--truth", str(gt),
+                     *SMALL_RUN[2:], "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == {
+            "size": "error [experiment]: truth has 300 rows, spec 200\n",
+            "schema": "error [experiment]: truth and spec have different "
+                      "schemas\n"}[mismatch]
+        assert not out.exists()
 
     def test_experiment_n_does_not_go_with_spec(self, tmp_path, capsys):
         gt, spec = tmp_path / "gt.csv", tmp_path / "spec.json"

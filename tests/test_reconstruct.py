@@ -7,10 +7,11 @@ import pytest
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
                                 contingency_table, summarize)
 from ecoinfer.reconstruct import (InfeasibleSpecError,
-                                  PartialCandidateSetError, _rank_binary,
-                                  _ranked_distance, derived_seed,
+                                  PartialCandidateSetError, derived_seed,
                                   generate_candidates, load_candidates,
                                   reconstruct, save_candidates, solve_cells)
+from ecoinfer.similarity import (GREEDY_RANK, _rank_binary, _ranked_distance,
+                                 match_rows)
 from ecoinfer.synth import builtin_configs, generate_ground_truth
 from ecoinfer.tabular import BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema
 
@@ -430,11 +431,13 @@ class TestGenerateCandidates:
         spec = config_spec(config, n=1000)
         cands = [reconstruct(spec, derived_seed(2000, k)) for k in range(12)]
         ranked = [rank(c) for c in cands]
+        binary = spec.schema.binary_columns()
         for i in range(12):
             for j in range(12):
                 if i != j:
                     assert _ranked_distance(ranked[i], ranked[j]) == \
-                        reference_distance(cands[i], cands[j])
+                        match_rows(cands[i], cands[j], GREEDY_RANK,
+                                   binary).average_distance
 
     def test_same_candidates_as_reference_loop(self):
         # config 1 at n=1000 and delta 0.2 rejects 26 of 31 attempts
