@@ -224,9 +224,21 @@ def summarize(dataset: Dataset) -> AggregateSpec:
                 occurrence_fraction=float(np.count_nonzero(col == 0)) / n,
             )
         else:
+            mean = _exact_sum(col) / n
             continuous[f.name] = ContinuousStat(
-                mean=float(col.mean()),
-                stddev=float(col.std(ddof=1)) if n > 1 else 0.0,
+                mean=mean,
+                stddev=math.sqrt(_exact_sum((col - mean) ** 2) / (n - 1))
+                if n > 1 else 0.0,
             )
     return AggregateSpec(schema=dataset.schema, n=n, class_fraction=r1,
                          binary=binary, continuous=continuous)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The sum of values rounded once, so it does not depend on their
+    order; where a partial sum passes the float range, numpy's sum (inf),
+    which the spec's checks then refuse by name."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return float(values.sum())

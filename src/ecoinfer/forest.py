@@ -188,19 +188,19 @@ class _Lockstep:
         tree_col, self.draws, roots, weights = [], [], [], []
         for k, data in enumerate(datasets, start=first):
             names = data.schema.feature_names
-            X, y = data.to_matrix(names), data.outcome
+            columns, y = [data.column(name) for name in names], data.outcome
             # one class, or no rows; np.unique(y) would import numpy.ma
             if not (y != y[:1]).any():
                 raise SingleClassError(k, empty=not len(y))
+            # a bool mask: ~ on the int8 0/1 outcome would give -1/-2
             negative = y != POSITIVE_CLASS
-            rep, inverse = distinct_rows(np.column_stack([X, negative]))
+            rep, inverse = distinct_rows([*columns, negative])
             negative = negative[rep]
-            d, first_col = X.shape[1], len(bins) - 1
-            for column in X[rep].T:
-                values, code = np.unique(column, return_inverse=True)
+            d, first_col = len(columns), len(bins) - 1
+            for column in columns:
+                values, code = np.unique(column[rep], return_inverse=True)
                 slots.append((2 * code + negative).astype(np.int32))
-                bins.append(values)
-            del X
+                bins.append(values.astype(np.float64))
             member = member_params(params, k)
             self.forests.append((member, names))
             for s in np.random.SeedSequence(member.seed).spawn(params.n_trees):
@@ -568,9 +568,12 @@ def ensemble_labels(forests: list[RandomForest], data: Dataset) -> np.ndarray:
     names = data.schema.feature_names
     if any(forest.feature_names != names for forest in forests):
         raise SchemaError("dataset features do not match the forest")
-    X = data.to_matrix(names)
-    rep, inverse = distinct_rows(X)
-    X = X[rep]
+    columns = [data.column(name) for name in names]
+    # with no features every row is the one empty row
+    rep, inverse = distinct_rows(columns or [np.zeros(data.n_rows, np.int8)])
+    X = np.empty((len(rep), len(columns)))
+    for j, column in enumerate(columns):
+        X[:, j] = column[rep]
     return np.stack([forest.predict(X) for forest in forests])[:, inverse]
 
 

@@ -152,7 +152,7 @@ def _draw_binary(spec: AggregateSpec, seed: int
     n = spec.n
     r1 = _resolve(spec.class_fraction, rng)
 
-    # int8, as _rank_binary ranks them; Dataset stores binary cells as int64
+    # int8, as Dataset stores binary cells and _rank_binary ranks them
     y = np.ones(n, dtype=np.int8)
     n_pos = round(r1 * n)
     y[rng.choice(n, size=n_pos, replace=False)] = 0

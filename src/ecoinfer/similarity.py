@@ -84,9 +84,10 @@ def _extremes(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _scaled(columns: list[np.ndarray], lo: np.ndarray, span: np.ndarray,
             n: int) -> np.ndarray:
     """The n x m C-order matrix of (column - lo) / span."""
-    out = np.empty((n, len(columns)))
+    out, shifted = np.empty((n, len(columns))), np.empty(n)
     for j, c in enumerate(columns):
-        out[:, j] = (c - lo[j]) / span[j]
+        np.subtract(c, lo[j], out=shifted)
+        np.divide(shifted, span[j], out=out[:, j])
     return out
 
 
@@ -123,7 +124,7 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
         perm[ia] = ib
     else:
         perm = _exact_permutation(na, nb)
-    diff = np.abs(na - nb[perm])
+    diff = _abs_diff(na, nb, perm)
     total = float(diff.sum() / m)
     return RowMatching(permutation=perm, total_distance=total,
                        average_distance=total / n, exact_match=_zero_share(diff))
@@ -162,7 +163,7 @@ def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     gets the k-th row of nb holding v. Only the rows left over are solved.
     """
     n = len(na)
-    key = distinct_rows(np.vstack([na, nb]))[1]
+    key = distinct_rows(list(np.vstack([na, nb]).T))[1]
     _, ia, ib = np.intersect1d(_occurrence_codes(key[:n]),
                                _occurrence_codes(key[n:]),
                                assume_unique=True, return_indices=True)
@@ -198,7 +199,7 @@ def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     time would round differently once m >= 8 (numpy sums pairwise).
     """
     m = na.shape[1]
-    (ra, ia), (rb, ib) = distinct_rows(na), distinct_rows(nb)
+    (ra, ia), (rb, ib) = distinct_rows(list(na.T)), distinct_rows(list(nb.T))
     ua, ub = na[ra], nb[rb]
     cost = np.empty((len(ua), len(ub)))
     step = max(1, _COST_BLOCK // max(1, len(ub) * m))
@@ -221,7 +222,14 @@ def exact_match_fraction(a: Dataset, b: Dataset, matching: RowMatching,
     na, nb = joint_normalize(a, b, feature_subset)
     if len(matching.permutation) != na.shape[0]:
         raise SchemaError("matching size does not fit the datasets")
-    return _zero_share(np.abs(na - nb[matching.permutation]))
+    return _zero_share(_abs_diff(na, nb, matching.permutation))
+
+
+def _abs_diff(na: np.ndarray, nb: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """np.abs(na - nb[perm]), bit for bit, formed in one n x m array."""
+    diff = nb[perm]
+    np.subtract(na, diff, out=diff)
+    return np.abs(diff, out=diff)
 
 
 def _zero_share(diff: np.ndarray) -> float:

@@ -1,9 +1,10 @@
 """Core tabular dataset model: schema, checked columns, CSV, undersampling.
 
-Binary columns are encoded as 0/1 integers with 0 the "positive" value
+Binary columns are encoded as 0/1 int8 cells with 0 the "positive" value
 (abnormal lab result, dead outcome) and 1 the "negative" value (normal,
-alive). Continuous columns hold finite reals. Datasets are columnar and
-immutable after construction so they can be shared freely across workers.
+alive). Continuous columns hold finite float64 reals. Datasets are
+columnar and immutable after construction so they can be shared freely
+across workers.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class Dataset:
 
     Columns are numpy arrays marked read-only; all "mutation" is the
     construction of a new Dataset. ``seed`` records the RNG seed the data
-    was generated from, when applicable. A cell that is not 0/1 (binary) or
+    was generated from, when applicable. Binary cells are stored as int8
+    and continuous ones as float64; a cell that is not 0/1 (binary) or
     finite (continuous) before the cast raises SchemaError naming its row.
     """
 
@@ -138,7 +140,7 @@ class Dataset:
                 row = int(np.argmax(bad))
                 raise SchemaError(f"column {name!r} row {row}: {values[row]} "
                                   f"is not a valid {kind} cell")
-            arr = values.astype(np.int64 if kind == BINARY else np.float64)
+            arr = values.astype(np.int8 if kind == BINARY else np.float64)
             arr.setflags(write=False)
             cols[name] = arr
             lengths.add(len(arr))
@@ -305,28 +307,59 @@ def _bad_line(path: Path, schema: Schema) -> str | None:
                             f"{cell!r} is not a valid {spec.kind} cell")
 
 
-def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rep, inverse): a row index of X per distinct row, the distinct rows
-    in lexicographic order, and each row's group, so X[rep][inverse] == X.
+def distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(rep, inverse) of the rows formed by a sequence of equal-length 1-D
+    columns: a row index per distinct row, the distinct rows in
+    lexicographic order, and each row's group, so row rep[inverse[i]]
+    equals row i.
 
-    One 1-D np.unique per column codes its values; the codes build a
-    mixed-radix row key, which keeps the lexicographic order. The key is
-    renumbered only when it could reach 2**62, and once at the end; -0.0
-    and 0.0 compare equal.
+    Each column's values are coded in order: an integer or bool column
+    whose range is smaller than its length as column - min, any other by a
+    1-D np.unique. The codes build a mixed-radix row key, which keeps the
+    lexicographic order. The key is renumbered only when it could reach
+    2**62, and once at the end; -0.0 and 0.0 compare equal.
     """
-    key = np.zeros(len(X), dtype=np.int64)
+    if isinstance(columns, np.ndarray):
+        # iterating a matrix would walk its rows as if they were columns
+        raise ValueError("distinct_rows takes a sequence of 1-D columns, "
+                         f"not a {columns.ndim}-D array")
+    columns = [np.asarray(column) for column in columns]
+    if not columns:
+        raise ValueError("distinct_rows needs at least one column")
+    if any(column.ndim != 1 for column in columns):
+        raise ValueError("distinct_rows takes 1-D columns, got shapes "
+                         f"{[column.shape for column in columns]}")
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("distinct_rows takes equal-length columns, got "
+                         f"lengths {[len(column) for column in columns]}")
+    key = np.zeros(len(columns[0]), dtype=np.int64)
     size = 1  # every key is below size
-    for column in X.T:
-        values, code = np.unique(column, return_inverse=True)
-        if size * len(values) >= 2 ** 62:
+    for column in columns:
+        code, radix = _ordered_code(column)
+        if size * radix >= 2 ** 62:
             used, key = np.unique(key, return_inverse=True)
             size = len(used)
-        key = key * len(values) + code
-        size *= len(values)
+        key = key * radix + code
+        size *= radix
     key = np.unique(key, return_inverse=True)[1]
     rep = np.empty(key.max() + 1 if len(key) else 0, dtype=np.int64)
     rep[key] = np.arange(len(key))
     return rep, key
+
+
+def _ordered_code(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving int64 codes of a column's values, all below radix."""
+    if column.dtype.kind == "b":
+        column = column.view(np.uint8)
+    if column.dtype.kind in "iu" and len(column):
+        lo = column.min()
+        if (radix := int(column.max()) - int(lo) + 1) <= len(column):
+            # column - lo wraps in the column's own type, but the true
+            # difference fits that width read as unsigned
+            code = (column - lo).view(f"u{column.itemsize}")
+            return code.astype(np.int64), radix
+    values, code = np.unique(column, return_inverse=True)
+    return code, len(values)
 
 
 def json_text(value) -> str:
@@ -347,8 +380,8 @@ def write_columns(path: str | Path, header: list[str],
     row is formatted once; rows are told apart by their bits, so -0.0 and
     0.0 keep their own spellings."""
     columns = [np.asarray(c) for c in columns]
-    rep, inverse = distinct_rows(np.column_stack(
-        [c.view(np.int64) if c.dtype.kind == "f" else c for c in columns]))
+    rep, inverse = distinct_rows(
+        [c.view(np.int64) if c.dtype.kind == "f" else c for c in columns])
     row = ",".join(formats) + "\n"
     lines = [row % cells for cells in zip(*(c[rep].tolist() for c in columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -164,6 +164,18 @@ class TestSpecValidationAndJson:
         with pytest.raises(ValueError, match=r"mean\[Temp\]"):
             summarize(ds)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_summarize_names_a_moment_past_the_float_range(self):
+        # math.fsum raises OverflowError on such sums; the spec's check
+        # names the moment instead
+        schema = Schema(features=(FeatureSpec("Temp", CONTINUOUS),),
+                        outcome=FeatureSpec("Dead"))
+        for temps, says in [([1.7e308, 1.7e308, 1.0], r"mean\[Temp\]"),
+                            ([1e200, -1e200, 3.0], r"stddev\[Temp\]")]:
+            ds = Dataset(schema, {"Temp": temps, "Dead": [0, 1, 1]})
+            with pytest.raises(ValueError, match=says + " must be in"):
+                summarize(ds)
+
     @pytest.mark.parametrize("bad", [(0.3, 0.1), (0.1, 0.2, 0.3), (0.2,),
                                      (), (np.nan, 0.2), (0.1, np.nan)])
     def test_bad_ranges_rejected(self, bad):

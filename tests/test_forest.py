@@ -580,6 +580,14 @@ class TestEnsemble:
         assert np.array_equal(ensemble_labels(forests, data),
                               [forest.predict(X) for forest in forests])
 
+    def test_no_features_label_every_row_alike(self):
+        # every row is the one empty row, which each tree's root labels
+        data = Dataset(Schema(features=(), outcome=FeatureSpec("y")),
+                       {"y": [0, 1, 1, 0, 1]})
+        forests = train_ensemble([data], ForestParams(n_trees=2))
+        assert np.array_equal(ensemble_labels(forests, data),
+                              [forests[0].predict(np.empty((5, 0)))])
+
 
 class TestEmptyEnsemble:
     def test_train_needs_a_dataset(self):

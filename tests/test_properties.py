@@ -1,6 +1,7 @@
 """Property tests: CSV and spec JSON round trips, exact margins and cells
-through reconstruction, and a truncated-normal draw that always ends for
-every spec AggregateSpec accepts."""
+through reconstruction, a truncated-normal draw that always ends for
+every spec AggregateSpec accepts, and reports that do not depend on the
+truth's row order."""
 
 import math
 import tempfile
@@ -12,9 +13,12 @@ from hypothesis import given, reject, settings, strategies as st
 
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
                                 contingency_table, summarize)
+from ecoinfer.forest import ForestParams
+from ecoinfer.pipeline import ExperimentPlan, run_experiment
 from ecoinfer.reconstruct import InfeasibleSpecError, reconstruct, solve_cells
+from ecoinfer.synth import builtin_configs, generate_ground_truth
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
-                              write_json)
+                              json_text, write_json)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -151,3 +155,30 @@ def test_spec_json_round_trip(r1, o, f, mean, sd):
         spec.to_json(saved)
         assert saved.read_bytes() == path.read_bytes()
         assert AggregateSpec.from_json(saved) == spec
+
+
+# the greedy matching pairs rows by rank, ties in row order
+GREEDY_KEYS = ("similarity_binary", "similarity_all", "exact_match",
+               "similarity_stats")
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(config=st.integers(0, 9), order=st.integers(0, 2 ** 32))
+def test_row_order_of_the_truth_changes_only_greedy_keys(config, order):
+    truth = generate_ground_truth(builtin_configs(n=1000)[config])
+    shuffled = truth.take(
+        np.random.default_rng(order).permutation(truth.n_rows))
+
+    def run(data):
+        spec = summarize(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            report = run_experiment(ExperimentPlan(
+                spec=spec, ground_truth=data, n_candidates=2,
+                forest=ForestParams(n_trees=3), out_dir=Path(tmp)))
+            candidates = {path.name: path.read_bytes() for path in
+                          sorted((Path(tmp) / "candidates").iterdir())}
+        kept = {k: v for k, v in report.to_dict().items()
+                if k not in GREEDY_KEYS}
+        return json_text(spec.to_dict()), candidates, json_text(kept)
+
+    assert run(shuffled) == run(truth)

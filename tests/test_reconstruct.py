@@ -162,7 +162,7 @@ def capped_reconstruct(spec, seed):
     rng = np.random.default_rng(seed)
     n = spec.n
     r1 = spec.class_fraction
-    y = np.ones(n, dtype=np.int64)
+    y = np.ones(n, dtype=np.int8)
     y[rng.choice(n, size=round(r1 * n), replace=False)] = 0
     pos_rows, neg_rows = np.flatnonzero(y == 0), np.flatnonzero(y == 1)
     columns = {spec.schema.outcome.name: y}
@@ -171,7 +171,7 @@ def capped_reconstruct(spec, seed):
             stat = spec.binary[feat.name]
             l1, l2, _, _ = solve_cells(stat.odds_ratio, r1,
                                        stat.occurrence_fraction, n).l_int
-            col = np.ones(n, dtype=np.int64)
+            col = np.ones(n, dtype=np.int8)
             col[rng.choice(pos_rows, size=l1, replace=False)] = 0
             col[rng.choice(neg_rows, size=l2, replace=False)] = 0
             columns[feat.name] = col

@@ -1,15 +1,19 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ecoinfer.aggregate import AggregateSpec, BinaryStat, ContinuousStat
-from ecoinfer.forest import ForestParams, train_ensemble
+from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
+                                contingency_table, summarize)
+from ecoinfer.forest import ForestParams, ensemble_labels, train_ensemble
 from ecoinfer.pipeline import ExperimentPlan
 from ecoinfer.reconstruct import generate_candidates, reconstruct, solve_cells
-from ecoinfer.synth import builtin_configs, with_overrides
+from ecoinfer.similarity import _rank_binary
+from ecoinfer.synth import (builtin_configs, generate_ground_truth,
+                            with_overrides)
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError, check_real, distinct_rows,
                               json_text, sidecar_path, undersample,
@@ -49,7 +53,7 @@ class TestValidate:
         floats = {n: c.astype(np.float64) for n, c in table_s1.columns.items()}
         ds = Dataset(table_s1.schema, floats)
         assert ds == table_s1
-        assert ds.column("PTT").dtype == np.int64
+        assert ds.column("PTT").dtype == np.int8
 
     @pytest.mark.parametrize("columns, says", [
         ({"flag": [0, 1], "y": [0, 1]}, "missing column 'value'"),
@@ -308,24 +312,115 @@ class TestDistinctRows:
             rng.choice([-0.0, 0.0, 1.0], 5000)])
         yield "one-row", np.array([[1.5, -2.0]])
         yield "no-rows", np.empty((0, 3))
-        yield "no-columns", np.empty((7, 0))
 
-    @pytest.mark.parametrize("case", [name for name, _ in matrices()])
-    def test_same_grouping_as_unique_rows(self, case):
-        X = dict(self.matrices())[case]
-        rep, inverse = distinct_rows(X)
+    @staticmethod
+    def column_sets():
+        """Integer and bool columns, coded without a sort where their range
+        is below their length."""
+        rng = np.random.default_rng(23)
+        yield "int8", list(rng.integers(0, 2, (3, 300), dtype=np.int8))
+        yield "bool", [rng.integers(0, 2, 300).astype(bool),
+                       rng.integers(0, 2, 300, dtype=np.int8)]
+        # -100..100 in int8: column - min wraps in int8
+        yield "negative-int", [rng.integers(-100, 101, 500, dtype=np.int8),
+                               rng.integers(-3, 0, 500)]
+        # a range wider than the length, up to the ends of int64
+        yield "wide-int64", [
+            np.append(rng.integers(-2 ** 62, 2 ** 62, 98),
+                      [-2 ** 63, 2 ** 63 - 1])[rng.integers(0, 100, 300)],
+            rng.integers(0, 2, 300, dtype=np.int8)]
+
+    @staticmethod
+    def check_grouping(columns):
+        X = np.column_stack(columns)
+        rep, inverse = distinct_rows(columns)
         rows, expected = np.unique(X, axis=0, return_inverse=True)
         assert np.array_equal(inverse, expected.ravel())
         assert np.array_equal(X[rep], rows)
         assert np.array_equal(X[rep][inverse], X)
         assert rep.dtype == inverse.dtype == np.int64
 
+    @pytest.mark.parametrize("case", [name for name, _ in matrices()])
+    def test_same_grouping_as_unique_rows(self, case):
+        self.check_grouping(list(dict(self.matrices())[case].T))
+
+    @pytest.mark.parametrize("case", [name for name, _ in column_sets()])
+    def test_integer_columns_group_as_unique_rows(self, case):
+        self.check_grouping(dict(self.column_sets())[case])
+
     def test_past_2_62_case_renumbers_and_repeats(self):
         X = dict(self.matrices())["past-2**62"]
         assert math.prod(len(np.unique(c)) for c in X.T) >= 2 ** 62
         # -0.0 and 0.0 fall into one group, which bit patterns would split
-        assert len(distinct_rows(X)[0]) < len(np.unique(X.view(np.int64),
-                                                        axis=0)) < len(X)
+        assert len(distinct_rows(list(X.T))[0]) < len(
+            np.unique(X.view(np.int64), axis=0)) < len(X)
+
+    @pytest.mark.parametrize("columns", [
+        np.zeros((7, 3)), [np.zeros((7, 3))], [np.zeros(7), np.zeros((7, 1))],
+    ], ids=["matrix", "2-D-column", "one-2-D-column"])
+    def test_refuses_a_2d_column(self, columns):
+        with pytest.raises(ValueError, match="1-D columns"):
+            distinct_rows(columns)
+
+    def test_refuses_no_columns(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            distinct_rows([])
+
+    def test_refuses_ragged_columns(self):
+        with pytest.raises(ValueError, match=r"equal-length columns, got "
+                                             r"lengths \[3, 2\]"):
+            distinct_rows([np.zeros(3), np.zeros(2)])
+
+
+class TestInt8Cells:
+    """Binary cells are int8; nothing counts them in int8 or copies a
+    dataset into an n x d matrix on the way."""
+
+    def test_counts_past_the_int8_range(self):
+        # 300 all-zero rows, and one row of each other (x, y) pattern so
+        # the odds ratio is defined: l1 = 300, l2 = l3 = l4 = 1
+        ds = dataset_from_rows(small_schema(1, names=("x",)),
+                               [[0, 0]] * 300 + [[0, 1], [1, 0], [1, 1]])
+        assert ds.column("x").dtype == ds.outcome.dtype == np.int8
+        assert contingency_table(ds, "x").l1 == 300
+        spec = summarize(ds)
+        assert spec.binary["x"].odds_ratio == 300.0
+        assert spec.class_fraction == spec.binary["x"].occurrence_fraction \
+            == 301 / 303
+        # 301 majority (class 0) rows, half of them kept, and both others
+        assert undersample(ds, 0.5, seed=1).n_rows == 150 + 2
+        ranked = _rank_binary([ds.column("x"), ds.outcome])
+        assert np.count_nonzero(~ranked.any(axis=1)) == 300
+
+    @pytest.fixture(scope="class")
+    def big_candidate(self):
+        spec = replace(summarize(generate_ground_truth(builtin_configs()[0])),
+                       n=200_000)
+        return reconstruct(spec, seed=2000)
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("stage", ["train", "labels", "to_csv"])
+    def test_no_stage_copies_the_data_into_a_matrix(self, big_candidate,
+                                                    stage, tmp_path):
+        # two float64 n x d matrices of the features: 16 MB; copying the
+        # data into such matrices peaked at 20-29 MB in these three calls
+        n, d = big_candidate.n_rows, len(big_candidate.schema.feature_names)
+        params = ForestParams(n_trees=1)
+        if stage == "labels":
+            forests = train_ensemble([big_candidate], params)
+        call = {"train": lambda: train_ensemble([big_candidate], params),
+                "labels": lambda: ensemble_labels(forests, big_candidate),
+                "to_csv": lambda: big_candidate.to_csv(tmp_path / "c.csv"),
+                }[stage]
+        assert self.peak(call) < 2 * n * d * 8
 
 
 def one_feature_spec(n=200):
