@@ -99,9 +99,9 @@ class DecisionTree:
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
         """Nodes in to_dict's layout. A missing key, a feature (None on a
-        leaf), child or pred that is not an integer, or counts that are not
-        two integers raise ValueError naming the node: the int64 fields
-        would truncate or broadcast them."""
+        leaf), child or pred that is not an integer, a threshold that is
+        not a number, or counts that are not two integers raise ValueError
+        naming the node: the node fields would cast or broadcast them."""
         rows = []
         for i, nd in enumerate(require(d, "nodes")):
             try:
@@ -119,6 +119,9 @@ class DecisionTree:
                                                    and v is None):
                         raise ValueError(
                             f"node {i}: {key} {v!r} is not an integer")
+            if type(threshold) is not float and type(threshold) is not int:
+                raise ValueError(
+                    f"node {i}: threshold {threshold!r} is not a number")
             if type(counts) is not list or len(counts) != 2 \
                     or type(counts[0]) is not int or type(counts[1]) is not int:
                 raise ValueError(
@@ -141,6 +144,19 @@ class SingleClassError(ValueError):
         return type(self), (self.dataset, self.empty)
 
 
+class FeatureListError(SchemaError):
+    """A training set names other features than the ensemble's, which are
+    dataset 0's; ``dataset`` is its index in the ensemble."""
+
+    def __init__(self, dataset: int, names: list[str], expected: list[str]):
+        super().__init__(f"dataset {dataset}: features {names} are not the "
+                         f"ensemble's {expected}")
+        self.dataset, self.names, self.expected = dataset, names, expected
+
+    def __reduce__(self):  # raised in a pool worker, pickled back
+        return type(self), (self.dataset, self.names, self.expected)
+
+
 def _starts(sizes: np.ndarray) -> np.ndarray:
     """Where each of consecutive runs of these sizes starts."""
     return np.cumsum(sizes) - sizes
@@ -157,8 +173,8 @@ class _Lockstep:
     Each forest's training set is reduced to its distinct (features,
     outcome) rows, its patterns, and each feature column to per-pattern
     slots ``2 * bin + (1 if negative)`` over that column's sorted distinct
-    values. The columns of every forest sit end to end in one slot array and
-    one bin-value array.
+    values. Every set names the same d features, so forest f's columns sit
+    from f * d on in one slot array and one bin-value array.
 
     The bookkeeping is arrays. A node is a column of ``rec`` (``thr`` for
     its threshold) made when its parent splits; one that cannot split
@@ -179,15 +195,18 @@ class _Lockstep:
     """
 
     def __init__(self, datasets: Iterable[Dataset], params: ForestParams,
-                 first: int):
-        self.params, self.forests = params, []  # (params, feature names)
+                 first: int, names: list[str] | None):
+        self.params, self.forests = params, []  # each forest's params
+        self.names = names  # every dataset's features; None: the first's
         # an empty first part lets an ensemble of no datasets concatenate
         slots, bins = [np.zeros(0, np.int32)], [np.zeros(0)]
-        # per tree: its forest's first column, its generator with its
-        # feature and subset counts, and its root's patterns and weights
-        tree_col, self.draws, roots, weights = [], [], [], []
+        # per tree: its generator, and its root's patterns and weights
+        self.rngs, roots, weights = [], [], []
         for k, data in enumerate(datasets, start=first):
             names = data.schema.feature_names
+            self.names = names if self.names is None else self.names
+            if names != self.names:
+                raise FeatureListError(k, names, self.names)
             columns, y = [data.column(name) for name in names], data.outcome
             # one class, or no rows; np.unique(y) would import numpy.ma
             if not (y != y[:1]).any():
@@ -196,30 +215,29 @@ class _Lockstep:
             negative = y != POSITIVE_CLASS
             rep, inverse = distinct_rows([*columns, negative])
             negative = negative[rep]
-            d, first_col = len(columns), len(bins) - 1
             for column in columns:
                 values, code = np.unique(column[rep], return_inverse=True)
                 slots.append((2 * code + negative).astype(np.int32))
                 bins.append(values.astype(np.float64))
             member = member_params(params, k)
-            self.forests.append((member, names))
+            self.forests.append(member)
             for s in np.random.SeedSequence(member.seed).spawn(params.n_trees):
                 rng = np.random.default_rng(s)
                 w = np.bincount(inverse[rng.integers(0, len(y), size=len(y))],
                                 minlength=len(rep))
                 pats = np.flatnonzero(w)
-                tree_col.append(first_col)
-                self.draws.append((rng, d, math.ceil(math.sqrt(d))))
+                self.rngs.append(rng)
                 roots.append(np.column_stack([pats, w[pats]]).astype(np.int32))
                 weights.append((w.sum(), w[~negative].sum()))
         self.n_bins = np.array([len(part) for part in bins[1:]], np.intp)
         self.col_slot = _starts(np.array([len(part) for part in slots[1:]]))
-        self.col_bin, self.tree_col = _starts(self.n_bins), np.array(tree_col)
+        self.col_bin = _starts(self.n_bins)
         self.slots, self.bins = np.concatenate(slots), np.concatenate(bins)
         # a pattern's id and weight, packed into one int64 to move as one
         self.pool = np.concatenate([np.zeros((0, 2), np.int32), *roots]).view(
             np.int64).ravel()
-        trees, d = len(roots), max((d for _, d, _ in self.draws), default=0)
+        trees, self.d = len(roots), len(self.names or ())
+        self.k = math.ceil(math.sqrt(self.d))  # features per subset
         m = np.array([len(root) for root in roots], dtype=np.int64)
         self.rec = np.full((9, trees), -1)  # the roots are nodes 0, 1, ...
         self.rec[:6] = [np.arange(trees), np.zeros(trees),
@@ -229,9 +247,8 @@ class _Lockstep:
         self.stack = np.zeros((trees, width), np.int64)
         self.stack[:, 0], (n, n_pos) = np.arange(trees), self.rec[2:4]
         self.height = ((n_pos > 0) & (n_pos < n)).astype(np.int64)
-        self.settled = np.zeros((trees, width, d), bool)
-        self.subsets = np.full(
-            (trees, SUBSET_BLOCK, math.ceil(math.sqrt(d))), -1)
+        self.settled = np.zeros((trees, width, self.d), bool)
+        self.subsets = np.zeros((trees, SUBSET_BLOCK, self.k), np.int64)
         self.cursor = np.full(trees, SUBSET_BLOCK)
 
     def grow(self) -> list[RandomForest]:
@@ -251,8 +268,8 @@ class _Lockstep:
                     self._split(*(a[start:end] for a in step))
                     start = end
         trees, per = self._trees(), self.params.n_trees
-        return [RandomForest(member, trees[k * per:(k + 1) * per], names)
-                for k, (member, names) in enumerate(self.forests)]
+        return [RandomForest(member, trees[k * per:(k + 1) * per], self.names)
+                for k, member in enumerate(self.forests)]
 
     def _pop(self, trees: np.ndarray) -> list[np.ndarray]:
         """Pop, and read a subset, in each of these trees, again where all of
@@ -263,13 +280,12 @@ class _Lockstep:
             self.height[trees] -= 1
             height = self.height[trees]
             for t in trees[self.cursor[trees] == SUBSET_BLOCK].tolist():
-                rng, d, k = self.draws[t]
-                self.subsets[t, :, :k] = _feature_subsets(rng, d, k)
+                self.subsets[t] = _feature_subsets(self.rngs[t], self.d,
+                                                   self.k)
                 self.cursor[t] = 0
             subsets = self.subsets[trees, self.cursor[trees]]
             self.cursor[trees] += 1
-            free = (subsets >= 0) & ~self.settled[
-                trees[:, None], height[:, None], subsets]
+            free = ~self.settled[trees[:, None], height[:, None], subsets]
             scored = free.any(axis=1)
             taken.append([a[scored] for a in (
                 trees, self.stack[trees, height], subsets, free)])
@@ -285,7 +301,7 @@ class _Lockstep:
         # pair's column is its forest's first column plus its feature
         pair_node, slot = free.nonzero()
         pair_feat = subsets[pair_node, slot]
-        pair_col = self.tree_col[trees][pair_node] + pair_feat
+        pair_col = trees[pair_node] // self.params.n_trees * self.d + pair_feat
         pair_size = size[pair_node]
         # pair p counts its column's bins from hist_at[p] on; its entries
         # are its node's patterns, each an id and a weight
@@ -492,7 +508,11 @@ class RandomForest:
         known = {f.name for f in fields(ForestParams)}
         params = {k: v for k, v in require(d, "params").items()
                   if k in known}
-        feature_names = list(require(d, "feature_names"))
+        feature_names = require(d, "feature_names")
+        if type(feature_names) is not list \
+                or any(type(name) is not str for name in feature_names):
+            raise ValueError(
+                f"feature_names {feature_names!r} is not a list of strings")
         trees = []
         for t, tree in enumerate(require(d, "trees")):
             try:
@@ -530,29 +550,34 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
     One worker reads the datasets one at a time and keeps only their
     binned distinct rows. More workers split the datasets into contiguous
     chunks and grow each chunk in lockstep in a process pool. The forests
-    are the same either way. No datasets raise ValueError, and a dataset of
-    one outcome class or no rows raises SingleClassError naming its index."""
+    are the same either way. No datasets raise ValueError. A dataset whose
+    feature names are not dataset 0's raises FeatureListError (a
+    SchemaError), and one of one outcome class or no rows SingleClassError,
+    each naming the first such dataset's index."""
     check_integer("workers", workers, least=1)
     if workers > 1 and len(datasets := list(datasets)) > 1:
         # Local: the pool pulls in multiprocessing, which one worker never needs.
         from concurrent.futures import ProcessPoolExecutor
         chunks = min(workers, len(datasets))
         ends = [len(datasets) * c // chunks for c in range(chunks + 1)]
+        names = datasets[0].schema.feature_names  # every chunk's
         with ProcessPoolExecutor(max_workers=chunks) as pool:
             parts = list(pool.map(
                 _train_chunk, [datasets[a:b] for a, b in zip(ends, ends[1:])],
-                [params] * chunks, ends[:-1]))
+                [params] * chunks, ends[:-1], [names] * chunks))
         forests = [forest for part in parts for forest in part]
     else:
-        forests = _train_chunk(datasets, params, 0)
+        forests = _train_chunk(datasets, params, 0, None)
     _check_ensemble(forests)
     return forests
 
 
 def _train_chunk(datasets: Iterable[Dataset], params: ForestParams,
-                 first: int) -> list[RandomForest]:
-    """The forests of datasets first, first + 1, ... of an ensemble."""
-    return _Lockstep(datasets, params, first).grow()
+                 first: int, names: list[str] | None
+                 ) -> list[RandomForest]:
+    """The forests of datasets first, first + 1, ... of an ensemble whose
+    datasets name the features names (the first's if None)."""
+    return _Lockstep(datasets, params, first, names).grow()
 
 
 def _check_ensemble(forests: list) -> None:
@@ -566,8 +591,10 @@ def ensemble_labels(forests: list[RandomForest], data: Dataset) -> np.ndarray:
     predicted once and its labels are scattered back."""
     _check_ensemble(forests)
     names = data.schema.feature_names
-    if any(forest.feature_names != names for forest in forests):
-        raise SchemaError("dataset features do not match the forest")
+    for forest in forests:
+        if forest.feature_names != names:
+            raise SchemaError(f"dataset features {names} do not match the "
+                              f"ensemble's {forest.feature_names}")
     columns = [data.column(name) for name in names]
     # with no features every row is the one empty row
     rep, inverse = distinct_rows(columns or [np.zeros(data.n_rows, np.int8)])
@@ -626,16 +653,20 @@ def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
 def load_ensemble(path: str | Path) -> list[RandomForest]:
     """Load a saved ensemble; the "task" key of older files is ignored.
 
-    A file with no models, a model with no trees, a missing key, a node
-    field that is not an integer (see DecisionTree.from_dict), or a tree
-    prediction could not walk to a 0/1 label (see _walk_problem) raises
-    ValueError naming the file, model, tree and node."""
+    A file whose models are not a list or are none, a model with no trees
+    or other feature names than model 0's, a missing key, a node field of
+    the wrong type (see DecisionTree.from_dict), or a tree prediction could
+    not walk to a 0/1 label (see _walk_problem) raises ValueError naming
+    the file, model, tree and node."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if "models" not in payload:
         raise ValueError(f"{path}: missing key 'models'")
+    if type(models := payload["models"]) is not list:
+        raise ValueError(f"{path}: models is a {type(models).__name__}, "
+                         "not a list")
     forests = []
-    for k, model in enumerate(payload["models"]):
+    for k, model in enumerate(models):
         try:
             forests.append(RandomForest.from_dict(model))
         except ValueError as e:
@@ -645,6 +676,10 @@ def load_ensemble(path: str | Path) -> list[RandomForest]:
     for k, forest in enumerate(forests):
         if not forest.trees:
             raise ValueError(f"{path}: model {k} has no trees")
+        if forest.feature_names != forests[0].feature_names:
+            raise ValueError(f"{path}: model {k}, feature_names "
+                             f"{forest.feature_names} are not model 0's "
+                             f"{forests[0].feature_names}")
         for t, tree in enumerate(forest.trees):
             if problem := _walk_problem(tree.nodes, len(forest.feature_names)):
                 raise ValueError(f"{path}: model {k}, tree {t}: {problem}")

@@ -108,9 +108,11 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
+        if type(features := require(d, "features", "the schema")) is not list:
+            raise SchemaError(f"features in the schema must be a list, got "
+                              f"{features!r}")
         return cls(
-            features=tuple(FeatureSpec.from_dict(f) for f in
-                           require(d, "features", "the schema")),
+            features=tuple(FeatureSpec.from_dict(f) for f in features),
             outcome=FeatureSpec.from_dict(require(d, "outcome", "the schema")),
         )
 
@@ -196,12 +198,15 @@ class Dataset:
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
         """Read to_csv's output; SchemaError names the line of a bad row,
-        or the sidecar when its schema is bad or lacks a key."""
+        or the sidecar when its schema is bad or lacks a key, or its seed
+        is neither null nor an integer >= 0."""
         path, sidecar = Path(path), sidecar_path(path)
         with open(sidecar, encoding="utf-8") as fh:
             meta = json.load(fh)
         try:
             schema = Schema.from_dict(require(meta, "schema"))
+            if (seed := meta.get("seed")) is not None:
+                check_integer("seed", seed, least=0)
         except ValueError as e:
             raise SchemaError(f"{sidecar}: {e}") from e
         with open(path, encoding="utf-8") as fh:
@@ -216,7 +221,7 @@ class Dataset:
                              dtype=np.float64) if rows else \
                 np.empty((0, len(header)))
             return cls(schema, dict(zip(header, raw.T, strict=True)),
-                       seed=meta.get("seed"))
+                       seed=seed)
         except ValueError as e:
             raise SchemaError(f"{path}: {_bad_line(path, schema) or e}") from e
 

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import ecoinfer.forest as forest_module
 from ecoinfer.forest import (MAX_THRESHOLDS, NODE_DTYPE, DecisionTree,
-                             ForestParams, Metrics, RandomForest,
-                             SingleClassError, ensemble_labels,
+                             FeatureListError, ForestParams, Metrics,
+                             RandomForest, SingleClassError, ensemble_labels,
                              ensemble_predict, evaluate, load_ensemble,
                              member_params, save_ensemble, train_ensemble,
                              train_forest)
@@ -341,22 +342,21 @@ COLUMN_VALUES = [
 
 @st.composite
 def mixed_datasets(draw):
-    """1-3 small datasets, each with binary and continuous columns and
-    both outcome classes."""
+    """1-3 small datasets over one schema of binary and continuous columns,
+    each with its own rows and both outcome classes."""
+    kinds = draw(st.lists(st.integers(0, len(COLUMN_VALUES) - 1),
+                          min_size=1, max_size=7))
+    schema = Schema(features=tuple(
+        FeatureSpec(f"c{j}", BINARY if kind == 0 else CONTINUOUS)
+        for j, kind in enumerate(kinds)), outcome=FeatureSpec("Dead"))
     datasets = []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(2, 80))
-        kinds = draw(st.lists(st.integers(0, len(COLUMN_VALUES) - 1),
-                              min_size=1, max_size=7))
         columns = {f"c{j}": draw(st.lists(COLUMN_VALUES[kind], min_size=n,
                                           max_size=n))
                    for j, kind in enumerate(kinds)}
         y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
                  .filter(lambda y: 0 < sum(y) < len(y)))
-        schema = Schema(features=tuple(
-            FeatureSpec(name, BINARY if kind == 0 else CONTINUOUS)
-            for name, kind in zip(columns, kinds)),
-            outcome=FeatureSpec("Dead"))
         datasets.append(Dataset(schema, {**columns, "Dead": y}))
     return datasets
 
@@ -543,7 +543,9 @@ class TestPredict:
 
     def test_schema_mismatch(self):
         other = labeled_dataset([0, 1], [0, 1], [1.0, 2.0])
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=re.escape(
+                "dataset features ['x', 'z'] do not match the ensemble's "
+                "['x']")):
             ensemble_predict([constant_forest(1)], other)
         with pytest.raises(SchemaError):
             ensemble_labels([constant_forest(1),
@@ -632,25 +634,28 @@ class TestTrainEnsemble:
 
     def test_same_trees_as_row_by_row_forest_by_forest(self):
         """Grown in lockstep, each forest is the row-by-row one: datasets
-        of different sizes and bins, trees of depth 1 next to depth 12,
-        and midpoints that overflow or round onto the upper value."""
+        over one schema with different sizes and bins, trees of depth 1
+        next to depth 12, and midpoints that overflow or round onto the
+        upper value."""
         rng = np.random.default_rng(21)
         adjacent = 1 + 2.0 ** -52
+
+        def dataset(columns, y):  # the four columns as features a-d
+            return continuous_dataset(dict(zip("abcd", columns)), y)
+
         z = rng.normal(0, 1, 400)
-        deep = continuous_dataset(
-            {"z": z, "r": np.round(z * 4), "u": rng.random(400),
-             "b": rng.integers(0, 2, 400)},
-            (z + rng.normal(0, 1, 400) > 0).astype(int))
-        edge = continuous_dataset({
-            "up": rng.choice([1.6e308, 1.7e308], 250),
-            "onto": rng.choice([adjacent, np.nextafter(adjacent, 2.0)], 250),
-            "down": rng.choice([-1.7e308, -1.6e308, -1.5e308], 250),
-            "noise": np.round(rng.normal(0, 2, 250), 1)},
-            rng.integers(0, 2, 250))
+        deep = dataset([z, np.round(z * 4), rng.random(400),
+                        rng.integers(0, 2, 400)],
+                       (z + rng.normal(0, 1, 400) > 0).astype(int))
+        edge = dataset([
+            rng.choice([1.6e308, 1.7e308], 250),
+            rng.choice([adjacent, np.nextafter(adjacent, 2.0)], 250),
+            rng.choice([-1.7e308, -1.6e308, -1.5e308], 250),
+            np.round(rng.normal(0, 2, 250), 1)], rng.integers(0, 2, 250))
         x = rng.integers(0, 2, 120)
-        stump = labeled_dataset(x, x)
-        awkward = continuous_dataset(awkward_columns(rng, 333),
-                                     rng.integers(0, 2, 333))
+        stump = dataset([x] * 4, x)  # every subset splits the root purely
+        awkward = dataset(awkward_columns(rng, 333).values(),
+                          rng.integers(0, 2, 333))
         datasets = [deep, edge, stump, awkward]
         params = ForestParams(n_trees=4, max_depth=12, seed=3)
         ensemble = train_ensemble(datasets, params)
@@ -667,12 +672,40 @@ class TestTrainEnsemble:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_single_class_names_its_dataset(self, workers):
         datasets = self.datasets(np.random.default_rng(15))
-        datasets[1] = labeled_dataset([0, 1, 0], [1, 1, 1])
+        datasets[1] = labeled_dataset([0, 1, 0], [1, 1, 1], [0.5, 1.5, 2.5])
         with pytest.raises(SingleClassError,
                            match="^dataset 1: training data contains a "
                                  "single outcome class$") as err:
             train_ensemble(datasets, ForestParams(n_trees=2), workers=workers)
         assert err.value.dataset == 1
+
+    @pytest.mark.parametrize("workers, bad", [
+        (1, (1, 3)), (2, (1, 3)), (1, (2,)), (2, (2,))])
+    def test_other_features_name_their_dataset(self, workers, bad):
+        # with two workers, datasets 2 and 3 are a chunk of their own that
+        # must still hold dataset 0's features, and of two refusals in two
+        # chunks the first dataset's is raised
+        rng = np.random.default_rng(17)
+        datasets = self.datasets(rng, count=4)
+        for k in bad:  # the same two features, in the other order
+            data = datasets[k]
+            datasets[k] = continuous_dataset(
+                {"z": data.column("z"), "x": data.column("x")}, data.outcome)
+        with pytest.raises(FeatureListError, match=re.escape(
+                f"dataset {bad[0]}: features ['z', 'x'] are not the "
+                "ensemble's ['x', 'z']")) as err:
+            train_ensemble(datasets, ForestParams(n_trees=2), workers=workers)
+        assert isinstance(err.value, SchemaError)
+        assert err.value.dataset == bad[0]
+
+    def test_a_dataset_with_fewer_features_is_refused(self):
+        datasets = self.datasets(np.random.default_rng(18), count=2)
+        datasets[1] = labeled_dataset(datasets[1].column("x"),
+                                      datasets[1].outcome)
+        with pytest.raises(FeatureListError, match=re.escape(
+                "dataset 1: features ['x'] are not the ensemble's "
+                "['x', 'z']")):
+            train_ensemble(iter(datasets), ForestParams(n_trees=2))
 
     def test_leaves_no_garbage(self):
         # no reference cycles: every node, bootstrap and pattern table is
@@ -868,6 +901,65 @@ class TestModelFileChecks:
         assert f"{path}: model 0, tree 1: {at}" in str(err.value)
         with pytest.raises(ValueError, match=f"^{at}$"):
             DecisionTree.from_dict({"nodes": nodes})
+
+    @pytest.mark.parametrize("nodes, at", [
+        ([{**node(0, 1, 2), "threshold": "0.5"}, *LEAVES],
+         "node 0: threshold '0.5' is not a number"),
+        ([{**node(0, 1, 2), "threshold": True}, *LEAVES],
+         "node 0: threshold True is not a number"),
+        ([{**node(0, 1, 2), "threshold": None}, *LEAVES],
+         "node 0: threshold None is not a number"),
+        ([node(0, 1, 2), LEAVES[0], {**LEAVES[1], "threshold": [0.5]}],
+         "node 2: threshold [0.5] is not a number"),
+    ], ids=["string-threshold", "bool-threshold", "null-threshold",
+            "list-threshold"])
+    def test_threshold_must_be_a_number(self, tmp_path, nodes, at):
+        # "0.5" and true used to load as 0.5 and 1.0, and null as NaN
+        path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert f"{path}: model 0, tree 1: {at}" in str(err.value)
+
+    def test_integer_threshold_loads(self, tmp_path):
+        path = model_file(tmp_path / "m.json",
+                          [{**node(0, 1, 2), "threshold": 1}, *LEAVES])
+        assert load_ensemble(path)[0].trees[0].nodes["threshold"][0] == 1.0
+
+    @pytest.mark.parametrize("names", ["x", "abc", [0], ["x", None],
+                                       {"x": 0}],
+                             ids=["string", "long-string", "number-name",
+                                  "null-name", "object"])
+    def test_feature_names_must_be_a_list_of_strings(self, tmp_path, names):
+        # "x" used to load as ["x"], and "abc" as three features
+        path = model_file(tmp_path / "m.json", [LEAVES[1]])
+        payload = json.loads(path.read_text())
+        payload["models"][0]["feature_names"] = names
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert (f"{path}: model 0, feature_names {names!r} is not a list of "
+                "strings") in str(err.value)
+
+    def test_models_must_be_a_list(self, tmp_path):
+        # a dict's keys used to be walked as models
+        path = model_file(tmp_path / "m.json", [LEAVES[1]])
+        payload = json.loads(path.read_text())
+        payload["models"] = {"0": payload["models"][0]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert str(err.value) == f"{path}: models is a dict, not a list"
+
+    def test_models_name_one_feature_list(self, tmp_path):
+        path = model_file(tmp_path / "m.json", [LEAVES[1]])
+        payload = json.loads(path.read_text())
+        other = {**payload["models"][0], "feature_names": ["z"]}
+        payload["models"] += [payload["models"][0], other]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert str(err.value) == (f"{path}: model 2, feature_names ['z'] "
+                                  "are not model 0's ['x']")
 
     @pytest.mark.parametrize("nodes, at", [
         ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1, 2), 1)],

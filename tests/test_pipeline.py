@@ -594,6 +594,21 @@ class TestCli:
         assert (f"error [train]: {one}: dataset 1: training data contains a "
                 "single outcome class") in capsys.readouterr().err
 
+    def test_train_refuses_files_with_other_features(self, tmp_path, capsys):
+        # the model it used to write could predict on neither file
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        model = tmp_path / "m.json"
+        dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
+                                            [1, 0]]).to_csv(a)
+        dataset_from_rows(small_schema(2), [[0, 0, 0], [1, 1, 1], [0, 1, 1],
+                                            [1, 0, 0]]).to_csv(b)
+        code = main(["train", str(a), str(b), "--trees", "2",
+                     "--out", str(model)])
+        assert code == 1
+        assert (f"error [train]: {b}: dataset 1: features ['PTT', 'PT'] are "
+                "not the ensemble's ['PTT']") in capsys.readouterr().err
+        assert not model.exists()
+
     def test_summarize_says_a_file_has_no_rows(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         dataset_from_rows(small_schema(1), np.zeros((0, 2), dtype=int)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -287,6 +288,50 @@ class TestCsvErrors:
             Dataset.from_csv(path)
         assert str(err.value) == \
             f"{sidecar}: unknown feature kind 'ordinal' for 'value'"
+
+    @staticmethod
+    def with_sidecar(path, key, value):
+        """A one-row CSV whose sidecar holds value at key (in the schema
+        for "features")."""
+        Dataset(mixed_schema(), {"flag": [0], "value": [1.5],
+                                 "y": [1]}, seed=3).to_csv(path)
+        sidecar = sidecar_path(path)
+        meta = json.loads(sidecar.read_text())
+        (meta["schema"] if key == "features" else meta)[key] = value
+        sidecar.write_text(json.dumps(meta))
+        return sidecar
+
+    @pytest.mark.parametrize("seed, named", [
+        ("7", "seed must be an integer, got '7'"),
+        (7.5, "seed must be an integer, got 7.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["string", "float", "bool", "negative"])
+    def test_sidecar_seed_is_null_or_a_count(self, tmp_path, seed, named):
+        # each of these used to load as the dataset's seed
+        path = tmp_path / "data.csv"
+        sidecar = self.with_sidecar(path, "seed", seed)
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == f"{sidecar}: {named}"
+
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_sidecar_seed_loads(self, tmp_path, seed):
+        path = tmp_path / "data.csv"
+        self.with_sidecar(path, "seed", seed)
+        assert Dataset.from_csv(path).seed == seed
+
+    @pytest.mark.parametrize("features", ["flag", {"flag": {}}, 3],
+                             ids=["string", "object", "number"])
+    def test_sidecar_features_must_be_a_list(self, tmp_path, features):
+        # a string used to be walked letter by letter, a number raised a
+        # bare TypeError
+        path = tmp_path / "data.csv"
+        sidecar = self.with_sidecar(path, "features", features)
+        with pytest.raises(SchemaError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == (f"{sidecar}: features in the schema must "
+                                  f"be a list, got {features!r}")
 
 
 class TestDistinctRows:
