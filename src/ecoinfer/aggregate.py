@@ -9,7 +9,6 @@ are feature-positive and outcome-positive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .tabular import (BINARY, CONTINUOUS, Dataset, Schema, SchemaError,
-                      check_integer, check_real, require, write_json)
+                      check_integer, check_real, read_json, require,
+                      write_json)
 
 # A scalar statistic, or a (lo, hi) range to be drawn per candidate.
 Value = float | tuple[float, float]
@@ -157,9 +157,9 @@ class AggregateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregateSpec":
-        """The inverse of to_dict. A missing key, a feature the schema lacks
-        or that has two entries, or an entry whose kind is not the
-        schema's raises ValueError naming it and its feature. Values are
+        """The inverse of to_dict. A key missing or of the wrong JSON type,
+        a feature the schema lacks or that has two entries, or an entry
+        whose kind is not the schema's raises ValueError naming it. Values are
         passed as loaded, so the constructor checks them and refuses "0.1"
         and true; only a JSON integer statistic becomes a float."""
         def dec(v) -> Value:
@@ -172,8 +172,8 @@ class AggregateSpec:
         names = schema.feature_names
         binary = {}
         continuous = {}
-        for f in require(d, "features", "the spec"):
-            name = require(f, "name", f"feature {f}")
+        for f in require(d, "features", "the spec", list):
+            name = require(f, "name", f"feature {f}", str)
             owner = f"feature {name!r}"
             if name not in names:
                 raise ValueError(f"{owner} is not in the schema")
@@ -201,8 +201,7 @@ class AggregateSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AggregateSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 def summarize(dataset: Dataset) -> AggregateSpec:

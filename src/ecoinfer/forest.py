@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import (Dataset, SchemaError, check_integer, distinct_rows,
-                      plain_number, require)
+from .tabular import (Dataset, SchemaError, check_integer, check_real,
+                      distinct_rows, plain_number, read_json, require)
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
@@ -98,17 +98,18 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        """Nodes in to_dict's layout. A missing key, a feature (None on a
-        leaf), child or pred that is not an integer, a threshold that is
-        not a number, or counts that are not two integers raise ValueError
-        naming the node: the node fields would cast or broadcast them."""
+        """Nodes in to_dict's layout. A node that is not an object or lacks
+        a key, a feature (None on a leaf), child or pred that is not an
+        integer, a threshold check_real refuses, or counts that are not two
+        integers raise ValueError naming the node, not cast or broadcast."""
         rows = []
-        for i, nd in enumerate(require(d, "nodes")):
+        for i, nd in enumerate(require(d, "nodes", kind=list)):
             try:
                 (feature, threshold, left, right, counts,
                  pred) = _NODE_FIELDS(nd)
-            except KeyError as e:
-                raise ValueError(f"node {i}: missing key {e.args[0]!r}") from e
+            except (KeyError, TypeError):  # a key missing, or not an object
+                for key in NODE_DTYPE.names:
+                    require(nd, key, f"node {i}")
             # type(), not isinstance(): a JSON true loads as a bool, which
             # is an int
             if not (feature is None or type(feature) is int) \
@@ -119,9 +120,8 @@ class DecisionTree:
                                                    and v is None):
                         raise ValueError(
                             f"node {i}: {key} {v!r} is not an integer")
-            if type(threshold) is not float and type(threshold) is not int:
-                raise ValueError(
-                    f"node {i}: threshold {threshold!r} is not a number")
+            if type(threshold) is not float:
+                check_real(f"node {i}: threshold", threshold, -np.inf, np.inf)
             if type(counts) is not list or len(counts) != 2 \
                     or type(counts[0]) is not int or type(counts[1]) is not int:
                 raise ValueError(
@@ -506,15 +506,14 @@ class RandomForest:
         # Older model files also carry four training settings that are now
         # constants; they do not affect prediction.
         known = {f.name for f in fields(ForestParams)}
-        params = {k: v for k, v in require(d, "params").items()
+        params = {k: v for k, v in require(d, "params", kind=dict).items()
                   if k in known}
-        feature_names = require(d, "feature_names")
-        if type(feature_names) is not list \
-                or any(type(name) is not str for name in feature_names):
+        feature_names = require(d, "feature_names", kind=list)
+        if any(type(name) is not str for name in feature_names):
             raise ValueError(
                 f"feature_names {feature_names!r} is not a list of strings")
         trees = []
-        for t, tree in enumerate(require(d, "trees")):
+        for t, tree in enumerate(require(d, "trees", kind=list)):
             try:
                 trees.append(DecisionTree.from_dict(tree))
             except ValueError as e:
@@ -658,31 +657,28 @@ def load_ensemble(path: str | Path) -> list[RandomForest]:
     the wrong type (see DecisionTree.from_dict), or a tree prediction could
     not walk to a 0/1 label (see _walk_problem) raises ValueError naming
     the file, model, tree and node."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "models" not in payload:
-        raise ValueError(f"{path}: missing key 'models'")
-    if type(models := payload["models"]) is not list:
-        raise ValueError(f"{path}: models is a {type(models).__name__}, "
-                         "not a list")
+    return read_json(path, _ensemble)
+
+
+def _ensemble(doc: dict) -> list[RandomForest]:
     forests = []
-    for k, model in enumerate(models):
+    for k, model in enumerate(require(doc, "models", "the ensemble", list)):
         try:
             forests.append(RandomForest.from_dict(model))
         except ValueError as e:
-            raise ValueError(f"{path}: model {k}, {e}") from e
+            raise ValueError(f"model {k}, {e}") from e
     if not forests:
-        raise ValueError(f"{path}: an ensemble needs at least one model")
+        raise ValueError("an ensemble needs at least one model")
     for k, forest in enumerate(forests):
         if not forest.trees:
-            raise ValueError(f"{path}: model {k} has no trees")
+            raise ValueError(f"model {k} has no trees")
         if forest.feature_names != forests[0].feature_names:
-            raise ValueError(f"{path}: model {k}, feature_names "
+            raise ValueError(f"model {k}, feature_names "
                              f"{forest.feature_names} are not model 0's "
                              f"{forests[0].feature_names}")
         for t, tree in enumerate(forest.trees):
             if problem := _walk_problem(tree.nodes, len(forest.feature_names)):
-                raise ValueError(f"{path}: model {k}, tree {t}: {problem}")
+                raise ValueError(f"model {k}, tree {t}: {problem}")
     return forests
 
 

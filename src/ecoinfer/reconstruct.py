@@ -14,7 +14,6 @@ delta.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,8 +22,8 @@ import numpy as np
 
 from .aggregate import AggregateSpec, Value
 from .similarity import _rank_binary, _ranked_distance
-from .tabular import (BINARY, Dataset, check_integer, check_real, require,
-                      write_json)
+from .tabular import (BINARY, Dataset, check_integer, check_real, read_json,
+                      require, write_json)
 
 # Seed stride for derived candidate seeds (golden-ratio increment).
 SEED_STRIDE = 0x9E3779B9
@@ -293,22 +292,21 @@ def load_candidates(in_dir: str | Path) -> CandidateSet:
     lacks n_candidates, delta or attempts_used, or whose value breaks the
     rule generate_candidates holds it to (counts at least 1, delta in
     [0, 1)), raises ValueError naming the key and the manifest."""
-    src = Path(in_dir)
-    spec = AggregateSpec.from_json(src / "spec.json")
-    path = src / "manifest.json"
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    n_candidates, delta, attempts_used = (
-        require(manifest, key, str(path))
-        for key in ("n_candidates", "delta", "attempts_used"))
-    try:
+    def checked(manifest: dict) -> dict:
+        n_candidates, delta, attempts_used = (
+            require(manifest, key, "the manifest")
+            for key in ("n_candidates", "delta", "attempts_used"))
         check_integer("n_candidates", n_candidates, least=1)
         check_real("delta", delta, 0, 1, "[)")
         check_integer("attempts_used", attempts_used, least=1)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
+        return manifest
+
+    src = Path(in_dir)
+    spec = AggregateSpec.from_json(src / "spec.json")
+    manifest = read_json(src / "manifest.json", checked)
     candidates = [Dataset.from_csv(src / f"candidate_{k}.csv")
-                  for k in range(n_candidates)]
-    return CandidateSet(spec=spec, delta=delta, candidates=candidates,
-                        attempts_used=attempts_used,
+                  for k in range(manifest["n_candidates"])]
+    return CandidateSet(spec=spec, delta=manifest["delta"],
+                        candidates=candidates,
+                        attempts_used=manifest["attempts_used"],
                         or_deviations=manifest.get("or_deviations", {}))

@@ -8,14 +8,13 @@ known seed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import MISSING, dataclass, asdict, fields, replace
 from pathlib import Path
 
 from .aggregate import AggregateSpec, BinaryStat, ContinuousStat
 from .reconstruct import reconstruct
 from .tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
-                      check_integer, write_json)
+                      check_integer, read_json, require, write_json)
 
 DEFAULT_N = 10_000
 AGE_MEAN = 36.0
@@ -108,11 +107,18 @@ def configs_to_json(configs: list[GroundTruthConfig], path: str | Path) -> None:
 
 
 def configs_from_json(path: str | Path) -> list[GroundTruthConfig]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        data = [data]
-    return [GroundTruthConfig(**d) for d in data]
+    """configs_to_json's list, or one config object. An entry that is not an
+    object, lacks a field or has an unknown one raises ValueError naming it."""
+    def config(i: int, d: dict) -> GroundTruthConfig:
+        for f in fields(GroundTruthConfig):
+            if f.default is MISSING:
+                require(d, f.name, f"config {i}")
+        if unknown := set(d) - {f.name for f in fields(GroundTruthConfig)}:
+            raise ValueError(f"unknown keys {sorted(unknown)} in config {i}")
+        return GroundTruthConfig(**d)
+
+    return read_json(path, lambda data: [config(i, d) for i, d in enumerate(
+        data if type(data) is list else [data])])
 
 
 def with_overrides(config: GroundTruthConfig, **kwargs) -> GroundTruthConfig:

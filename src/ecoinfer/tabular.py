@@ -49,7 +49,7 @@ class FeatureSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
         return cls(
-            name=require(d, "name", f"feature {d}"),
+            name=require(d, "name", f"feature {d}", str),
             kind=d.get("kind", BINARY),
             positive_label=d.get("positive_label", "abnormal"),
             negative_label=d.get("negative_label", "normal"),
@@ -108,9 +108,7 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        if type(features := require(d, "features", "the schema")) is not list:
-            raise SchemaError(f"features in the schema must be a list, got "
-                              f"{features!r}")
+        features = require(d, "features", "the schema", list)
         return cls(
             features=tuple(FeatureSpec.from_dict(f) for f in features),
             outcome=FeatureSpec.from_dict(require(d, "outcome", "the schema")),
@@ -190,25 +188,22 @@ class Dataset:
         write_columns(path, [spec.name for spec in specs],
                       [self.columns[spec.name] for spec in specs],
                       ["%d" if spec.kind == BINARY else "%r" for spec in specs])
-        sidecar = {"schema": self.schema.to_dict(), "seed": self.seed}
-        sidecar_path(path).write_text(
-            json.dumps(sidecar, indent=2, default=plain_number) + "\n",
-            encoding="utf-8")
+        write_json({"schema": self.schema.to_dict(), "seed": self.seed},
+                   sidecar_path(path))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
         """Read to_csv's output; SchemaError names the line of a bad row,
-        or the sidecar when its schema is bad or lacks a key, or its seed
-        is neither null nor an integer >= 0."""
-        path, sidecar = Path(path), sidecar_path(path)
-        with open(sidecar, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        try:
-            schema = Schema.from_dict(require(meta, "schema"))
+        or the sidecar when it is not JSON, its schema is bad or lacks a
+        key, or its seed is neither null nor an integer >= 0."""
+        def parse(meta: dict) -> tuple[Schema, int | None]:
+            schema = Schema.from_dict(require(meta, "schema", "the sidecar"))
             if (seed := meta.get("seed")) is not None:
                 check_integer("seed", seed, least=0)
-        except ValueError as e:
-            raise SchemaError(f"{sidecar}: {e}") from e
+            return schema, seed
+
+        path = Path(path)
+        schema, seed = read_json(sidecar_path(path), parse, SchemaError)
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             rows = [line for line in fh if not line.isspace()]
@@ -226,13 +221,28 @@ class Dataset:
             raise SchemaError(f"{path}: {_bad_line(path, schema) or e}") from e
 
 
-def require(d: dict, key: str, owner: str | None = None):
-    """d[key], or a ValueError naming the missing key and, if given, the
-    entry it is missing from."""
+def require(d: dict, key: str, owner: str | None = None, kind=None):
+    """d[key], or a ValueError naming owner, if given, when d is not a JSON
+    object, lacks key, or holds at key a type other than kind (if given)."""
+    at = f" in {owner}" if owner else ""
+    if type(d) is not dict:
+        raise ValueError(f"{owner or 'the entry'} is not a dict")
     if key not in d:
-        raise ValueError(f"missing key {key!r}"
-                         + (f" in {owner}" if owner else ""))
+        raise ValueError(f"missing key {key!r}{at}")
+    if kind is not None and type(d[key]) is not kind:
+        raise ValueError(f"{key}{at} is not a {kind.__name__}")
     return d[key]
+
+
+def read_json(path: str | Path, parse, error: type = ValueError):
+    """parse(value) of the JSON file at path. A decode error or ValueError
+    from parse is raised again as error (a SchemaError as one), path first."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except ValueError as e:
+        raise (SchemaError if isinstance(e, SchemaError) else error)(
+            f"{path}: {e}") from e
 
 
 def check_integer(name: str, value, least: int | None = None) -> None:

@@ -904,17 +904,21 @@ class TestModelFileChecks:
 
     @pytest.mark.parametrize("nodes, at", [
         ([{**node(0, 1, 2), "threshold": "0.5"}, *LEAVES],
-         "node 0: threshold '0.5' is not a number"),
+         "node 0: threshold must be a real number, got '0.5'"),
         ([{**node(0, 1, 2), "threshold": True}, *LEAVES],
-         "node 0: threshold True is not a number"),
+         "node 0: threshold must be a real number, got True"),
         ([{**node(0, 1, 2), "threshold": None}, *LEAVES],
-         "node 0: threshold None is not a number"),
+         "node 0: threshold must be a real number, got None"),
         ([node(0, 1, 2), LEAVES[0], {**LEAVES[1], "threshold": [0.5]}],
-         "node 2: threshold [0.5] is not a number"),
+         "node 2: threshold must be a real number, got [0.5]"),
+        ([{**node(0, 1, 2), "threshold": 10 ** 400}, *LEAVES],
+         "node 0: threshold must be a real number a float can hold, got an "
+         "integer of 1329 bits"),
     ], ids=["string-threshold", "bool-threshold", "null-threshold",
-            "list-threshold"])
+            "list-threshold", "huge-integer-threshold"])
     def test_threshold_must_be_a_number(self, tmp_path, nodes, at):
-        # "0.5" and true used to load as 0.5 and 1.0, and null as NaN
+        # "0.5" and true used to load as 0.5 and 1.0, and null as NaN; an
+        # integer no float can hold raised a bare OverflowError
         path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
         with pytest.raises(ValueError) as err:
             load_ensemble(path)
@@ -925,11 +929,15 @@ class TestModelFileChecks:
                           [{**node(0, 1, 2), "threshold": 1}, *LEAVES])
         assert load_ensemble(path)[0].trees[0].nodes["threshold"][0] == 1.0
 
-    @pytest.mark.parametrize("names", ["x", "abc", [0], ["x", None],
-                                       {"x": 0}],
-                             ids=["string", "long-string", "number-name",
-                                  "null-name", "object"])
-    def test_feature_names_must_be_a_list_of_strings(self, tmp_path, names):
+    @pytest.mark.parametrize("names, says", [
+        ("x", "feature_names is not a list"),
+        ("abc", "feature_names is not a list"),
+        ([0], "feature_names [0] is not a list of strings"),
+        (["x", None], "feature_names ['x', None] is not a list of strings"),
+        ({"x": 0}, "feature_names is not a list"),
+    ], ids=["string", "long-string", "number-name", "null-name", "object"])
+    def test_feature_names_must_be_a_list_of_strings(self, tmp_path, names,
+                                                      says):
         # "x" used to load as ["x"], and "abc" as three features
         path = model_file(tmp_path / "m.json", [LEAVES[1]])
         payload = json.loads(path.read_text())
@@ -937,8 +945,7 @@ class TestModelFileChecks:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError) as err:
             load_ensemble(path)
-        assert (f"{path}: model 0, feature_names {names!r} is not a list of "
-                "strings") in str(err.value)
+        assert str(err.value) == f"{path}: model 0, {says}"
 
     def test_models_must_be_a_list(self, tmp_path):
         # a dict's keys used to be walked as models
@@ -948,7 +955,7 @@ class TestModelFileChecks:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError) as err:
             load_ensemble(path)
-        assert str(err.value) == f"{path}: models is a dict, not a list"
+        assert str(err.value) == f"{path}: models in the ensemble is not a list"
 
     def test_models_name_one_feature_list(self, tmp_path):
         path = model_file(tmp_path / "m.json", [LEAVES[1]])
@@ -985,8 +992,8 @@ class TestModelFileChecks:
                           [node(0, 1, 2), LEAVES[0], leaf])
         with pytest.raises(ValueError) as err:
             load_ensemble(path)
-        assert (f"{path}: model 0, tree 1: node 2: missing key {key!r}"
-                in str(err.value))
+        assert str(err.value) == \
+            f"{path}: model 0, tree 1: missing key {key!r} in node 2"
 
     @pytest.mark.parametrize("key", ["params", "feature_names", "trees"])
     def test_missing_model_key(self, tmp_path, key):

@@ -5,18 +5,20 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ecoinfer.aggregate import summarize
+from ecoinfer.aggregate import AggregateSpec, summarize
 from ecoinfer.cli import build_parser, main
-from ecoinfer.forest import ForestParams, RandomForest
+from ecoinfer.forest import (ForestParams, RandomForest, load_ensemble,
+                             save_ensemble, train_ensemble)
 from ecoinfer.pipeline import (ExperimentPlan, StageError,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
-from ecoinfer.reconstruct import load_candidates
+from ecoinfer.reconstruct import (generate_candidates, load_candidates,
+                                  save_candidates)
 from ecoinfer.similarity import GREEDY_RANK, match_rows
 from ecoinfer.synth import (builtin_configs, configs_from_json,
                             configs_to_json, generate_ground_truth,
                             with_overrides)
-from ecoinfer.tabular import Dataset, sidecar_path
+from ecoinfer.tabular import Dataset, SchemaError, sidecar_path
 
 from conftest import dataset_from_rows, small_schema
 
@@ -557,7 +559,7 @@ class TestCli:
         if command == "reconstruct":
             path = edited = tmp_path / "spec.json"
             doc = builtin_configs(n=200)[0].to_spec().to_dict()
-            says = f"error [reconstruct]: {says}"
+            says = f"error [reconstruct]: {edited}: {says}"
         else:
             path = tmp_path / "t.csv"
             dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
@@ -779,3 +781,130 @@ class TestCliOutputs:
         assert code == 1
         assert "--repeats must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def json_files(tmp_path):
+    """Each JSON reader's file as its writer left it, with the call that
+    reads it back and the CLI command that reads it."""
+    spec, configs, model = (tmp_path / name for name in
+                            ("spec.json", "configs.json", "model.json"))
+    csv, cands = tmp_path / "t.csv", tmp_path / "cands"
+    builtin_configs(n=200)[0].to_spec().to_json(spec)
+    configs_to_json(builtin_configs(n=200)[:1], configs)
+    data = dataset_from_rows(small_schema(1), [[0, 0], [1, 1], [0, 1],
+                                               [1, 0]])
+    data.to_csv(csv)
+    save_ensemble(train_ensemble([data], ForestParams(n_trees=1)), model)
+    save_candidates(generate_candidates(
+        builtin_configs(n=200)[0].to_spec(), 1, 0.0, base_seed=8), cands)
+    out = str(tmp_path / "out")
+    return {
+        "spec": (spec, lambda: AggregateSpec.from_json(spec),
+                 ["reconstruct", str(spec), "--out", out]),
+        "sidecar": (sidecar_path(csv), lambda: Dataset.from_csv(csv),
+                    ["summarize", str(csv), "--out", out]),
+        "model": (model, lambda: load_ensemble(model),
+                  ["predict", str(model), str(csv)]),
+        "manifest": (cands / "manifest.json", lambda: load_candidates(cands),
+                     None),
+        "configs": (configs, lambda: configs_from_json(configs),
+                    ["synth", "--config", str(configs), "--out", out]),
+    }
+
+
+def put(keys, value):
+    """An edit of a JSON document that sets the entry at keys to value."""
+    def edit(doc):
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        return doc
+    return edit
+
+
+NOT_JSON = "Expecting property name enclosed in double quotes: line 1 " \
+    "column 2 (char 1)"
+
+# (reader, case, edit of its JSON document or None for the text "{oops",
+# what the error says after the path): for each reader a file that is not
+# JSON, a top level that is not an object, a keyed value of the wrong JSON
+# type and a list entry that is not an object (a manifest holds no list of
+# objects that load_candidates reads)
+JSON_READER_CASES = [
+    ("spec", "not-json", None, NOT_JSON),
+    ("spec", "top-level", lambda doc: 7, "the spec is not a dict"),
+    ("spec", "features-object", put(["features"], {"a": {}}),
+     "features in the spec is not a list"),
+    ("spec", "feature-number", put(["features", 0], 5),
+     "feature 5 is not a dict"),
+    ("spec", "name-list", put(["features", 0, "name"], ["PT"]),
+     "name in feature {'kind': 'binary', 'name': ['PT'], "
+     "'occurrence_fraction': 0.6, 'odds_ratio': 2} is not a str"),
+    ("sidecar", "not-json", None, NOT_JSON),
+    ("sidecar", "top-level", lambda doc: [1], "the sidecar is not a dict"),
+    ("sidecar", "schema-number", put(["schema"], 5),
+     "the schema is not a dict"),
+    ("sidecar", "feature-string", put(["schema", "features"], ["name"]),
+     "feature name is not a dict"),
+    ("model", "not-json", None, NOT_JSON),
+    ("model", "top-level", lambda doc: [1, 2], "the ensemble is not a dict"),
+    ("model", "models-number", put(["models"], 5),
+     "models in the ensemble is not a list"),
+    ("model", "params-number", put(["models", 0, "params"], 3),
+     "model 0, params is not a dict"),
+    ("model", "trees-object", put(["models", 0, "trees"], {}),
+     "model 0, trees is not a list"),
+    ("model", "node-number", put(["models", 0, "trees", 0, "nodes", 0], 5),
+     "model 0, tree 0: node 0 is not a dict"),
+    ("manifest", "not-json", None, NOT_JSON),
+    ("manifest", "top-level", lambda doc: [1], "the manifest is not a dict"),
+    ("manifest", "delta-string", put(["delta"], "x"),
+     "delta must be a real number, got 'x'"),
+    ("configs", "not-json", None, NOT_JSON),
+    ("configs", "top-level", lambda doc: 7, "config 0 is not a dict"),
+    ("configs", "seed-string", put([0, "seed"], "x"),
+     "seed must be an integer, got 'x'"),
+    ("configs", "config-number", lambda doc: [5], "config 0 is not a dict"),
+    ("configs", "missing-field",
+     lambda doc: [{k: v for k, v in doc[0].items() if k != "pt_or"}],
+     "missing key 'pt_or' in config 0"),
+    ("configs", "unknown-field", put([0, "bogus"], 1),
+     "unknown keys ['bogus'] in config 0"),
+]
+
+
+class TestJsonReaders:
+    """Every JSON reader names its file first, then the key or entry at
+    fault, as a ValueError (a SchemaError for a CSV's sidecar)."""
+
+    @pytest.mark.parametrize("reader, edit, says",
+                             [c[:1] + c[2:] for c in JSON_READER_CASES],
+                             ids=[f"{c[0]}-{c[1]}" for c in JSON_READER_CASES])
+    def test_the_path_comes_first(self, tmp_path, reader, edit, says):
+        path, read, _ = json_files(tmp_path)[reader]
+        path.write_text("{oops" if edit is None
+                        else json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == f"{path}: {says}"
+        assert isinstance(err.value, SchemaError) == (reader == "sidecar")
+
+    @pytest.mark.parametrize("reader, says", [
+        ("spec", "the spec is not a dict"),
+        ("sidecar", "the sidecar is not a dict"),
+        ("model", "the ensemble is not a dict"),
+        ("configs", "config 0 is not a dict"),
+        ("experiment", "the spec is not a dict"),
+    ])
+    def test_cli_exits_1_naming_the_file(self, tmp_path, capsys, reader,
+                                         says):
+        path, _, command = json_files(tmp_path)[
+            "spec" if reader == "experiment" else reader]
+        if reader == "experiment":
+            command = ["experiment", "--spec", str(path), "--out",
+                       str(tmp_path / "out")]
+        path.write_text("[5]")
+        assert main(command) == 1
+        assert capsys.readouterr().err == \
+            f"error [{command[0]}]: {path}: {says}\n"

@@ -150,7 +150,7 @@ def test_spec_json_round_trip(r1, o, f, mean, sd):
         if spec is None:
             with pytest.raises(ValueError) as err:
                 AggregateSpec.from_json(path)
-            assert str(err.value) == refused
+            assert str(err.value) == f"{path}: {refused}"
             return
         spec.to_json(saved)
         assert saved.read_bytes() == path.read_bytes()

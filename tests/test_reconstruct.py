@@ -539,8 +539,9 @@ class TestGenerateCandidates:
         doc = json.loads(manifest.read_text())
         del doc[key]
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"^missing key '{key}' in "
-                                             f"{re.escape(str(manifest))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: "
+                                             f"missing key '{key}' in the "
+                                             "manifest$"):
             load_candidates(tmp_path / "cands")
 
     @pytest.mark.parametrize("key, value, says", [

@@ -330,8 +330,8 @@ class TestCsvErrors:
         sidecar = self.with_sidecar(path, "features", features)
         with pytest.raises(SchemaError) as err:
             Dataset.from_csv(path)
-        assert str(err.value) == (f"{sidecar}: features in the schema must "
-                                  f"be a list, got {features!r}")
+        assert str(err.value) == f"{sidecar}: features in the schema is " \
+            "not a list"
 
 
 class TestDistinctRows:
