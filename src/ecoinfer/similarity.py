@@ -4,8 +4,10 @@ Both datasets are min-max normalized jointly (per-attribute min/max over
 their concatenation) so the distances are comparable. Row pairing is either
 the cheap greedy rank-sum heuristic (sort rows by the sum of normalized
 attribute values and pair by rank), the exact minimum-cost bipartite
-assignment (identical rows paired in place, the rows left over solved with
-scipy's linear_sum_assignment), or the identity pairing.
+assignment, or the identity pairing. The exact assignment pairs identical
+rows in place and solves the rows left over: as a small transportation
+problem in numpy when they are 0/1 rows with few distinct values, else with
+scipy's linear_sum_assignment, the only use of scipy in the package.
 """
 
 from __future__ import annotations
@@ -25,6 +27,17 @@ _ZERO_TOL = 1e-12
 
 # Elements of one block of the distinct-row cost tensor (8 MB of float64).
 _COST_BLOCK = 1 << 20
+
+# Most distinct rows per side of the 0/1 rows left over that exact matching
+# solves as a transportation problem. Its worst case is every leftover row
+# distinct. On random 0/1 rows (2 vCPU, numpy 2.4, scipy 1.17) that took
+# 1-8 ms up to 128 distinct rows per side, against 0.4-3 ms for a warm
+# linear_sum_assignment, whose import costs 0.22-0.27 s and +49 MB RSS; at
+# 400-600 it took 18-52 ms, against 13-31 ms, and its P x Q tables grow as
+# the square. Repeated rows favour it: config 1's binary columns at
+# N=10**6 leave 1,359 rows of 15 and 17 distinct ones, solved in 0.6-0.9 ms
+# instead of 16-18 ms.
+_TRANSPORT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -107,9 +120,14 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
     greedy_rank sorts both datasets by per-row attribute sums (ties broken
     by original row index) and pairs by rank. exact_assignment pairs rows
     that have an identical partner in place and solves the minimum-total-
-    distance assignment of the r rows left over (O(r^3) time, r x r floats;
-    config 1 at N=10,000 leaves r = 167 on its binary columns, 1,886 on
-    all). identity pairs row i with row i.
+    distance assignment of the r rows left over. When every leftover cell
+    is 0 or 1 and each side holds at most _TRANSPORT_ROWS distinct leftover
+    rows, that is a transportation problem between the distinct rows, solved
+    in numpy (config 1 at N=10,000 leaves r = 167 rows of 16 and 15 distinct
+    ones on its binary columns); otherwise linear_sum_assignment solves it
+    (O(r^3) time, r x r floats; r = 1,886 on all of config 1's columns).
+    On 0/1 rows every optimum has the same total and zero count, bit for
+    bit, so either solver reports the same. identity pairs row i with row i.
     """
     if method not in METHODS:
         raise ValueError(f"unknown matching method {method!r}")
@@ -160,7 +178,9 @@ def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """A minimum-total-distance permutation. The row distance is an L1
     metric, so some optimum pairs min(count_a(v), count_b(v)) rows in place
     at every distinct row v: the k-th row of na holding v (in row order)
-    gets the k-th row of nb holding v. Only the rows left over are solved.
+    gets the k-th row of nb holding v. Only the rows left over are solved:
+    as a transportation problem between their distinct rows when those are
+    0/1 and few (_binary_transport), else by linear_sum_assignment.
     """
     n = len(na)
     key = distinct_rows(list(np.vstack([na, nb]).T))[1]
@@ -171,12 +191,99 @@ def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     perm[ia] = ib
     ra = np.setdiff1d(np.arange(n), ia, assume_unique=True)
     if len(ra):
-        # Local: scipy.optimize costs about 0.5 s to import.
-        from scipy.optimize import linear_sum_assignment
         rb = np.setdiff1d(np.arange(n), ib, assume_unique=True)
-        rows, cols = linear_sum_assignment(_exact_cost(na[ra], nb[rb]))
+        la, lb = na[ra], nb[rb]
+        pairs = _binary_transport(la, lb, key[ra], key[n + rb])
+        if pairs is None:
+            # Local: importing scipy.optimize costs 0.22-0.27 s, +49 MB RSS.
+            from scipy.optimize import linear_sum_assignment
+            pairs = linear_sum_assignment(_exact_cost(la, lb))
+        rows, cols = pairs
         perm[ra[rows]] = rb[cols]
     return perm
+
+
+def _binary_transport(la: np.ndarray, lb: np.ndarray, ka: np.ndarray,
+                      kb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Minimum-total-distance pairs (rows of la, rows of lb) of two equal
+    sets of normalized rows with distinct-row keys ka and kb, or None unless
+    every cell is 0 or 1 and each side has at most _TRANSPORT_ROWS distinct
+    rows. Then the cost of a pairing depends only on how many rows of each
+    distinct row of la go to each of lb, so a minimum-cost transportation
+    plan between the distinct rows, with the mismatch count as cost, gives
+    one: the k-th row of la's distinct row p (in row order) pairs with the
+    next unused row of the distinct row of lb it is sent to. Every cost is
+    a whole mismatch count over m, so every optimum has the same total and
+    zero count, bit for bit, as linear_sum_assignment's.
+    """
+    (_, fa, pa, supply), (_, fb, pb, demand) = (
+        np.unique(k, return_index=True, return_inverse=True,
+                  return_counts=True) for k in (ka, kb))
+    if max(len(fa), len(fb)) > _TRANSPORT_ROWS:
+        return None
+    ua, ub = la[fa], lb[fb]
+    if not all(((u == 0) | (u == 1)).all() for u in (ua, ub)):
+        return None
+    # mismatches of 0/1 rows, exact in float64 for any column count
+    flow = _transport(supply, demand, ua @ (1 - ub).T + (1 - ua) @ ub.T)
+    target = np.repeat(np.tile(np.arange(len(fb)), len(fa)), flow.ravel())
+    rows = np.argsort(pa, kind="stable")[np.argsort(target, kind="stable")]
+    return rows, np.argsort(pb, kind="stable")
+
+
+def _transport(supply: np.ndarray, demand: np.ndarray,
+               cost: np.ndarray) -> np.ndarray:
+    """A minimum-cost P x Q integer flow plan that ships supply[p] units out
+    of every p and demand[q] into every q (equal totals) under a whole-number
+    cost table, by successive shortest paths (Ahuja, Magnanti and Orlin,
+    Network Flows, 1993, section 9.7). Each round finds a tree of cheapest
+    paths from the p with supply left, through forward arcs p -> q at
+    cost[p, q] and backward arcs q -> p at -cost[p, q] where flow[p, q] > 0,
+    by Bellman-Ford over the dense tables. Then it sends as much as it can
+    along the tree's path to each q with demand left, in turn. Under the
+    tree's distances every residual arc has a reduced cost >= 0 and every
+    tree arc 0, and sending along a path keeps both, so each path is still
+    a cheapest one when its turn comes, or carries nothing. So the plan
+    stays optimal for what it ships, and no cycle is ever negative.
+    """
+    n_p, n_q = cost.shape
+    supply, demand = supply.copy(), demand.copy()
+    flow = np.zeros((n_p, n_q), dtype=np.int64)
+    ps, qs = np.arange(n_p), np.arange(n_q)
+    while supply.any():
+        back = np.where(flow > 0, -cost, np.inf)
+        dp = np.where(supply > 0, 0.0, np.inf)
+        dq = np.full(n_q, np.inf)
+        via_q = np.full(n_p, -1)  # -1: the path starts at p
+        via_p = np.empty(n_q, dtype=np.int64)
+        # only arcs out of a node whose distance fell need relaxing again
+        fell = np.flatnonzero(supply)
+        while len(fell):
+            reach = dp[fell, None] + cost[fell]
+            at = reach.argmin(axis=0)
+            d = reach[at, qs]
+            fell_q = np.flatnonzero(d < dq)
+            if not len(fell_q):
+                break
+            dq[fell_q], via_p[fell_q] = d[fell_q], fell[at[fell_q]]
+            reach = dq[fell_q] + back[:, fell_q]
+            at = reach.argmin(axis=1)
+            d = reach[ps, at]
+            fell = np.flatnonzero(d < dp)
+            dp[fell], via_q[fell] = d[fell], fell_q[at[fell]]
+        for end in np.flatnonzero(demand):
+            # p_path[i] -> q_path[i] forward, q_path[i + 1] -> p_path[i] back
+            p_path, q_path = [via_p[end]], [end]
+            while via_q[p_path[-1]] >= 0:
+                q_path.append(via_q[p_path[-1]])
+                p_path.append(via_p[q_path[-1]])
+            amount = min(demand[end], supply[p_path[-1]],
+                         *flow[p_path[:-1], q_path[1:]])
+            supply[p_path[-1]] -= amount
+            demand[end] -= amount
+            flow[p_path, q_path] += amount
+            flow[p_path[:-1], q_path[1:]] -= amount
+    return flow
 
 
 def _occurrence_codes(key: np.ndarray) -> np.ndarray:

@@ -57,22 +57,46 @@ class GroundTruthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.to_spec()  # the spec checks every statistic and n
+        try:
+            self.to_spec()  # the spec checks every statistic and n
+        except ValueError as e:
+            # the spec's message starts with the statistic's name
+            statistic, says = str(e).split(" ", 1)
+            raise ValueError(f"{_SPEC_FIELDS[statistic]} {says}") from None
         check_integer("seed", self.seed, least=0)  # numpy's seed rule
 
     def to_spec(self) -> AggregateSpec:
+        v = {statistic: getattr(self, name)
+             for statistic, name in _SPEC_FIELDS.items()}
+        schema = atc_schema()
         return AggregateSpec(
-            schema=atc_schema(),
-            n=self.n,
-            class_fraction=self.doa_fraction,
-            binary={
-                "Gender": BinaryStat(self.gender_or, self.gender_fraction),
-                "PT": BinaryStat(self.pt_or, self.pt_fraction),
-                "PTT": BinaryStat(self.ptt_or, self.ptt_fraction),
-                "Platelet": BinaryStat(self.plate_or, self.plate_fraction),
-            },
-            continuous={"Age": ContinuousStat(self.age_mean, self.age_sd)},
+            schema=schema,
+            n=v["n"],
+            class_fraction=v["class_fraction"],
+            binary={f: BinaryStat(v[f"odds_ratio[{f}]"],
+                                  v[f"occurrence_fraction[{f}]"])
+                    for f in schema.binary_feature_names},
+            continuous={f: ContinuousStat(v[f"mean[{f}]"], v[f"stddev[{f}]"])
+                        for f in schema.continuous_feature_names},
         )
+
+
+# Each AggregateSpec statistic, named as the spec names it, and the
+# GroundTruthConfig field that sets it.
+_SPEC_FIELDS = {
+    "n": "n",
+    "class_fraction": "doa_fraction",
+    "odds_ratio[Gender]": "gender_or",
+    "occurrence_fraction[Gender]": "gender_fraction",
+    "odds_ratio[PT]": "pt_or",
+    "occurrence_fraction[PT]": "pt_fraction",
+    "odds_ratio[PTT]": "ptt_or",
+    "occurrence_fraction[PTT]": "ptt_fraction",
+    "odds_ratio[Platelet]": "plate_or",
+    "occurrence_fraction[Platelet]": "plate_fraction",
+    "mean[Age]": "age_mean",
+    "stddev[Age]": "age_sd",
+}
 
 
 # (gender_or, gender_fraction, pt_or, pt_fraction, ptt_or, ptt_fraction,
@@ -108,14 +132,18 @@ def configs_to_json(configs: list[GroundTruthConfig], path: str | Path) -> None:
 
 def configs_from_json(path: str | Path) -> list[GroundTruthConfig]:
     """configs_to_json's list, or one config object. An entry that is not an
-    object, lacks a field or has an unknown one raises ValueError naming it."""
+    object, lacks a field, has an unknown one or holds a value its field
+    refuses raises ValueError naming it."""
     def config(i: int, d: dict) -> GroundTruthConfig:
         for f in fields(GroundTruthConfig):
             if f.default is MISSING:
                 require(d, f.name, f"config {i}")
         if unknown := set(d) - {f.name for f in fields(GroundTruthConfig)}:
             raise ValueError(f"unknown keys {sorted(unknown)} in config {i}")
-        return GroundTruthConfig(**d)
+        try:
+            return GroundTruthConfig(**d)
+        except ValueError as e:
+            raise ValueError(f"config {i}: {e}") from None
 
     return read_json(path, lambda data: [config(i, d) for i, d in enumerate(
         data if type(data) is list else [data])])

@@ -864,7 +864,9 @@ JSON_READER_CASES = [
     ("configs", "not-json", None, NOT_JSON),
     ("configs", "top-level", lambda doc: 7, "config 0 is not a dict"),
     ("configs", "seed-string", put([0, "seed"], "x"),
-     "seed must be an integer, got 'x'"),
+     "config 0: seed must be an integer, got 'x'"),
+    ("configs", "statistic-string", put([0, "gender_or"], "x"),
+     "config 0: gender_or must be a real number, got 'x'"),
     ("configs", "config-number", lambda doc: [5], "config 0 is not a dict"),
     ("configs", "missing-field",
      lambda doc: [{k: v for k, v in doc[0].items() if k != "pt_or"}],

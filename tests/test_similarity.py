@@ -201,7 +201,7 @@ class TestExactAssignmentFromDistinctRows:
     n x n x m tensor it no longer builds, reach the total that
     linear_sum_assignment reaches on it, pair every row that has an
     identical partner in place, and return linear_sum_assignment's own
-    permutation when no row has one."""
+    permutation when no row has one and some cell is not 0 or 1."""
 
     @staticmethod
     def dense_cost(na, nb):
@@ -233,7 +233,8 @@ class TestExactAssignmentFromDistinctRows:
                                                      rel=1e-12, abs=1e-12)
             pairs = in_place_pairs(na, nb)
             assert all(m.permutation[i] == j for i, j in pairs.items())
-            if not pairs:
+            # on 0/1 rows the transportation solver may pick another optimum
+            if not pairs and not np.isin(np.vstack([na, nb]), (0, 1)).all():
                 assert np.array_equal(m.permutation[rows], cols)
 
     def test_memory_is_a_few_n_by_n_matrices(self):
@@ -316,6 +317,89 @@ class TestExactFromRowsLeftOver:
             tracemalloc.stop()
         assert sorted(m.permutation) == list(range(truth.n_rows))
         assert peak < limit_mb * 1e6
+
+
+class TestExactOnZeroOneRows:
+    """0/1 rows left over are solved as a transportation problem between
+    their distinct rows, to the same numbers as linear_sum_assignment."""
+
+    @staticmethod
+    def zero_one_pair(rng, n_rows, case):
+        """Two datasets whose every column is 0/1: binary features, a
+        two-valued continuous one (levels=2) and the outcome."""
+        n_binary = int(rng.integers(0, 5))
+        a, b = mixed_pair(rng, n_rows, n_binary, int(rng.integers(0, 2)),
+                          levels=2)
+        if case == "constant":
+            cols = [{n: d.column(n) for n in d.schema.column_names}
+                    for d in (a, b)]
+            for c in cols:
+                c["y"] = np.ones(n_rows, dtype=np.int64)
+            a, b = (Dataset(a.schema, c) for c in cols)
+        elif case == "identical":
+            a = a.take(np.zeros(n_rows, dtype=np.int64))
+        return a, b
+
+    @pytest.mark.parametrize("case, seed", [
+        ("random", 61), ("constant", 62), ("identical", 63),
+        ("one-column", 64)], ids=["random", "constant", "identical",
+                                  "one-column"])
+    def test_same_numbers_as_linear_sum_assignment(self, monkeypatch, case,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            n_rows = int(rng.integers(1, 151))
+            a, b = self.zero_one_pair(rng, n_rows, case)
+            subset = ["y"] if case == "one-column" else None
+            with monkeypatch.context() as patch:
+                patch.setattr(similarity_module, "_exact_cost", None)
+                m = match_rows(a, b, EXACT_ASSIGNMENT, subset)
+            with monkeypatch.context() as patch:
+                patch.setattr(similarity_module, "_TRANSPORT_ROWS", 0)
+                ref = match_rows(a, b, EXACT_ASSIGNMENT, subset)
+            assert (m.total_distance, m.average_distance, m.exact_match) \
+                == (ref.total_distance, ref.average_distance, ref.exact_match)
+            assert sorted(m.permutation) == list(range(n_rows))
+            na, nb = joint_normalize(a, b, subset)
+            pairs = in_place_pairs(na, nb)
+            assert all(m.permutation[i] == j for i, j in pairs.items())
+
+    def test_transport_plan_is_optimal_for_any_whole_costs(self):
+        # checked against the row-by-row assignment it stands for
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            n_p, n_q = (int(k) for k in rng.integers(1, 12, 2))
+            total = int(rng.integers(max(n_p, n_q), 40))
+            supply, demand = (
+                np.bincount(np.r_[np.arange(k), rng.integers(0, k, total - k)])
+                for k in (n_p, n_q))
+            cost = rng.integers(0, 9, (n_p, n_q)).astype(float)
+            flow = similarity_module._transport(supply, demand, cost)
+            assert (flow >= 0).all()
+            assert np.array_equal(flow.sum(axis=1), supply)
+            assert np.array_equal(flow.sum(axis=0), demand)
+            rows = cost[np.repeat(np.arange(n_p), supply)][
+                :, np.repeat(np.arange(n_q), demand)]
+            assert (flow * cost).sum() \
+                == rows[linear_sum_assignment(rows)].sum()
+
+    def test_many_distinct_rows_go_to_linear_sum_assignment(self,
+                                                            monkeypatch):
+        # 10 0/1 columns leave far more than _TRANSPORT_ROWS distinct rows
+        a, b = mixed_pair(np.random.default_rng(67), 2000, 9, 0)
+        solved = []  # a call of _exact_cost marks the assignment path
+        exact_cost = similarity_module._exact_cost
+        monkeypatch.setattr(similarity_module, "_exact_cost",
+                            lambda na, nb: solved.append(1)
+                            or exact_cost(na, nb))
+        m = match_rows(a, b, EXACT_ASSIGNMENT)
+        assert len(solved) == 1
+        monkeypatch.setattr(similarity_module, "_TRANSPORT_ROWS", 10**9)
+        transport = match_rows(a, b, EXACT_ASSIGNMENT)
+        assert len(solved) == 1
+        assert (m.total_distance, m.exact_match) \
+            == (transport.total_distance, transport.exact_match)
+        assert sorted(m.permutation) == list(range(2000))
 
 
 @pytest.fixture(scope="module")

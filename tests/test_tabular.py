@@ -570,7 +570,7 @@ REALS = {
         "stddev[Age]", "[0, inf)", math.inf, [0.5, 0, 19],
         lambda v: mixed_spec(stddev=v)),
     "GroundTruthConfig.gender_or": (
-        "odds_ratio[Gender]", "(0, inf)", 0, [0.5, 2],
+        "gender_or", "(0, inf)", 0, [0.5, 2],
         lambda v: config_1(gender_or=v)),
     "solve_cells.o": (
         "o", "(0, inf)", 0.0, [0.5, 2],
@@ -630,10 +630,10 @@ class TestCheckReal:
 
     def test_override_too_large_for_a_float_is_named(self):
         # it used to build, and reconstruct then raised a bare
-        # OverflowError; the config's gender_or is the spec's
-        # odds_ratio[Gender]
-        with pytest.raises(ValueError, match=re.escape(
-                "odds_ratio[Gender] must be a real number a float can hold")):
+        # OverflowError; the spec's odds_ratio[Gender] is named by the
+        # config field that sets it
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "gender_or must be a real number a float can hold")):
             with_overrides(builtin_configs(n=200)[0], gender_or=10**400)
 
     def test_numpy_scalars_are_written_as_plain_numbers(self):
