@@ -10,7 +10,9 @@ positive.
 Every tree of an ensemble grows in lockstep (_Lockstep), one node per tree
 per step, a step costing a fixed number of numpy calls. Each tree draws its
 feature subsets a block at a time, as per-node ``Generator.choice`` calls
-would, so it is node for node the tree grown alone, depth-first.
+would, so it is node for node the tree grown alone, depth-first. A forest
+predicts by walking all its trees together (RandomForest.predict), in
+blocks of at most _WALK_BLOCK (tree, row) entries.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
 SUBSET_BLOCK = 128  # feature subsets a tree draws from its generator at once
 # (pattern, candidate feature) entries a training step scores at once
 _STEP_BLOCK = 1 << 15
+_WALK_BLOCK = 1 << 16  # (tree, row) entries a forest's prediction walks at once
 
 
 @dataclass(frozen=True)
@@ -61,21 +64,6 @@ class DecisionTree:
 
     def __init__(self, nodes: np.ndarray):
         self.nodes = nodes
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        nodes = self.nodes
-        feat, thr = nodes["feature"], nodes["threshold"]
-        left, right = nodes["left"], nodes["right"]
-        cur = np.zeros(len(X), dtype=np.int64)
-        while True:
-            internal = feat[cur] >= 0
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            f = feat[cur[rows]]
-            go_left = X[rows, f] <= thr[cur[rows]]
-            cur[rows] = np.where(go_left, left[cur[rows]], right[cur[rows]])
-        return nodes["pred"][cur]
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
@@ -225,7 +213,7 @@ class _Lockstep:
                 rng = np.random.default_rng(s)
                 w = np.bincount(inverse[rng.integers(0, len(y), size=len(y))],
                                 minlength=len(rep))
-                pats = np.flatnonzero(w)
+                pats = np.flatnonzero(w > 0)
                 self.rngs.append(rng)
                 roots.append(np.column_stack([pats, w[pats]]).astype(np.int32))
                 weights.append((w.sum(), w[~negative].sum()))
@@ -317,7 +305,7 @@ class _Lockstep:
         del key, pats, weights
         pos = hist[0::2]
         total = pos + hist[1::2]
-        present = total.nonzero()[0]
+        present = np.flatnonzero(total != 0)
         pair = np.searchsorted(hist_at, present, side="right") - 1
         n_present = np.bincount(pair, minlength=len(pair_col))
         code = present - hist_at[pair]
@@ -494,7 +482,39 @@ class RandomForest:
         self.feature_names = feature_names
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return majority_vote([tree.predict(X) for tree in self.trees])
+        """The trees' majority vote on each row of X, a column per feature
+        (read in place if column-major). All trees walk at once, in blocks of
+        _WALK_BLOCK (tree, row) entries; a row still on an internal node
+        after as many levels as the largest tree has nodes (a cycle) raises
+        ValueError naming the tree."""
+        X, d = np.asarray(X), len(self.feature_names)
+        if X.ndim != 2 or X.shape[1] != d:
+            raise ValueError(f"X has shape {X.shape}; the forest's {d} "
+                             f"features need (rows, {d})")
+        n, nodes = len(X), np.concatenate([t.nodes for t in self.trees])
+        sizes = np.array([len(t.nodes) for t in self.trees])
+        roots, leaf, Xf = _starts(sizes), nodes["feature"] < 0, X.ravel("F")
+        # per node of every tree: its column's first cell in Xf, and its
+        # children (right, left); a leaf's are itself, so its -1 is moot
+        col = np.where(leaf, -1, nodes["feature"] * n)
+        child = np.where(leaf[:, None], np.arange(len(nodes))[:, None],
+                         np.column_stack([nodes["right"], nodes["left"]])
+                         + np.repeat(roots, sizes)[:, None]).ravel()
+        labels, step = np.empty(n, np.int64), max(1, _WALK_BLOCK // len(sizes))
+        for a in range(0, n, step):
+            rows = np.arange(a, min(a + step, n))
+            cur, row = np.repeat(roots, len(rows)), np.tile(rows, len(sizes))
+            for _ in range(sizes.max() + 1):
+                if (at := col[cur]).max() < 0:
+                    break
+                cur = child[2 * cur + (Xf[at + row] <= nodes["threshold"][cur])]
+            else:
+                raise ValueError(f"tree {np.argmax(at >= 0) // len(rows)}: "
+                                 "its nodes form a cycle (a row is on an "
+                                 f"internal node after {sizes.max()} levels)")
+            labels[a:a + step] = majority_vote(
+                nodes["pred"][cur].reshape(len(sizes), -1))
+        return labels
 
     def to_dict(self) -> dict:
         return {"params": asdict(self.params),
@@ -527,10 +547,9 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForest:
     return train_ensemble([data], params)[0]
 
 
-def majority_vote(labels) -> np.ndarray:
-    """Per-row majority of a (voters, rows) label matrix, or of a list of
-    equal-length label arrays; ties go to the positive (dead) class."""
-    labels = np.asarray(labels)
+def majority_vote(labels: np.ndarray) -> np.ndarray:
+    """Per-row majority of a (voters, rows) label matrix; ties go to the
+    positive (dead) class."""
     positive = (labels == POSITIVE_CLASS).sum(axis=0)
     return np.where(2 * positive >= len(labels), POSITIVE_CLASS,
                     1 - POSITIVE_CLASS)
@@ -597,7 +616,7 @@ def ensemble_labels(forests: list[RandomForest], data: Dataset) -> np.ndarray:
     columns = [data.column(name) for name in names]
     # with no features every row is the one empty row
     rep, inverse = distinct_rows(columns or [np.zeros(data.n_rows, np.int8)])
-    X = np.empty((len(rep), len(columns)))
+    X = np.empty((len(rep), len(columns)), order="F")  # predict's layout
     for j, column in enumerate(columns):
         X[:, j] = column[rep]
     return np.stack([forest.predict(X) for forest in forests])[:, inverse]

@@ -1033,3 +1033,144 @@ class TestModelFileChecks:
         assert done.returncode == 1
         assert "model 0, tree 0: node 0:" in done.stderr
         assert done.stdout == ""
+
+
+# feature values and thresholds: +-inf, both zeros, and values that rows
+# hold exactly, so some rows sit on a threshold (and go left)
+WALK_VALUES = [-math.inf, -2.5, -0.0, 0.0, 0.5, 1.0, 7.25, math.inf]
+
+
+def random_tree(rng, d):
+    """A random tree on d features (a leaf if d is 0) whose nodes sit in a
+    random order that puts every child after its parent: the layouts
+    _walk_problem accepts, preorder or not."""
+    depth, kids, i = [0], {}, 0
+    while i < len(depth):
+        if d and depth[i] < 6 and rng.random() < 0.8 ** (depth[i] + 1):
+            kids[i] = (len(depth), len(depth) + 1)
+            depth += [depth[i] + 1] * 2
+        i += 1
+    order, ready = [], [0]
+    while ready:
+        order.append(ready.pop(rng.integers(len(ready))))
+        ready += kids.get(order[-1], ())
+    at = np.empty(len(order), np.int64)
+    at[order] = np.arange(len(order))
+    nodes = np.zeros(len(order), NODE_DTYPE)
+    for i, row in enumerate(at):
+        if i in kids:
+            nodes[row] = (rng.integers(d), rng.choice(WALK_VALUES),
+                          *at[list(kids[i])], (0, 0), 1)
+        else:
+            nodes[row] = (-1, 0.0, -1, -1, (1, 1), rng.integers(2))
+    assert forest_module._walk_problem(nodes, d) is None
+    return DecisionTree(nodes)
+
+
+def random_forest(rng, n_trees, names):
+    return RandomForest(ForestParams(n_trees=n_trees),
+                        [random_tree(rng, len(names)) for _ in range(n_trees)],
+                        list(names))
+
+
+def node_by_node(forest, X):
+    """The oracle: each tree walks each row one node at a time, and the
+    trees vote, ties toward the positive class 0."""
+    trees = [[tree.nodes[k].tolist() for k in
+              ("feature", "threshold", "left", "right", "pred")]
+             for tree in forest.trees]
+    labels = []
+    for x in X.tolist():
+        positive = 0
+        for feature, threshold, left, right, pred in trees:
+            i = 0
+            while feature[i] >= 0:
+                i = left[i] if x[feature[i]] <= threshold[i] else right[i]
+            positive += pred[i] == 0  # the positive (dead) class
+        labels.append(0 if 2 * positive >= len(trees) else 1)
+    return np.array(labels, dtype=np.int64)
+
+
+class TestBlockedWalk:
+    """A forest walks all its trees at once, in blocks of _WALK_BLOCK
+    (tree, row) entries, and labels every row as a node-by-node walk of each
+    tree would."""
+
+    @pytest.mark.parametrize("n_trees", [1, 10, 50])
+    @pytest.mark.parametrize("past", [-1, 0, 1],
+                             ids=["block-less-one", "block", "block-plus-one"])
+    def test_same_labels_as_node_by_node(self, n_trees, past):
+        rng = np.random.default_rng([n_trees, past + 1])
+        forest = random_forest(rng, n_trees, ("a", "b", "c"))
+        n = forest_module._WALK_BLOCK // n_trees + past
+        X = np.where(rng.random((n, 3)) < 0.7, rng.choice(WALK_VALUES, (n, 3)),
+                     rng.normal(0, 3, (n, 3)))
+        expected = node_by_node(forest, X)
+        assert np.array_equal(forest.predict(X), expected)
+        assert np.array_equal(forest.predict(np.asfortranarray(X)), expected)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_no_features(self, n):
+        forest = random_forest(np.random.default_rng(n), 10, ())
+        X = np.empty((n, 0))
+        assert np.array_equal(forest.predict(X), node_by_node(forest, X))
+
+    def test_ensemble_labels_are_the_stacked_walks(self):
+        rng = np.random.default_rng(37)
+        names = ("b", "u", "v")
+        forests = [random_forest(rng, t, names) for t in (1, 4, 9)]
+        finite = [v for v in WALK_VALUES if np.isfinite(v)]
+        n = 500
+        schema = Schema(features=(FeatureSpec("b"),
+                                  FeatureSpec("u", CONTINUOUS),
+                                  FeatureSpec("v", CONTINUOUS)),
+                        outcome=FeatureSpec("Dead"))
+        data = Dataset(schema, {"b": rng.integers(0, 2, n),
+                                "u": rng.choice(finite, n),
+                                "v": rng.choice(finite + [3.3, -4.1], n),
+                                "Dead": rng.integers(0, 2, n)})
+        X = np.column_stack([data.column(name) for name in names])
+        assert np.array_equal(ensemble_labels(forests, data),
+                              [node_by_node(forest, X) for forest in forests])
+
+    @pytest.mark.parametrize("cycle", [
+        [node(0, 0, 0)],
+        [node(0, 1, 1), node(0, 0, 0)]], ids=["self-loop", "two-node"])
+    def test_a_cycle_raises_naming_its_tree(self, cycle):
+        # a forest built directly, without load_ensemble's checks, used to
+        # walk a cyclic node table forever
+        tree = DecisionTree.from_dict({"nodes": cycle})
+        forest = RandomForest(ForestParams(n_trees=2),
+                              [constant_tree(1), tree], ["x"])
+        with pytest.raises(ValueError, match=re.escape(
+                f"tree 1: its nodes form a cycle (a row is on an internal "
+                f"node after {len(cycle)} levels)")):
+            forest.predict(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (2, 2, 2)])
+    def test_x_must_have_a_column_per_feature(self, shape):
+        # a wider X used to be read from its first columns, and a 1-D one
+        # raised IndexError at the first split
+        forest = constant_forest(1, ("x", "z"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"X has shape {shape}; the forest's 2 features need "
+                "(rows, 2)")):
+            forest.predict(np.zeros(shape))
+
+    def test_blocks_bound_the_walk_memory(self):
+        # an unblocked walk of 50 trees over 200,000 rows holds 80 MB in
+        # each (tree, row) int64 array; the blocked one peaks near 5.4 MB
+        rng = np.random.default_rng(31)
+        train = continuous_dataset({f"c{j}": rng.normal(0, 1, 2000)
+                                    for j in range(4)},
+                                   rng.integers(0, 2, 2000))
+        forest = train_forest(train, ForestParams(n_trees=50))
+        X = np.asfortranarray(rng.normal(0, 1, (200_000, 4)))
+        tracemalloc.start()
+        try:
+            labels = forest.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == len(X)
+        assert peak < 10 * 2 ** 20
