@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .tabular import (Dataset, SchemaError, check_integer, check_real,
-                      distinct_rows, plain_number, read_json, require)
+                      distinct_rows, plain_number, read_json, require,
+                      write_new)
 
 POSITIVE_CLASS = 0  # dead / abnormal
 MAX_THRESHOLDS = 32  # continuous-feature split candidates per node
@@ -484,16 +485,22 @@ class RandomForest:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The trees' majority vote on each row of X, a column per feature
         (read in place if column-major). All trees walk at once, in blocks of
-        _WALK_BLOCK (tree, row) entries; a row still on an internal node
-        after as many levels as the largest tree has nodes (a cycle) raises
-        ValueError naming the tree."""
+        _WALK_BLOCK (tree, row) entries. An X that is not (rows, features),
+        a forest with no trees, or trees it could not walk to 0/1 labels
+        (see _walk_problem, whose message names the tree and node) raise
+        ValueError."""
         X, d = np.asarray(X), len(self.feature_names)
         if X.ndim != 2 or X.shape[1] != d:
             raise ValueError(f"X has shape {X.shape}; the forest's {d} "
                              f"features need (rows, {d})")
-        n, nodes = len(X), np.concatenate([t.nodes for t in self.trees])
-        sizes = np.array([len(t.nodes) for t in self.trees])
-        roots, leaf, Xf = _starts(sizes), nodes["feature"] < 0, X.ravel("F")
+        if not self.trees:
+            raise ValueError(f"the forest on features {self.feature_names} "
+                             "has no trees")
+        nodes, sizes = _node_table(self.trees)
+        if problem := _walk_problem(nodes, sizes, d):
+            raise ValueError(problem)
+        n, roots, leaf = len(X), _starts(sizes), nodes["feature"] < 0
+        Xf = X.ravel("F")
         # per node of every tree: its column's first cell in Xf, and its
         # children (right, left); a leaf's are itself, so its -1 is moot
         col = np.where(leaf, -1, nodes["feature"] * n)
@@ -504,14 +511,9 @@ class RandomForest:
         for a in range(0, n, step):
             rows = np.arange(a, min(a + step, n))
             cur, row = np.repeat(roots, len(rows)), np.tile(rows, len(sizes))
-            for _ in range(sizes.max() + 1):
-                if (at := col[cur]).max() < 0:
-                    break
+            # every child comes after its parent, so each walk ends
+            while (at := col[cur]).max() >= 0:
                 cur = child[2 * cur + (Xf[at + row] <= nodes["threshold"][cur])]
-            else:
-                raise ValueError(f"tree {np.argmax(at >= 0) // len(rows)}: "
-                                 "its nodes form a cycle (a row is on an "
-                                 f"internal node after {sizes.max()} levels)")
             labels[a:a + step] = majority_vote(
                 nodes["pred"][cur].reshape(len(sizes), -1))
         return labels
@@ -662,10 +664,8 @@ def evaluate(predicted, truth) -> Metrics:
 
 def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
     payload = {"models": [forest.to_dict() for forest in forests]}
-    with open(path, "w", encoding="utf-8") as fh:
-        # json.dumps runs the C encoder; json.dump streams through Python.
-        fh.write(json.dumps(payload, default=plain_number))
-        fh.write("\n")
+    # json.dumps runs the C encoder; json.dump streams through Python.
+    write_new(path, [json.dumps(payload, default=plain_number), "\n"])
 
 
 def load_ensemble(path: str | Path) -> list[RandomForest]:
@@ -695,35 +695,46 @@ def _ensemble(doc: dict) -> list[RandomForest]:
             raise ValueError(f"model {k}, feature_names "
                              f"{forest.feature_names} are not model 0's "
                              f"{forests[0].feature_names}")
-        for t, tree in enumerate(forest.trees):
-            if problem := _walk_problem(tree.nodes, len(forest.feature_names)):
-                raise ValueError(f"model {k}, tree {t}: {problem}")
+        if problem := _walk_problem(*_node_table(forest.trees),
+                                    len(forest.feature_names)):
+            raise ValueError(f"model {k}, {problem}")
     return forests
 
 
-def _walk_problem(nodes: np.ndarray, n_features: int) -> str | None:
-    """Why prediction could not walk these nodes to a label, or None. Each
-    internal node i (feature >= 0) must name a feature, have a threshold
-    that is not NaN (every row would go right) and have both children in
-    (i, len(nodes)), as depth-first preorder gives them; each leaf must
-    predict 0 or 1."""
-    n = len(nodes)
-    if n == 0:
-        return "has no nodes"
+def _node_table(trees: list[DecisionTree]) -> tuple[np.ndarray, np.ndarray]:
+    """The trees' nodes in one table, each tree's children still counted
+    from its own root, and each tree's node count."""
+    return (np.concatenate([t.nodes for t in trees]),
+            np.array([len(t.nodes) for t in trees]))
+
+
+def _walk_problem(nodes: np.ndarray, sizes: np.ndarray,
+                  n_features: int) -> str | None:
+    """Why prediction could not walk these trees' nodes (see _node_table)
+    to labels, or None. Every tree needs a node. Each internal node i
+    (feature >= 0) of a tree of n nodes must name a feature, have a
+    threshold that is not NaN (every row would go right) and have both
+    children in (i, n), as depth-first preorder gives them, so no walk can
+    cycle; each leaf must predict 0 or 1."""
+    if not sizes.all():
+        return f"tree {np.argmin(sizes)}: has no nodes"
     f, left, right = nodes["feature"], nodes["left"], nodes["right"]
     thr, pred = nodes["threshold"], nodes["pred"]
-    i = np.arange(n)
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    n, i = sizes[tree], _ranges(np.zeros_like(sizes), sizes)
     bad = np.where(f >= 0, (f >= n_features) | np.isnan(thr)
                    | (np.minimum(left, right) <= i)
                    | (np.maximum(left, right) >= n),
                    (pred != 0) & (pred != 1))
     if not bad.any():
         return None
-    j = int(np.argmax(bad))
-    if f[j] < 0:
-        return f"node {j}: leaf predicts {pred[j]}, not 0 or 1"
-    if f[j] >= n_features:
-        return f"node {j}: feature {f[j]} is not one of {n_features} features"
-    if np.isnan(thr[j]):
-        return f"node {j}: threshold is NaN"
-    return f"node {j}: children ({left[j]}, {right[j]}) not both in ({j}, {n})"
+    k = int(np.argmax(bad))
+    at = f"tree {tree[k]}: node {i[k]}"
+    if f[k] < 0:
+        return f"{at}: leaf predicts {pred[k]}, not 0 or 1"
+    if f[k] >= n_features:
+        return f"{at}: feature {f[k]} is not one of {n_features} features"
+    if np.isnan(thr[k]):
+        return f"{at}: threshold is NaN"
+    return (f"{at}: children ({left[k]}, {right[k]}) not both in "
+            f"({i[k]}, {n[k]})")

@@ -10,6 +10,8 @@ across workers.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -384,8 +386,23 @@ def json_text(value) -> str:
                       default=plain_number) + "\n"
 
 
+def write_new(path: str | Path, lines: list[str]) -> None:
+    """Write lines, already formatted, as a new UTF-8 file at path. A
+    regular file at path is unlinked first, never truncated in place: ext4
+    flushes a truncated file's old data before the truncate returns. So
+    other hard links keep the old bytes. Anything else (a symlink, a FIFO,
+    a device such as /dev/null) is opened and written through, as is."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
 def write_json(value, path: str | Path) -> None:
-    Path(path).write_text(json_text(value), encoding="utf-8")
+    write_new(path, [json_text(value)])
 
 
 def write_columns(path: str | Path, header: list[str],
@@ -399,9 +416,8 @@ def write_columns(path: str | Path, header: list[str],
         [c.view(np.int64) if c.dtype.kind == "f" else c for c in columns])
     row = ",".join(formats) + "\n"
     lines = [row % cells for cells in zip(*(c[rep].tolist() for c in columns))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines([lines[k] for k in inverse.tolist()])
+    write_new(path, [",".join(header) + "\n",
+                     *[lines[k] for k in inverse.tolist()]])
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:
@@ -410,8 +426,7 @@ def write_rows(path: str | Path, header: list[str], rows) -> None:
     def cell(v) -> str:
         return v if isinstance(v, str) else "" if v is None else repr(float(v))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(",".join(map(cell, r)) + "\n" for r in [header, *rows])
+    write_new(path, [",".join(map(cell, r)) + "\n" for r in [header, *rows]])
 
 
 def undersample(dataset: Dataset, rate: float, seed: int) -> Dataset:

@@ -1063,7 +1063,8 @@ def random_tree(rng, d):
                           *at[list(kids[i])], (0, 0), 1)
         else:
             nodes[row] = (-1, 0.0, -1, -1, (1, 1), rng.integers(2))
-    assert forest_module._walk_problem(nodes, d) is None
+    assert forest_module._walk_problem(nodes, np.array([len(nodes)]),
+                                       d) is None
     return DecisionTree(nodes)
 
 
@@ -1133,19 +1134,59 @@ class TestBlockedWalk:
         assert np.array_equal(ensemble_labels(forests, data),
                               [node_by_node(forest, X) for forest in forests])
 
-    @pytest.mark.parametrize("cycle", [
-        [node(0, 0, 0)],
-        [node(0, 1, 1), node(0, 0, 0)]], ids=["self-loop", "two-node"])
-    def test_a_cycle_raises_naming_its_tree(self, cycle):
+    @pytest.mark.parametrize("cycle, problem", [
+        ([node(0, 0, 0)], "node 0: children (0, 0) not both in (0, 1)"),
+        ([node(0, 1, 1), node(0, 0, 0)],
+         "node 1: children (0, 0) not both in (1, 2)"),
+    ], ids=["self-loop", "two-node"])
+    def test_a_cycle_raises_naming_its_tree(self, cycle, problem):
         # a forest built directly, without load_ensemble's checks, used to
-        # walk a cyclic node table forever
+        # walk a cyclic node table forever; a child must come after its
+        # parent, so the node that closes the cycle is named
         tree = DecisionTree.from_dict({"nodes": cycle})
         forest = RandomForest(ForestParams(n_trees=2),
                               [constant_tree(1), tree], ["x"])
-        with pytest.raises(ValueError, match=re.escape(
-                f"tree 1: its nodes form a cycle (a row is on an internal "
-                f"node after {len(cycle)} levels)")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"tree 1: {problem}")):
             forest.predict(np.zeros((3, 1)))
+
+    def test_a_forest_with_no_trees_is_refused(self):
+        # it used to fail in numpy: need at least one array to concatenate
+        forest = RandomForest(ForestParams(n_trees=1), [], ["x"])
+        with pytest.raises(ValueError, match=re.escape(
+                "the forest on features ['x'] has no trees")):
+            forest.predict(np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("nodes, problem", [
+        ([node(0, -1, 2), *LEAVES],
+         "node 0: children (-1, 2) not both in (0, 3)"),
+        ([node(0, 1, 3), *LEAVES],
+         "node 0: children (1, 3) not both in (0, 3)"),
+        ([node(0, 1, 2), LEAVES[0], node(0, 1, 5)],
+         "node 2: children (1, 5) not both in (2, 3)"),
+        ([node(1, 1, 2), *LEAVES], "node 0: feature 1 is not one of 1 "
+                                   "features"),
+        ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1), 7)],
+         "node 2: leaf predicts 7, not 0 or 1"),
+        ([{**node(0, 1, 2), "threshold": math.nan}, *LEAVES],
+         "node 0: threshold is NaN"),
+        ([], "has no nodes"),
+    ], ids=["negative-child", "child-past-its-tree", "third-node",
+            "feature-past-the-names", "leaf-label-7", "nan-threshold",
+            "no-nodes"])
+    def test_a_bad_node_table_raises_naming_tree_and_node(self, nodes,
+                                                          problem):
+        # a directly built forest used to walk a child outside its tree
+        # into the next tree's nodes and label rows by that tree's leaves,
+        # vote a leaf label 7 as class 1, and send every row right past a
+        # NaN threshold
+        tree = DecisionTree.from_dict({"nodes": nodes})
+        forest = RandomForest(ForestParams(n_trees=3),
+                              [constant_tree(0), tree, constant_tree(1)],
+                              ["x"])
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"tree 1: {problem}")):
+            forest.predict(np.array([[0.0], [1.0]]))
 
     @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (2, 2, 2)])
     def test_x_must_have_a_column_per_feature(self, shape):

@@ -663,6 +663,65 @@ class TestCli:
         assert "candidates" in capsys.readouterr().err
 
 
+def output_bytes(out):
+    """The bytes of an --out file, or of every file under an --out
+    directory but the run's timings, by relative path."""
+    if out.is_file():
+        return {".": out.read_bytes()}
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "timings.json"}
+
+
+class TestRerun:
+    """Every output is written as a new file, so a run into an --out that
+    holds an earlier run's files leaves what a fresh --out gets."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """A 200-row truth, its spec and two candidates of it."""
+        gt, spec, cands = (tmp_path / "gt.csv", tmp_path / "spec.json",
+                           tmp_path / "cands")
+        assert main(["synth", "--builtin", "1", "--n", "200",
+                     "--out", str(gt)]) == 0
+        assert main(["summarize", str(gt), "--out", str(spec)]) == 0
+        assert main(["reconstruct", str(spec), "--candidates", "2",
+                     "--delta", "0.0", "--out", str(cands)]) == 0
+        return gt, spec, cands / "candidate_0.csv", cands / "candidate_1.csv"
+
+    @pytest.mark.parametrize("command", ["reconstruct", "train", "experiment"])
+    def test_a_rerun_writes_what_a_fresh_out_gets(self, tmp_path, inputs,
+                                                  command):
+        gt, spec, c0, c1 = inputs
+        args = {"reconstruct": [str(spec), "--candidates", "2",
+                                "--delta", "0.0"],
+                "train": [str(c0), str(c1), "--trees", "3"],
+                "experiment": ["--builtin", "1", *SMALL_RUN]}[command]
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        # the first run into again writes other bytes, with another seed
+        for out, seed in ((again, "7"), (again, "3"), (fresh, "3")):
+            assert main([command, *args, "--seed", seed,
+                         "--out", str(out)]) == 0
+        assert output_bytes(again) == output_bytes(fresh)
+
+    @pytest.mark.parametrize("command", ["synth", "summarize", "train",
+                                         "similarity"])
+    def test_an_out_that_is_a_directory_is_named(self, tmp_path, capsys,
+                                                 inputs, command):
+        gt, _, c0, c1 = inputs
+        args = {"synth": ["--builtin", "1", "--n", "200"],
+                "summarize": [str(gt)],
+                "train": [str(c0), str(c1), "--trees", "2"],
+                "similarity": [str(gt), str(c0)]}[command]
+        out = tmp_path / "taken"
+        out.mkdir()
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: ") and str(out) in err
+        assert out.is_dir()
+
+
 class TestCliOutputs:
     """Output branches of the CLI, each pinned on a small run."""
 

@@ -1,15 +1,19 @@
 import json
 import math
+import os
 import re
+import stat
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
                                 contingency_table, summarize)
-from ecoinfer.forest import ForestParams, ensemble_labels, train_ensemble
+from ecoinfer.forest import (ForestParams, RandomForest, ensemble_labels,
+                             save_ensemble, train_ensemble)
 from ecoinfer.pipeline import ExperimentPlan
 from ecoinfer.reconstruct import generate_candidates, reconstruct, solve_cells
 from ecoinfer.similarity import _rank_binary
@@ -18,7 +22,7 @@ from ecoinfer.synth import (builtin_configs, generate_ground_truth,
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError, check_real, distinct_rows,
                               json_text, sidecar_path, undersample,
-                              write_columns)
+                              write_columns, write_json, write_rows)
 
 from conftest import dataset_from_rows, small_schema
 
@@ -238,6 +242,126 @@ class TestWriteColumns:
             cells = {line.split(",")[0] for line in
                      (tmp_path / "got.csv").read_text().splitlines()[1:]}
             assert cells == {"-0.0", "0.0", "1.5"}
+
+
+def write_version(writer, path, k):
+    """Version k of an output of writer at path; the files it wrote."""
+    if writer == "write_json":
+        write_json({"version": k, "rows": list(range(100 * k))}, path)
+    elif writer == "to_csv":
+        Dataset(mixed_schema(), {"flag": [k % 2] * (10 + k),
+                                 "value": [k / 3] * (10 + k),
+                                 "y": [1] * (10 + k)}, seed=k).to_csv(path)
+        return [path, sidecar_path(path)]
+    elif writer == "write_rows":
+        write_rows(path, ["k", "x"], [[str(k), None]] + [[k, 0.5]] * k)
+    else:
+        data = Dataset(mixed_schema(), {"flag": [0, 1, 1, 0],
+                                        "value": [0.5, 1.5, 2.5, 3.5],
+                                        "y": [0, 1, 0, 1]})
+        save_ensemble(train_ensemble([data], ForestParams(n_trees=1 + k,
+                                                          seed=k)), path)
+    return [path]
+
+
+WRITERS = ["write_json", "to_csv", "write_rows", "save_ensemble"]
+
+
+class TestNewFiles:
+    """Every writer unlinks a regular file at its path and writes a new
+    one: a file truncated and written again in place stalls on ext4 while
+    its old data is flushed. Anything else at the path is written
+    through."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_rewrite_leaves_the_old_file_to_its_readers(self, tmp_path,
+                                                        writer):
+        paths = write_version(writer, tmp_path / "out", 1)
+        old = [p.read_bytes() for p in paths]
+        for p in paths:
+            os.link(p, f"{p}.link")
+        handles = [open(p, "rb") for p in paths]
+        try:
+            write_version(writer, tmp_path / "out", 2)
+            # a file truncated in place reads short, or the new bytes
+            assert [h.read() for h in handles] == old
+        finally:
+            for h in handles:
+                h.close()
+        assert [Path(f"{p}.link").read_bytes() for p in paths] == old
+        fresh = write_version(writer, tmp_path / "fresh", 2)
+        new = [p.read_bytes() for p in paths]
+        assert new == [p.read_bytes() for p in fresh]
+        assert all(a != b for a, b in zip(old, new))
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_symlink_is_written_through(self, tmp_path, writer):
+        # a symlink such as /dev/stdout names a stream, not an old output
+        paths = write_version(writer, tmp_path / "out", 1)
+        for k, p in enumerate(paths):
+            target = tmp_path / f"target{k}"
+            target.write_bytes(b"old\n")
+            p.unlink()
+            p.symlink_to(target)
+        write_version(writer, tmp_path / "out", 2)
+        fresh = write_version(writer, tmp_path / "fresh", 2)
+        for k, (p, f) in enumerate(zip(paths, fresh)):
+            assert p.is_symlink()
+            assert (tmp_path / f"target{k}").read_bytes() == f.read_bytes()
+
+    def test_a_fifo_is_written_through(self, tmp_path):
+        # unlinking it would leave its reader waiting on a pipe no one
+        # writes; the reader opens first, so the writer's open returns
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_json({"k": 1}, fifo)
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert got == json_text({"k": 1}).encode()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_a_device_is_written_through(self, tmp_path, monkeypatch):
+        # a regular file posing as a character device such as /dev/null,
+        # which an unlink would delete
+        path = tmp_path / "device"
+        path.write_text("old\n")
+        real_lstat = os.lstat
+
+        def lstat(p, *args, **kwargs):
+            st = real_lstat(p, *args, **kwargs)
+            if Path(p) != path:
+                return st
+            return os.stat_result((stat.S_IFCHR | 0o666, *st[1:]))
+
+        monkeypatch.setattr(os, "lstat", lstat)
+        with open(path, "rb") as old:
+            write_json({"k": 1}, path)
+            assert os.fstat(old.fileno()).st_ino == os.stat(path).st_ino
+            assert old.read() == json_text({"k": 1}).encode()
+
+    def test_a_refused_row_cell_leaves_the_old_file(self, tmp_path):
+        # cells used to be formatted while the file was written, so a
+        # refused one left it half written
+        path = tmp_path / "rows.csv"
+        write_version("write_rows", path, 3)
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_rows(path, ["k", "x"], [["a", 1.0]] * 5 + [["b", [1]]])
+        assert path.read_bytes() == old
+
+    def test_a_refused_model_value_leaves_the_old_file(self, tmp_path):
+        # json.dumps used to run after the file was opened, so a value
+        # plain_number refuses left it empty
+        path = tmp_path / "model.json"
+        write_version("save_ensemble", path, 3)
+        old = path.read_bytes()
+        forest = RandomForest(ForestParams(n_trees=1), [], [np.True_])
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            save_ensemble([forest], path)
+        assert path.read_bytes() == old
 
 
 class TestCsvErrors:
