@@ -4,10 +4,13 @@ Both datasets are min-max normalized jointly (per-attribute min/max over
 their concatenation) so the distances are comparable. Row pairing is either
 the cheap greedy rank-sum heuristic (sort rows by the sum of normalized
 attribute values and pair by rank), the exact minimum-cost bipartite
-assignment, or the identity pairing. The exact assignment pairs identical
-rows in place and solves the rows left over: as a small transportation
-problem in numpy when they are 0/1 rows with few distinct values, else with
-scipy's linear_sum_assignment, the only use of scipy in the package.
+assignment, or the identity pairing. A subset of 0/1 columns is matched on
+the int8 cells the datasets hold, without normalising: a 0/1 column
+normalises to itself, so the numbers are the same. The exact assignment
+pairs identical rows in place and solves the rows left over: as a small
+transportation problem in numpy when they are 0/1 rows with few distinct
+values, else with scipy's linear_sum_assignment, the only use of scipy in
+the package.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Dataset, SchemaError, distinct_rows
+from .tabular import BINARY, Dataset, SchemaError, distinct_rows
 
 GREEDY_RANK = "greedy_rank"
 EXACT_ASSIGNMENT = "exact_assignment"
@@ -60,15 +63,10 @@ def joint_normalize(a: Dataset, b: Dataset,
     Constant attributes (over the concatenation) map to 0. Each column is
     read whole from the dataset and written into a C-order matrix, so the
     result has the bytes, and its row sums the order, of the matrix form
-    ``(to_matrix(names) - lo) / span``. A feature_subset must name at
-    least one column, and none twice.
+    ``(to_matrix(names) - lo) / span``. A feature_subset must be a list
+    that names at least one column, and none twice.
     """
-    _check_compatible(a, b)
-    names = list(feature_subset) if feature_subset is not None \
-        else a.schema.column_names
-    if not names or len(set(names)) < len(names):
-        raise SchemaError(f"feature_subset must name at least one column "
-                          f"and none twice, got {names}")
+    names = _subset_names(a, b, feature_subset)
     ca = [a.column(n) for n in names]
     cb = [b.column(n) for n in names]
     lo_a, hi_a = _extremes(ca)
@@ -104,6 +102,22 @@ def _scaled(columns: list[np.ndarray], lo: np.ndarray, span: np.ndarray,
     return out
 
 
+def _subset_names(a: Dataset, b: Dataset,
+                  feature_subset: list[str] | None) -> list[str]:
+    """The column names to match, after checking the datasets fit and the
+    subset is a list naming at least one column, and none twice."""
+    _check_compatible(a, b)
+    if isinstance(feature_subset, str):
+        raise SchemaError("feature_subset must be a list of column names, "
+                          f"not the string {feature_subset!r}")
+    names = list(feature_subset) if feature_subset is not None \
+        else a.schema.column_names
+    if not names or len(set(names)) < len(names):
+        raise SchemaError(f"feature_subset must name at least one column "
+                          f"and none twice, got {names}")
+    return names
+
+
 def _check_compatible(a: Dataset, b: Dataset) -> None:
     if a.schema != b.schema:
         raise SchemaError("datasets have different schemas")
@@ -128,10 +142,17 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
     (O(r^3) time, r x r floats; r = 1,886 on all of config 1's columns).
     On 0/1 rows every optimum has the same total and zero count, bit for
     bit, so either solver reports the same. identity pairs row i with row i.
+    A subset whose every column is binary by the schema is matched on the
+    int8 cells (_match_binary), without joint_normalize; any other is
+    normalised first.
     """
     if method not in METHODS:
         raise ValueError(f"unknown matching method {method!r}")
-    na, nb = joint_normalize(a, b, feature_subset)
+    names = _subset_names(a, b, feature_subset)
+    if all(a.schema.spec_for(name).kind == BINARY for name in names):
+        return _match_binary([a.column(name) for name in names],
+                             [b.column(name) for name in names], method)
+    na, nb = joint_normalize(a, b, names)
     n, m = na.shape
     if method == IDENTITY:
         perm = np.arange(n)
@@ -148,21 +169,53 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
                        average_distance=total / n, exact_match=_zero_share(diff))
 
 
-def _rank_binary(columns: list[np.ndarray]) -> np.ndarray:
-    """Equal-length 0/1 columns (schema.binary_columns() order) as int8 rows
-    in greedy rank order, for _ranked_distance: stably sorted by row sum, so
-    row i of two ranked datasets is the pair match_rows's greedy_rank forms
-    (a 0/1 column normalizes to itself, or to zeros if constant). The sums
-    are held in the narrowest unsigned type that fits the column count,
-    where numpy's stable argsort is a radix sort."""
-    columns = [column.astype(np.int8, copy=False) for column in columns]
-    n_rows = len(columns[0])
-    sums = np.zeros(n_rows, dtype=np.min_scalar_type(len(columns)))
+def _match_binary(ca: list[np.ndarray], cb: list[np.ndarray],
+                  method: str) -> RowMatching:
+    """match_rows on equal-length int8 0/1 columns, bit for bit. A 0/1
+    column normalizes to itself, and one constant over both datasets to
+    zeros, which shifts every row sum of a side alike and never mismatches.
+    So the greedy order is _binary_order's, the exact permutation is
+    _exact_permutation's on the stacked int8 rows, and each float distance
+    is a whole mismatch count: total count / m, average total / n, and
+    exact_match the share of rows with no mismatch."""
+    n, m = len(ca[0]), len(ca)
+    if method == IDENTITY:
+        perm = np.arange(n)
+    elif method == GREEDY_RANK:
+        perm = np.empty(n, dtype=np.int64)
+        perm[_binary_order(ca)] = _binary_order(cb)
+    else:
+        perm = _exact_permutation(np.column_stack(ca), np.column_stack(cb))
+    mismatches, unequal = 0, np.zeros(n, dtype=bool)
+    for x, y in zip(ca, cb):
+        differs = x != y[perm]
+        mismatches += np.count_nonzero(differs)
+        unequal |= differs
+    total = float(mismatches / m)
+    return RowMatching(permutation=perm, total_distance=total,
+                       average_distance=total / n,
+                       exact_match=float(n - np.count_nonzero(unequal)) / n)
+
+
+def _binary_order(columns: list[np.ndarray]) -> np.ndarray:
+    """The greedy rank order of equal-length int8 0/1 columns: row indices
+    stably sorted by row sum, the order match_rows's greedy_rank takes. The
+    sums are held in the narrowest unsigned type that fits the column
+    count, where numpy's stable argsort is a radix sort."""
+    sums = np.zeros(len(columns[0]), dtype=np.min_scalar_type(len(columns)))
     for column in columns:
         # int8 into unsigned is not a same_kind cast; 0/1 values fit either
         np.add(sums, column, out=sums, casting="unsafe")
-    order = np.argsort(sums, kind="stable")
-    ranked = np.empty((n_rows, len(columns)), dtype=np.int8)
+    return np.argsort(sums, kind="stable")
+
+
+def _rank_binary(columns: list[np.ndarray]) -> np.ndarray:
+    """Equal-length 0/1 columns (schema.binary_columns() order) as int8 rows
+    in _binary_order, for _ranked_distance: row i of two ranked datasets is
+    the pair match_rows's greedy_rank forms."""
+    columns = [column.astype(np.int8, copy=False) for column in columns]
+    order = _binary_order(columns)
+    ranked = np.empty((len(order), len(columns)), dtype=np.int8)
     for j, column in enumerate(columns):
         ranked[:, j] = column[order]
     return ranked
@@ -175,7 +228,8 @@ def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
 
 
 def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """A minimum-total-distance permutation. The row distance is an L1
+    """A minimum-total-distance permutation of normalized rows, or of int8
+    0/1 rows, which give the same one. The row distance is an L1
     metric, so some optimum pairs min(count_a(v), count_b(v)) rows in place
     at every distinct row v: the k-th row of na holding v (in row order)
     gets the k-th row of nb holding v. Only the rows left over are solved:
@@ -206,15 +260,16 @@ def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
 def _binary_transport(la: np.ndarray, lb: np.ndarray, ka: np.ndarray,
                       kb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Minimum-total-distance pairs (rows of la, rows of lb) of two equal
-    sets of normalized rows with distinct-row keys ka and kb, or None unless
-    every cell is 0 or 1 and each side has at most _TRANSPORT_ROWS distinct
-    rows. Then the cost of a pairing depends only on how many rows of each
-    distinct row of la go to each of lb, so a minimum-cost transportation
-    plan between the distinct rows, with the mismatch count as cost, gives
-    one: the k-th row of la's distinct row p (in row order) pairs with the
-    next unused row of the distinct row of lb it is sent to. Every cost is
-    a whole mismatch count over m, so every optimum has the same total and
-    zero count, bit for bit, as linear_sum_assignment's.
+    sets of normalized (or int8) rows with distinct-row keys ka and kb, or
+    None unless every cell is 0 or 1 and each side has at most
+    _TRANSPORT_ROWS distinct rows. Then the cost of a pairing depends only
+    on how many rows of each distinct row of la go to each of lb, so a
+    minimum-cost transportation plan between the distinct rows, with the
+    mismatch count as cost, gives one: the k-th row of la's distinct row p
+    (in row order) pairs with the next unused row of the distinct row of lb
+    it is sent to. Every cost is a whole mismatch count over m, so every
+    optimum has the same total and zero count, bit for bit, as
+    linear_sum_assignment's.
     """
     (_, fa, pa, supply), (_, fb, pb, demand) = (
         np.unique(k, return_index=True, return_inverse=True,
@@ -224,7 +279,9 @@ def _binary_transport(la: np.ndarray, lb: np.ndarray, ka: np.ndarray,
     ua, ub = la[fa], lb[fb]
     if not all(((u == 0) | (u == 1)).all() for u in (ua, ub)):
         return None
-    # mismatches of 0/1 rows, exact in float64 for any column count
+    # mismatches of 0/1 rows, exact in float64 for any column count; int8
+    # rows are cast first, as an int8 product wraps past 127 columns
+    ua, ub = ua.astype(np.float64), ub.astype(np.float64)
     flow = _transport(supply, demand, ua @ (1 - ub).T + (1 - ua) @ ub.T)
     target = np.repeat(np.tile(np.arange(len(fb)), len(fa)), flow.ravel())
     rows = np.argsort(pa, kind="stable")[np.argsort(target, kind="stable")]
@@ -303,7 +360,9 @@ def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     rows of na so the temporary stays bounded, and then gathered. Every
     entry is the same expression over the same m values as the dense
     n x n x m form, so it is bitwise equal to it; summing one column at a
-    time would round differently once m >= 8 (numpy sums pairwise).
+    time would round differently once m >= 8 (numpy sums pairwise). On
+    int8 0/1 rows each sum is a whole count, so the entries are those of
+    the normalized rows.
     """
     m = na.shape[1]
     (ra, ia), (rb, ib) = distinct_rows(list(na.T)), distinct_rows(list(nb.T))

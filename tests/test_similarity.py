@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ecoinfer.aggregate import summarize
@@ -402,6 +403,110 @@ class TestExactOnZeroOneRows:
         assert sorted(m.permutation) == list(range(2000))
 
 
+class TestZeroOneCells:
+    """A subset of binary columns is matched on its int8 cells, to the
+    permutation and numbers of the normalised float path, bit for bit."""
+
+    @pytest.mark.parametrize("method", [GREEDY_RANK, EXACT_ASSIGNMENT,
+                                        IDENTITY])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 300])
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           patterns=st.integers(1, 12),
+           constant=st.sampled_from([None, "a", "b", "both", "opposite"]),
+           share=st.sampled_from([0.3, 1.0]))
+    @example(n=1, seed=0, patterns=1, constant=None, share=1.0)
+    @example(n=1, seed=1, patterns=1, constant="opposite", share=1.0)
+    @example(n=5, seed=2, patterns=3, constant="both", share=1.0)
+    # at m = 300 its distances straddle 127, where an int8 cost would wrap
+    @example(n=12, seed=1, patterns=3, constant="opposite", share=0.3)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_same_as_dense_float_oracle(self, method, m, n, seed, patterns,
+                                        constant, share):
+        a, b = zero_one_pair(m, n, seed, patterns, constant, share)
+        got = match_rows(a, b, method)
+        perm, total, average, exact = dense_oracle(a, b, method)
+        assert got.permutation.dtype == perm.dtype
+        assert np.array_equal(got.permutation, perm)
+        assert (got.total_distance, got.average_distance, got.exact_match) \
+            == (total, average, exact)
+        assert all(type(v) is float for v in (got.total_distance,
+                                              got.average_distance,
+                                              got.exact_match))
+
+    @pytest.mark.parametrize("method", [GREEDY_RANK, EXACT_ASSIGNMENT,
+                                        IDENTITY])
+    def test_mixed_subset_keeps_the_float_path(self, monkeypatch, method):
+        calls = []
+        normalize = similarity_module.joint_normalize
+        monkeypatch.setattr(similarity_module, "joint_normalize",
+                            lambda *args: calls.append(args)
+                            or normalize(*args))
+        rng = np.random.default_rng(83)
+        for n_rows in (1, 9, 80):
+            a, b = mixed_pair(rng, n_rows, 3, 1, levels=4)
+            for subset in (None, ["b0", "c0"], ["c0"]):
+                got = match_rows(a, b, method, subset)
+                perm, total, average, exact = dense_oracle(a, b, method,
+                                                           subset)
+                assert np.array_equal(got.permutation, perm)
+                assert (got.total_distance, got.average_distance,
+                        got.exact_match) == (total, average, exact)
+            match_rows(a, b, method, ["b0", "b2", "y"])
+        # one normalisation per mixed or continuous subset, none for 0/1
+        assert len(calls) == 3 * 3
+
+    @pytest.mark.parametrize("subset", ["xy", "Gender"])
+    def test_string_subset_refused(self, subset):
+        # "xy" used to match columns x and y; "Gender" failed naming the
+        # letters ['G', 'e', 'n', 'd', 'e', 'r']
+        if subset == "xy":
+            schema = Schema(features=(FeatureSpec("x"),),
+                            outcome=FeatureSpec("y"))
+            data = Dataset(schema, {"x": [0, 1, 1], "y": [1, 0, 1]})
+        else:
+            data = generate_ground_truth(builtin_configs(n=50)[0])
+        message = ("^feature_subset must be a list of column names, not the "
+                   f"string '{subset}'$")
+        for method in (GREEDY_RANK, EXACT_ASSIGNMENT, IDENTITY):
+            with pytest.raises(SchemaError, match=message):
+                match_rows(data, data, method, subset)
+        with pytest.raises(SchemaError, match=message):
+            joint_normalize(data, data, subset)
+
+    @pytest.mark.parametrize("kind", ["zero-one", "mixed"])
+    @pytest.mark.parametrize("first", range(6), ids=[
+        "method", "schemas", "sizes", "empty", "duplicate", "unknown"])
+    def test_refusals_keep_their_messages_and_order(self, kind, first):
+        # each call has the fault named by `first` and every one after it
+        truth = generate_ground_truth(builtin_configs(n=50)[0])
+        schema = Schema(truth.schema.features, FeatureSpec("Died"))
+        renamed = Dataset(schema, {
+            **{f.name: truth.column(f.name) for f in schema.features},
+            "Died": truth.outcome})
+        names = ["Gender"] if kind == "zero-one" else ["Gender", "Age"]
+        subsets = [names + ["Nope", "Nope"], names + ["Nope", "Nope"],
+                   names + ["Nope", "Nope"], [], names + ["Nope", "Nope"],
+                   names + ["Nope"]]
+        method = "nearest" if first == 0 else GREEDY_RANK
+        other = (renamed.take(np.arange(40)) if first <= 1
+                 else truth.take(np.arange(40)) if first == 2 else truth)
+        subset = subsets[first]
+        messages = [
+            "unknown matching method 'nearest'",
+            "datasets have different schemas",
+            "datasets differ in size: 50 vs 40",
+            "feature_subset must name at least one column and none twice, "
+            f"got {subset}",
+            "feature_subset must name at least one column and none twice, "
+            f"got {subset}",
+            "unknown column 'Nope'"]
+        with pytest.raises(ValueError) as refused:
+            match_rows(truth, other, method, subset)
+        assert type(refused.value) is (ValueError if first == 0
+                                       else SchemaError)
+        assert str(refused.value) == messages[first]
+
+
 @pytest.fixture(scope="module")
 def config1_truth_and_candidate():
     truth = generate_ground_truth(builtin_configs()[0])
@@ -503,3 +608,49 @@ def signed_zero_pair(seed, n=33):
         return Dataset(schema, cols)
 
     return make(), make()
+
+
+def dense_oracle(a, b, method, names=None):
+    """match_rows's numbers as the float path forms them: normalise, sort
+    by row sum or solve, then take absolute differences."""
+    na, nb = matrix_normalize(a, b, names)
+    n, m = na.shape
+    if method == IDENTITY:
+        perm = np.arange(n)
+    elif method == GREEDY_RANK:
+        perm = np.empty(n, dtype=np.int64)
+        perm[np.argsort(na.sum(axis=1), kind="stable")] = \
+            np.argsort(nb.sum(axis=1), kind="stable")
+    else:
+        perm = similarity_module._exact_permutation(na, nb)
+    diff = np.abs(na - nb[perm])
+    total = float(diff.sum() / m)
+    zero = np.count_nonzero(diff.sum(axis=1) <= 1e-12 * m)
+    return perm, total, total / n, float(zero) / n
+
+
+def zero_one_pair(m, n, seed, patterns, constant, share):
+    """Two n-row datasets of m binary columns (m - 1 features and the
+    outcome), each drawing its rows from its own few patterns, each pattern
+    with its own share of ones, so row distances spread over 0..m. With
+    `constant`, a share of the columns is held at 0 or 1 in a, in b, in
+    both, or at 1 in a and 0 in b ("opposite")."""
+    rng = np.random.default_rng(seed)
+    schema = Schema(features=tuple(FeatureSpec(f"x{j}")
+                                   for j in range(m - 1)),
+                    outcome=FeatureSpec("y"))
+    rows = []
+    for _ in range(2):
+        pool = (rng.random((patterns, m))
+                < rng.random((patterns, 1))).astype(np.int8)
+        rows.append(pool[rng.integers(0, patterns, n)])
+    if constant is not None:
+        held = rng.choice(m, max(1, int(share * m)), replace=False)
+        value = rng.integers(0, 2, len(held))
+        if constant in ("a", "both", "opposite"):
+            rows[0][:, held] = 1 if constant == "opposite" else value
+        if constant in ("b", "both", "opposite"):
+            rows[1][:, held] = 0 if constant == "opposite" else value
+    return tuple(Dataset(schema, {name: r[:, j] for j, name
+                                  in enumerate(schema.column_names)})
+                 for r in rows)
