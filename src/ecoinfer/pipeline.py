@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
-from .similarity import (GREEDY_RANK, _rank_binary, _ranked_distance,
-                         match_rows)
+from .similarity import GREEDY_RANK, match_rows
 from .aggregate import AggregateSpec, summarize
 from .forest import (ForestParams, Metrics, ensemble_labels, evaluate,
                      majority_vote, member_params, train_ensemble)
@@ -143,10 +142,9 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
     if truth is not None:
         t0 = time.perf_counter()
         binary_cols = truth.schema.binary_columns()
-        ranked = _rank_binary([truth.column(name) for name in binary_cols])
         for cand in cs.candidates:
-            sim_binary.append(1.0 - _ranked_distance(ranked, _rank_binary(
-                [cand.column(name) for name in binary_cols])))
+            sim_binary.append(1.0 - match_rows(
+                truth, cand, GREEDY_RANK, binary_cols).average_distance)
             matching = match_rows(truth, cand, GREEDY_RANK)
             sim_all.append(1.0 - matching.average_distance)
             exact.append(matching.exact_match)

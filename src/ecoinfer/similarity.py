@@ -7,10 +7,11 @@ attribute values and pair by rank), the exact minimum-cost bipartite
 assignment, or the identity pairing. A subset of 0/1 columns is matched on
 the int8 cells the datasets hold, without normalising: a 0/1 column
 normalises to itself, so the numbers are the same. The exact assignment
-pairs identical rows in place and solves the rows left over: as a small
-transportation problem in numpy when they are 0/1 rows with few distinct
-values, else with scipy's linear_sum_assignment, the only use of scipy in
-the package.
+keys the rows of both datasets in one distinct_rows pass, counts each
+side's keys (its pattern counts), pairs identical rows in place and solves
+the rows left over: as a small transportation problem in numpy between
+the excess counts when they are 0/1 rows with few distinct values, else
+with scipy's linear_sum_assignment, the only use of scipy in the package.
 """
 
 from __future__ import annotations
@@ -213,7 +214,6 @@ def _rank_binary(columns: list[np.ndarray]) -> np.ndarray:
     """Equal-length 0/1 columns (schema.binary_columns() order) as int8 rows
     in _binary_order, for _ranked_distance: row i of two ranked datasets is
     the pair match_rows's greedy_rank forms."""
-    columns = [column.astype(np.int8, copy=False) for column in columns]
     order = _binary_order(columns)
     ranked = np.empty((len(order), len(columns)), dtype=np.int8)
     for j, column in enumerate(columns):
@@ -229,63 +229,60 @@ def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
 
 def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """A minimum-total-distance permutation of normalized rows, or of int8
-    0/1 rows, which give the same one. The row distance is an L1
-    metric, so some optimum pairs min(count_a(v), count_b(v)) rows in place
-    at every distinct row v: the k-th row of na holding v (in row order)
-    gets the k-th row of nb holding v. Only the rows left over are solved:
-    as a transportation problem between their distinct rows when those are
-    0/1 and few (_binary_transport), else by linear_sum_assignment.
+    0/1 rows, which give the same one. The row distance is an L1 metric,
+    so some optimum pairs min(count_a(v), count_b(v)) rows in place at
+    every distinct row v: the k-th row of na holding v (in row order) gets
+    the k-th row of nb holding v. One distinct_rows pass keys both sides;
+    each side counts its keys and groups its rows by key in row order.
+    Only the rows left over are solved. When their distinct rows are 0/1
+    and at most _TRANSPORT_ROWS a side, the cost of a pairing depends only
+    on how many rows of each distinct row of na go to each of nb, so a
+    minimum-cost transportation plan between them, with the excess counts
+    as supply and demand and the mismatch count as cost, gives one: the
+    rows of na's p-th leftover distinct row pair, in row order, with the
+    next unused rows of nb's distinct rows p is sent to. Every cost is a
+    whole mismatch count over m, so every optimum has the same total and
+    zero count, bit for bit, as linear_sum_assignment's, which solves any
+    other leftover rows on their cost table.
     """
     n = len(na)
-    key = distinct_rows(list(np.vstack([na, nb]).T))[1]
-    _, ia, ib = np.intersect1d(_occurrence_codes(key[:n]),
-                               _occurrence_codes(key[n:]),
-                               assume_unique=True, return_indices=True)
+    rows = np.vstack([na, nb])
+    rep, key = distinct_rows(list(rows.T))
+    # the narrowest unsigned type, where numpy's stable argsort is a radix sort
+    key = key.astype(np.min_scalar_type(len(rep)))
+    count = [np.bincount(k, minlength=len(rep)) for k in (key[:n], key[n:])]
+    same = np.minimum(*count)
+    grouped = []  # per side: rows grouped by key, then whether each pairs
+    for k, c in zip((key[:n], key[n:]), count):
+        order = np.argsort(k, kind="stable")
+        rank = np.arange(n) - (np.cumsum(c) - c)[k[order]]
+        grouped.append((order, rank < same[k[order]]))
+    (oa, pair_a), (ob, pair_b) = grouped
     perm = np.empty(n, dtype=np.int64)
-    perm[ia] = ib
-    ra = np.setdiff1d(np.arange(n), ia, assume_unique=True)
-    if len(ra):
-        rb = np.setdiff1d(np.arange(n), ib, assume_unique=True)
-        la, lb = na[ra], nb[rb]
-        pairs = _binary_transport(la, lb, key[ra], key[n + rb])
-        if pairs is None:
-            # Local: importing scipy.optimize costs 0.22-0.27 s, +49 MB RSS.
-            from scipy.optimize import linear_sum_assignment
-            pairs = linear_sum_assignment(_exact_cost(la, lb))
-        rows, cols = pairs
-        perm[ra[rows]] = rb[cols]
+    perm[oa[pair_a]] = ob[pair_b]
+    ra, rb = oa[~pair_a], ob[~pair_b]
+    if not len(ra):
+        return perm
+    fa, fb = (np.flatnonzero(c > same) for c in count)
+    ua, ub = rows[rep[fa]], rows[rep[fb]]
+    if max(len(fa), len(fb)) <= _TRANSPORT_ROWS \
+            and all(((u == 0) | (u == 1)).all() for u in (ua, ub)):
+        # mismatches of 0/1 rows, exact in float64 for any column count;
+        # int8 rows are cast first, as an int8 product wraps past 127
+        ua, ub = ua.astype(np.float64), ub.astype(np.float64)
+        flow = _transport(count[0][fa] - same[fa], count[1][fb] - same[fb],
+                          ua @ (1 - ub).T + (1 - ua) @ ub.T)
+        target = np.repeat(np.tile(np.arange(len(fb)), len(fa)), flow.ravel())
+        perm[ra[np.argsort(target, kind="stable")]] = rb
+        return perm
+    # Local: importing scipy.optimize costs 0.22-0.27 s, +49 MB RSS.
+    from scipy.optimize import linear_sum_assignment
+    ra, rb = np.sort(ra), np.sort(rb)
+    cost = _exact_cost(ua, ub)[np.ix_(np.searchsorted(fa, key[ra]),
+                                      np.searchsorted(fb, key[n + rb]))]
+    i, j = linear_sum_assignment(cost)
+    perm[ra[i]] = rb[j]
     return perm
-
-
-def _binary_transport(la: np.ndarray, lb: np.ndarray, ka: np.ndarray,
-                      kb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Minimum-total-distance pairs (rows of la, rows of lb) of two equal
-    sets of normalized (or int8) rows with distinct-row keys ka and kb, or
-    None unless every cell is 0 or 1 and each side has at most
-    _TRANSPORT_ROWS distinct rows. Then the cost of a pairing depends only
-    on how many rows of each distinct row of la go to each of lb, so a
-    minimum-cost transportation plan between the distinct rows, with the
-    mismatch count as cost, gives one: the k-th row of la's distinct row p
-    (in row order) pairs with the next unused row of the distinct row of lb
-    it is sent to. Every cost is a whole mismatch count over m, so every
-    optimum has the same total and zero count, bit for bit, as
-    linear_sum_assignment's.
-    """
-    (_, fa, pa, supply), (_, fb, pb, demand) = (
-        np.unique(k, return_index=True, return_inverse=True,
-                  return_counts=True) for k in (ka, kb))
-    if max(len(fa), len(fb)) > _TRANSPORT_ROWS:
-        return None
-    ua, ub = la[fa], lb[fb]
-    if not all(((u == 0) | (u == 1)).all() for u in (ua, ub)):
-        return None
-    # mismatches of 0/1 rows, exact in float64 for any column count; int8
-    # rows are cast first, as an int8 product wraps past 127 columns
-    ua, ub = ua.astype(np.float64), ub.astype(np.float64)
-    flow = _transport(supply, demand, ua @ (1 - ub).T + (1 - ua) @ ub.T)
-    target = np.repeat(np.tile(np.arange(len(fb)), len(fa)), flow.ravel())
-    rows = np.argsort(pa, kind="stable")[np.argsort(target, kind="stable")]
-    return rows, np.argsort(pb, kind="stable")
 
 
 def _transport(supply: np.ndarray, demand: np.ndarray,
@@ -343,36 +340,23 @@ def _transport(supply: np.ndarray, demand: np.ndarray,
     return flow
 
 
-def _occurrence_codes(key: np.ndarray) -> np.ndarray:
-    """key * n + k for the k-th of the n rows (in row order) holding a key."""
-    n = len(key)
-    order = np.argsort(key, kind="stable")
-    sk = key[order]
-    code = np.empty_like(key)
-    code[order] = sk * n + np.arange(n) - np.searchsorted(sk, sk)
-    return code
+def _exact_cost(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The matrix of average row distances, ua row i to ub row j.
 
-
-def _exact_cost(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """The n x n matrix of average row distances, na row i to nb row j.
-
-    Each distance is computed once per pair of distinct rows, in blocks of
-    rows of na so the temporary stays bounded, and then gathered. Every
-    entry is the same expression over the same m values as the dense
-    n x n x m form, so it is bitwise equal to it; summing one column at a
-    time would round differently once m >= 8 (numpy sums pairwise). On
-    int8 0/1 rows each sum is a whole count, so the entries are those of
-    the normalized rows.
+    It is formed in blocks of rows of ua so the temporary stays bounded.
+    Every entry is the same expression over the same m values as the
+    dense len(ua) x len(ub) x m form, so it is bitwise equal to it; summing
+    one column at a time would round differently once m >= 8 (numpy sums
+    pairwise). On int8 0/1 rows each sum is a whole count, so the entries
+    are those of the normalized rows.
     """
-    m = na.shape[1]
-    (ra, ia), (rb, ib) = distinct_rows(list(na.T)), distinct_rows(list(nb.T))
-    ua, ub = na[ra], nb[rb]
+    m = ua.shape[1]
     cost = np.empty((len(ua), len(ub)))
     step = max(1, _COST_BLOCK // max(1, len(ub) * m))
     for s in range(0, len(ua), step):
         cost[s:s + step] = np.abs(ua[s:s + step, None, :]
                                   - ub[None, :, :]).sum(axis=2) / m
-    return cost[np.ix_(ia, ib)]
+    return cost
 
 
 def similarity(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
@@ -384,11 +368,23 @@ def similarity(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
 def exact_match_fraction(a: Dataset, b: Dataset, matching: RowMatching,
                          feature_subset: list[str] | None = None) -> float:
     """Fraction of matched row pairs at distance zero under any matching
-    of a's rows to b's; match_rows reports it for its own as exact_match."""
+    of a's rows to b's; match_rows reports it for its own as exact_match.
+    A permutation that is not one of range(n) is refused."""
     na, nb = joint_normalize(a, b, feature_subset)
-    if len(matching.permutation) != na.shape[0]:
+    perm, n = np.asarray(matching.permutation), na.shape[0]
+    if len(perm) != n:
         raise SchemaError("matching size does not fit the datasets")
-    return _zero_share(_abs_diff(na, nb, matching.permutation))
+    if perm.ndim != 1 or perm.dtype.kind not in "iu":
+        raise SchemaError("matching permutation must be a 1-D array of row "
+                          f"indices, got {perm.dtype} of shape {perm.shape}")
+    if perm.min() < 0 or perm.max() >= n:
+        raise SchemaError(f"matching permutation must lie in range({n}), "
+                          f"got values {perm.min()} to {perm.max()}")
+    # n values in range(n) are a permutation when none is missing
+    if not np.bincount(perm.astype(np.intp, copy=False), minlength=n).all():
+        raise SchemaError("matching permutation repeats a row of the second "
+                          "dataset, so it is not a permutation")
+    return _zero_share(_abs_diff(na, nb, perm))
 
 
 def _abs_diff(na: np.ndarray, nb: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ from scipy.optimize import linear_sum_assignment
 from ecoinfer.aggregate import summarize
 from ecoinfer.reconstruct import reconstruct
 from ecoinfer.similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
-                                 exact_match_fraction, joint_normalize,
-                                 match_rows, similarity)
+                                 RowMatching, exact_match_fraction,
+                                 joint_normalize, match_rows, similarity)
 from ecoinfer.synth import builtin_configs, generate_ground_truth
 from ecoinfer.tabular import (CONTINUOUS, Dataset, FeatureSpec, Schema,
                               SchemaError)
@@ -153,6 +153,23 @@ class TestExactMatchFraction:
             exact_match_fraction(table_s1.take(first), table_s2.take(first),
                                  matching)
 
+    @pytest.mark.parametrize("permutation, fault", [
+        ([0, 0, 0], "repeats a row"),
+        ([-1, -2, -3], r"must lie in range\(3\), got values -3 to -1"),
+        ([0.0, 1.0, 2.0], "must be a 1-D array of row indices, got float64"),
+    ], ids=["repeated", "negative", "float"])
+    def test_matching_must_be_a_permutation(self, table_s1, table_s2,
+                                            permutation, fault):
+        # [0, 0, 0] read 0.333, [-1, -2, -3] wrapped to [2, 1, 0] and read
+        # 1.0, and a float permutation failed in numpy's indexing
+        first = np.arange(3)
+        a, b = table_s1.take(first), table_s2.take(first)
+        matching = RowMatching(np.array(permutation), 0.0, 0.0, 0.0)
+        with pytest.raises(SchemaError, match=fault):
+            exact_match_fraction(a, b, matching)
+        ok = RowMatching(np.array([2, 0, 1]), 0.0, 0.0, 0.0)
+        assert 0.0 <= exact_match_fraction(a, b, ok) <= 1.0
+
 
 class TestOracles:
     def test_exhaustive_minimum_small_n(self):
@@ -237,6 +254,34 @@ class TestExactAssignmentFromDistinctRows:
             # on 0/1 rows the transportation solver may pick another optimum
             if not pairs and not np.isin(np.vstack([na, nb]), (0, 1)).all():
                 assert np.array_equal(m.permutation[rows], cols)
+
+    @pytest.mark.parametrize("n_binary, n_continuous, levels", [
+        (2, 3, 3), (1, 2, None)], ids=["mix-few", "mix-distinct"])
+    def test_permutation_is_in_place_pairs_then_assignment(
+            self, n_binary, n_continuous, levels):
+        # about half of b's rows copy rows of a, so some rows pair in place
+        # and the rest, with cells other than 0 and 1, go to the solver
+        rng = np.random.default_rng(23)
+        for n_rows in (2, 17, 150):
+            a, b = mixed_pair(rng, n_rows, n_binary, n_continuous, levels)
+            copied = rng.random(n_rows) < 0.5
+            source = rng.permutation(n_rows)
+            b = Dataset(b.schema, {
+                name: np.where(copied, a.column(name)[source], b.column(name))
+                for name in b.schema.column_names})
+            na, nb = joint_normalize(a, b)
+            pairs = in_place_pairs(na, nb)
+            ra = np.setdiff1d(np.arange(n_rows), list(pairs))
+            rb = np.setdiff1d(np.arange(n_rows), list(pairs.values()))
+            want = np.empty(n_rows, dtype=np.int64)
+            want[list(pairs)] = list(pairs.values())
+            rows, cols = linear_sum_assignment(
+                self.dense_cost(na[ra], nb[rb]))
+            want[ra[rows]] = rb[cols]
+            if n_rows > 2:
+                assert pairs and len(ra)
+            got = match_rows(a, b, EXACT_ASSIGNMENT).permutation
+            assert np.array_equal(got, want)
 
     def test_memory_is_a_few_n_by_n_matrices(self):
         # a 2,000 x 2,000 x 5 float tensor alone is 160 MB; three n x n
