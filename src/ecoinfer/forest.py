@@ -327,8 +327,7 @@ class _Lockstep:
         wide = np.flatnonzero(n_mids > MAX_THRESHOLDS)
         if len(wide):
             j[(cand_at[wide, None] + np.arange(MAX_THRESHOLDS)).ravel()] = \
-                np.linspace(0, n_mids[wide] - 1, MAX_THRESHOLDS,
-                            axis=1).astype(int).ravel()
+                _linspace_picks(n_mids[wide]).ravel()
         a = present_at[cand_pair] + j
         lo, hi = value[a], value[a + 1]
         mid = (lo + hi) / 2.0
@@ -459,6 +458,18 @@ def _feature_subsets(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     for i, to in zip(range(k - 1, 0, -1), draws):
         picks[rows, to], picks[:, i] = picks[:, i].copy(), picks[rows, to]
     return picks
+
+
+def _linspace_picks(n_mids: np.ndarray) -> np.ndarray:
+    """np.linspace(0, n_mids - 1, MAX_THRESHOLDS, axis=1).astype(int) for
+    n_mids >= 1, formed as linspace forms it, without its per-call cost:
+    0, 1, 2, ... times each row's step, then the last column set to
+    n_mids - 1."""
+    top = n_mids - 1
+    step = top / (MAX_THRESHOLDS - 1)
+    picks = np.arange(float(MAX_THRESHOLDS)) * step[:, None]
+    picks[:, -1] = top
+    return picks.astype(int)
 
 
 def _split_score(n, n_pos, n_l, pos_l):

@@ -158,10 +158,8 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
     if method == IDENTITY:
         perm = np.arange(n)
     elif method == GREEDY_RANK:
-        ia = np.argsort(na.sum(axis=1), kind="stable")
-        ib = np.argsort(nb.sum(axis=1), kind="stable")
         perm = np.empty(n, dtype=np.int64)
-        perm[ia] = ib
+        perm[_sum_order(na.sum(axis=1))] = _sum_order(nb.sum(axis=1))
     else:
         perm = _exact_permutation(na, nb)
     diff = _abs_diff(na, nb, perm)
@@ -196,6 +194,16 @@ def _match_binary(ca: list[np.ndarray], cb: list[np.ndarray],
     return RowMatching(permutation=perm, total_distance=total,
                        average_distance=total / n,
                        exact_match=float(n - np.count_nonzero(unequal)) / n)
+
+
+def _sum_order(sums: np.ndarray) -> np.ndarray:
+    """np.argsort(sums, kind="stable"), bit for bit: row indices stably
+    sorted by each row's rank among the distinct sums, held in the
+    narrowest unsigned type that fits their count, where numpy's stable
+    argsort is a radix sort (up to 65,535 distinct sums)."""
+    distinct, rank = np.unique(sums, return_inverse=True)
+    return np.argsort(rank.astype(np.min_scalar_type(len(distinct))),
+                      kind="stable")
 
 
 def _binary_order(columns: list[np.ndarray]) -> np.ndarray:

@@ -9,9 +9,11 @@ across workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import stat
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,7 +336,10 @@ def distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     whose range is smaller than its length as column - min, any other by a
     1-D np.unique. The codes build a mixed-radix row key, which keeps the
     lexicographic order. The key is renumbered only when it could reach
-    2**62, and once at the end; -0.0 and 0.0 compare equal.
+    2**62, and once at the end; -0.0 and 0.0 compare equal. The last
+    renumbering counts when every key is below 4n for n rows: it marks
+    the keys present and numbers them by a running count, with no sort
+    and O(n) memory. A larger key space is renumbered by np.unique.
     """
     if isinstance(columns, np.ndarray):
         # iterating a matrix would walk its rows as if they were columns
@@ -358,7 +363,14 @@ def distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             size = len(used)
         key = key * radix + code
         size *= radix
-    key = np.unique(key, return_inverse=True)[1]
+    if size <= 4 * len(key):
+        present = np.zeros(size, dtype=bool)
+        present[key] = True
+        number = np.cumsum(present)
+        number -= 1
+        key = number[key]
+    else:
+        key = np.unique(key, return_inverse=True)[1]
     rep = np.empty(key.max() + 1 if len(key) else 0, dtype=np.int64)
     rep[key] = np.arange(len(key))
     return rep, key
@@ -386,12 +398,13 @@ def json_text(value) -> str:
                       default=plain_number) + "\n"
 
 
-def write_new(path: str | Path, lines: list[str]) -> None:
-    """Write lines, already formatted, as a new UTF-8 file at path. A
-    regular file at path is unlinked first, never truncated in place: ext4
-    flushes a truncated file's old data before the truncate returns. So
-    other hard links keep the old bytes. Anything else (a symlink, a FIFO,
-    a device such as /dev/null) is opened and written through, as is."""
+def write_new(path: str | Path, lines: Iterable[str]) -> None:
+    """Write lines, already formatted and taken in turn from any iterable,
+    as a new UTF-8 file at path. A regular file at path is unlinked first,
+    never truncated in place: ext4 flushes a truncated file's old data
+    before the truncate returns. So other hard links keep the old bytes.
+    Anything else (a symlink, a FIFO, a device such as /dev/null) is
+    opened and written through, as is."""
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
@@ -405,19 +418,28 @@ def write_json(value, path: str | Path) -> None:
     write_new(path, [json_text(value)])
 
 
+# Rows of a CSV body joined into one string and written at a time.
+_WRITE_BLOCK = 1 << 16
+
+
 def write_columns(path: str | Path, header: list[str],
                   columns: list[np.ndarray], formats: list[str]) -> None:
     """CSV of whole int or float columns, one %-format per column: %d
     prints an int as str() does, %r a float as repr() does. Each distinct
-    row is formatted once; rows are told apart by their bits, so -0.0 and
-    0.0 keep their own spellings."""
+    row is formatted once; rows are told apart by their bits (a float
+    column is read as the unsigned integers of its own width), so -0.0 and
+    0.0 keep their own spellings. The body is written as joined strings of
+    at most _WRITE_BLOCK rows each."""
     columns = [np.asarray(c) for c in columns]
     rep, inverse = distinct_rows(
-        [c.view(np.int64) if c.dtype.kind == "f" else c for c in columns])
+        [c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
+         for c in columns])
     row = ",".join(formats) + "\n"
     lines = [row % cells for cells in zip(*(c[rep].tolist() for c in columns))]
-    write_new(path, [",".join(header) + "\n",
-                     *[lines[k] for k in inverse.tolist()]])
+    line = lines.__getitem__
+    body = ("".join(map(line, inverse[s:s + _WRITE_BLOCK].tolist()))
+            for s in range(0, len(inverse), _WRITE_BLOCK))
+    write_new(path, itertools.chain([",".join(header) + "\n"], body))
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:

@@ -217,6 +217,18 @@ def reference_best_split(X, y, features):
     return best
 
 
+@pytest.mark.parametrize("n_mids", [[33], [34], [64], [10 ** 6 + 7],
+                                    "random"])
+def test_threshold_picks_are_linspace(n_mids):
+    if n_mids == "random":
+        n_mids = np.random.default_rng(41).integers(
+            MAX_THRESHOLDS + 1, 10 ** 7, 2000)
+    n_mids = np.asarray(n_mids)
+    assert np.array_equal(
+        forest_module._linspace_picks(n_mids),
+        np.linspace(0, n_mids - 1, MAX_THRESHOLDS, axis=1).astype(int))
+
+
 def reference_trees(X, y, params):
     """Node lists of a forest grown row by row on each bootstrap, as the
     trainer did before it worked on weighted distinct rows."""

@@ -86,6 +86,28 @@ class TestMatchRows:
             match_rows(truth, truth, method, subset)
 
 
+class TestGreedyOrder:
+    """_sum_order, the greedy order of a subset with a continuous column,
+    is np.argsort(sums, kind="stable") through a radix sort of ranks."""
+
+    @staticmethod
+    def sums():
+        rng = np.random.default_rng(31)
+        yield "ties", rng.choice([0.25, 1.0, 1.5, 3.0], 500)
+        yield "signed-zeros", rng.choice([-0.0, 0.0, 0.5], 400)
+        # 300 distinct sums rank in uint16, 70,000 in uint32
+        yield "300-distinct", rng.permutation(np.repeat(
+            rng.normal(0, 1, 300), 3))
+        yield "70000-distinct", rng.normal(0, 1, 70000)
+        yield "one-row", np.array([2.0])
+
+    @pytest.mark.parametrize("case", [name for name, _ in sums()])
+    def test_same_order_as_stable_argsort(self, case):
+        sums = dict(self.sums())[case]
+        assert np.array_equal(similarity_module._sum_order(sums),
+                              np.argsort(sums, kind="stable"))
+
+
 class TestSimilarity:
     def test_example_pair(self, table_s1, table_s2):
         assert similarity(table_s1, table_s2, EXACT_ASSIGNMENT) == \

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ecoinfer.tabular as tabular
 from ecoinfer.aggregate import (AggregateSpec, BinaryStat, ContinuousStat,
                                 contingency_table, summarize)
 from ecoinfer.forest import (ForestParams, RandomForest, ensemble_labels,
@@ -227,6 +229,16 @@ class TestWriteColumns:
         yield "one-column", [rng.integers(0, 2, 40)], ["%d"]
         yield "no-rows", [np.empty(0), np.empty(0, dtype=np.int64)], \
             ["%r", "%d"]
+        # narrower floats are keyed by bits of their own width; read as
+        # int64, 4 float32 cells made 2 keys and the file 2 rows
+        yield "float32-alone", [np.array([0.1, -0.0, 0.0, 0.1], np.float32)], \
+            ["%r"]
+        yield "float32", [rng.choice(np.array([-0.0, 0.0, 0.1, 1e30],
+                                              np.float32), 50),
+                          rng.integers(0, 2, 50)], ["%r", "%d"]
+        yield "float16", [rng.choice(np.array([-0.0, 0.0, 0.1, 6e4],
+                                              np.float16), 50),
+                          rng.integers(0, 2, 50, dtype=np.int8)], ["%r", "%d"]
 
     @pytest.mark.parametrize("case", [name for name, *_ in tables()])
     def test_same_bytes_as_row_by_row(self, tmp_path, case):
@@ -242,6 +254,17 @@ class TestWriteColumns:
             cells = {line.split(",")[0] for line in
                      (tmp_path / "got.csv").read_text().splitlines()[1:]}
             assert cells == {"-0.0", "0.0", "1.5"}
+
+    def test_body_longer_than_one_write_block(self, tmp_path, monkeypatch):
+        # 50 rows in blocks of 7: seven whole blocks and a last one of 1
+        monkeypatch.setattr(tabular, "_WRITE_BLOCK", 7)
+        rng = np.random.default_rng(29)
+        columns = [rng.choice([-0.0, 0.0, 2.5], 50), rng.integers(0, 3, 50)]
+        write_columns(tmp_path / "got.csv", ["x", "k"], columns, ["%r", "%d"])
+        reference_write_columns(tmp_path / "want.csv", ["x", "k"], columns,
+                                ["%r", "%d"])
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
 
 def write_version(writer, path, k):
@@ -516,6 +539,38 @@ class TestDistinctRows:
     @pytest.mark.parametrize("case", [name for name, _ in column_sets()])
     def test_integer_columns_group_as_unique_rows(self, case):
         self.check_grouping(dict(self.column_sets())[case])
+
+    @pytest.mark.parametrize("a, b, sorts", [(8, 6, 0), (7, 7, 1)])
+    def test_key_space_of_4n_is_counted_and_above_sorted(
+            self, monkeypatch, a, b, sorts):
+        # 12 rows of two integer columns whose ranges fit the length, so
+        # only the last renumbering could sort: the key space is 8 * 6 =
+        # 48 = 4n, renumbered by counting, or 7 * 7 = 49, by np.unique
+        rows = np.arange(12)
+        columns = [rows % a, rows * 5 % b]
+        assert math.prod(len(np.unique(c)) for c in columns) == 48 + sorts
+        unique, calls = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: (
+            calls.append(1) or unique(*args, **kwargs)))
+        distinct_rows(columns)
+        monkeypatch.undo()
+        assert len(calls) == sorts
+        self.check_grouping(columns)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(0, 60))
+    def test_mixed_columns_group_as_unique_rows(self, data, n):
+        # small value sets make rows repeat, and the key space falls on
+        # either side of 4n; -0.0 and 0.0 are one value
+        values = {bool: st.booleans(), np.int8: st.integers(-128, 127),
+                  np.int64: st.integers(-3, 40),
+                  np.float64: st.sampled_from([-0.0, 0.0, 0.5, -2.0, 1e300])}
+        kinds = data.draw(st.lists(st.sampled_from(list(values)),
+                                   min_size=1, max_size=4))
+        columns = [np.array(data.draw(st.lists(values[kind], min_size=n,
+                                               max_size=n)), dtype=kind)
+                   for kind in kinds]
+        self.check_grouping(columns)
 
     def test_past_2_62_case_renumbers_and_repeats(self):
         X = dict(self.matrices())["past-2**62"]
