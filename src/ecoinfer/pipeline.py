@@ -11,7 +11,7 @@ to a separate sidecar for the same reason.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .similarity import GREEDY_RANK, match_rows
@@ -24,10 +24,10 @@ from .synth import GroundTruthConfig, generate_ground_truth, with_overrides
 from .tabular import (Dataset, SchemaError, check_integer, check_real,
                       undersample, write_columns, write_json, write_rows)
 
-# Sweepable GroundTruthConfig parameters for controlled experiments.
-SWEEPABLE = ("gender_or", "gender_fraction", "pt_or", "pt_fraction",
-             "ptt_or", "ptt_fraction", "plate_or", "plate_fraction",
-             "doa_fraction")
+# Sweepable GroundTruthConfig parameters for controlled experiments: its
+# statistics, the fields with no default, in their order.
+SWEEPABLE = tuple(f.name for f in fields(GroundTruthConfig)
+                  if f.default is MISSING)
 
 
 class StageError(RuntimeError):

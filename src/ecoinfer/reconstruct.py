@@ -289,9 +289,13 @@ def save_candidates(cs: CandidateSet, out_dir: str | Path) -> None:
 
 def load_candidates(in_dir: str | Path) -> CandidateSet:
     """The candidate set save_candidates wrote to in_dir. A manifest that
-    lacks n_candidates, delta or attempts_used, or whose value breaks the
-    rule generate_candidates holds it to (counts at least 1, delta in
-    [0, 1)), raises ValueError naming the key and the manifest."""
+    lacks n_candidates, delta, attempts_used or seeds, or whose value breaks
+    the rule generate_candidates holds it to (counts at least 1, delta in
+    [0, 1), a seed per candidate, null or an integer >= 0, and any
+    or_deviations a number in [0, inf] per binary feature of the spec),
+    raises ValueError naming the key and the manifest. A candidate whose
+    schema is not the spec's, or whose seed is not its seeds entry, raises
+    ValueError naming the candidate and its file."""
     def checked(manifest: dict) -> dict:
         n_candidates, delta, attempts_used = (
             require(manifest, key, "the manifest")
@@ -299,13 +303,40 @@ def load_candidates(in_dir: str | Path) -> CandidateSet:
         check_integer("n_candidates", n_candidates, least=1)
         check_real("delta", delta, 0, 1, "[)")
         check_integer("attempts_used", attempts_used, least=1)
+        seeds = require(manifest, "seeds", "the manifest", list)
+        if len(seeds) != n_candidates:
+            raise ValueError(f"seeds in the manifest holds {len(seeds)} "
+                             f"seeds for {n_candidates} candidates")
+        for k, seed in enumerate(seeds):
+            if seed is not None:
+                check_integer(f"seeds[{k}]", seed, least=0)
+        if "or_deviations" in manifest:
+            deviations = require(manifest, "or_deviations", "the manifest",
+                                 dict)
+            for name, value in deviations.items():
+                if name not in spec.schema.binary_feature_names:
+                    raise ValueError(f"or_deviations in the manifest names "
+                                     f"{name!r}, not a binary feature of "
+                                     "the spec")
+                check_real(f"or_deviations[{name}]", value, 0, math.inf,
+                           "[]")
         return manifest
 
     src = Path(in_dir)
     spec = AggregateSpec.from_json(src / "spec.json")
     manifest = read_json(src / "manifest.json", checked)
-    candidates = [Dataset.from_csv(src / f"candidate_{k}.csv")
-                  for k in range(manifest["n_candidates"])]
+    candidates = []
+    for k, seed in enumerate(manifest["seeds"]):
+        path = src / f"candidate_{k}.csv"
+        candidate = Dataset.from_csv(path)
+        if candidate.schema != spec.schema:
+            raise ValueError(f"{path}: the schema of candidate {k} is not "
+                             f"the schema of {src / 'spec.json'}")
+        if candidate.seed != seed:
+            raise ValueError(f"{path}: candidate {k} has seed "
+                             f"{candidate.seed!r}, but seeds[{k}] in "
+                             f"{src / 'manifest.json'} is {seed!r}")
+        candidates.append(candidate)
     return CandidateSet(spec=spec, delta=manifest["delta"],
                         candidates=candidates,
                         attempts_used=manifest["attempts_used"],

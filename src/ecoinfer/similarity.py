@@ -161,7 +161,7 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
         perm = np.empty(n, dtype=np.int64)
         perm[_sum_order(na.sum(axis=1))] = _sum_order(nb.sum(axis=1))
     else:
-        perm = _exact_permutation(na, nb)
+        perm = _exact_permutation(list(na.T), list(nb.T))
     diff = _abs_diff(na, nb, perm)
     total = float(diff.sum() / m)
     return RowMatching(permutation=perm, total_distance=total,
@@ -174,9 +174,9 @@ def _match_binary(ca: list[np.ndarray], cb: list[np.ndarray],
     column normalizes to itself, and one constant over both datasets to
     zeros, which shifts every row sum of a side alike and never mismatches.
     So the greedy order is _binary_order's, the exact permutation is
-    _exact_permutation's on the stacked int8 rows, and each float distance
-    is a whole mismatch count: total count / m, average total / n, and
-    exact_match the share of rows with no mismatch."""
+    _exact_permutation's on these int8 columns as they are, and each float
+    distance is a whole mismatch count: total count / m, average total / n,
+    and exact_match the share of rows with no mismatch."""
     n, m = len(ca[0]), len(ca)
     if method == IDENTITY:
         perm = np.arange(n)
@@ -184,7 +184,7 @@ def _match_binary(ca: list[np.ndarray], cb: list[np.ndarray],
         perm = np.empty(n, dtype=np.int64)
         perm[_binary_order(ca)] = _binary_order(cb)
     else:
-        perm = _exact_permutation(np.column_stack(ca), np.column_stack(cb))
+        perm = _exact_permutation(ca, cb)
     mismatches, unequal = 0, np.zeros(n, dtype=bool)
     for x, y in zip(ca, cb):
         differs = x != y[perm]
@@ -235,27 +235,29 @@ def _ranked_distance(r: np.ndarray, o: np.ndarray) -> float:
     return np.count_nonzero(r != o) / r.shape[1] / len(r)
 
 
-def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """A minimum-total-distance permutation of normalized rows, or of int8
-    0/1 rows, which give the same one. The row distance is an L1 metric,
-    so some optimum pairs min(count_a(v), count_b(v)) rows in place at
-    every distinct row v: the k-th row of na holding v (in row order) gets
-    the k-th row of nb holding v. One distinct_rows pass keys both sides;
-    each side counts its keys and groups its rows by key in row order.
-    Only the rows left over are solved. When their distinct rows are 0/1
-    and at most _TRANSPORT_ROWS a side, the cost of a pairing depends only
-    on how many rows of each distinct row of na go to each of nb, so a
+def _exact_permutation(ca: list[np.ndarray],
+                       cb: list[np.ndarray]) -> np.ndarray:
+    """A minimum-total-distance permutation between the rows of two lists
+    of equal-length columns, normalized or int8 0/1, which give the same
+    one. The row distance is an L1 metric, so some optimum pairs
+    min(count_a(v), count_b(v)) rows in place at every distinct row v: the
+    k-th row of ca holding v (in row order) gets the k-th row of cb holding
+    v. One distinct_rows pass over each column pair concatenated keys both
+    sides; each side counts its keys and groups its rows by key in row
+    order. Only the rows left over are solved. When their distinct rows are
+    0/1 and at most _TRANSPORT_ROWS a side, the cost of a pairing depends
+    only on how many rows of each distinct row of ca go to each of cb, so a
     minimum-cost transportation plan between them, with the excess counts
     as supply and demand and the mismatch count as cost, gives one: the
-    rows of na's p-th leftover distinct row pair, in row order, with the
-    next unused rows of nb's distinct rows p is sent to. Every cost is a
+    rows of ca's p-th leftover distinct row pair, in row order, with the
+    next unused rows of cb's distinct rows p is sent to. Every cost is a
     whole mismatch count over m, so every optimum has the same total and
     zero count, bit for bit, as linear_sum_assignment's, which solves any
-    other leftover rows on their cost table.
+    other leftover rows on the cost table of their stacked distinct rows.
     """
-    n = len(na)
-    rows = np.vstack([na, nb])
-    rep, key = distinct_rows(list(rows.T))
+    n = len(ca[0])
+    columns = [np.concatenate([x, y]) for x, y in zip(ca, cb)]
+    rep, key = distinct_rows(columns)
     # the narrowest unsigned type, where numpy's stable argsort is a radix sort
     key = key.astype(np.min_scalar_type(len(rep)))
     count = [np.bincount(k, minlength=len(rep)) for k in (key[:n], key[n:])]
@@ -272,22 +274,21 @@ def _exact_permutation(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     if not len(ra):
         return perm
     fa, fb = (np.flatnonzero(c > same) for c in count)
-    ua, ub = rows[rep[fa]], rows[rep[fb]]
+    ua, ub = ([column[rep[f]] for column in columns] for f in (fa, fb))
     if max(len(fa), len(fb)) <= _TRANSPORT_ROWS \
-            and all(((u == 0) | (u == 1)).all() for u in (ua, ub)):
-        # mismatches of 0/1 rows, exact in float64 for any column count;
-        # int8 rows are cast first, as an int8 product wraps past 127
-        ua, ub = ua.astype(np.float64), ub.astype(np.float64)
+            and all(((u == 0) | (u == 1)).all() for u in ua + ub):
+        # summed from the int 0, so in int64: numpy adds bool arrays as "or"
+        cost = sum(np.not_equal.outer(x, y) for x, y in zip(ua, ub))
         flow = _transport(count[0][fa] - same[fa], count[1][fb] - same[fb],
-                          ua @ (1 - ub).T + (1 - ua) @ ub.T)
+                          cost)
         target = np.repeat(np.tile(np.arange(len(fb)), len(fa)), flow.ravel())
         perm[ra[np.argsort(target, kind="stable")]] = rb
         return perm
     # Local: importing scipy.optimize costs 0.22-0.27 s, +49 MB RSS.
     from scipy.optimize import linear_sum_assignment
     ra, rb = np.sort(ra), np.sort(rb)
-    cost = _exact_cost(ua, ub)[np.ix_(np.searchsorted(fa, key[ra]),
-                                      np.searchsorted(fb, key[n + rb]))]
+    cost = _exact_cost(np.column_stack(ua), np.column_stack(ub))[np.ix_(
+        np.searchsorted(fa, key[ra]), np.searchsorted(fb, key[n + rb]))]
     i, j = linear_sum_assignment(cost)
     perm[ra[i]] = rb[j]
     return perm

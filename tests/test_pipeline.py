@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from dataclasses import asdict
@@ -9,15 +10,15 @@ from ecoinfer.aggregate import AggregateSpec, summarize
 from ecoinfer.cli import build_parser, main
 from ecoinfer.forest import (ForestParams, RandomForest, load_ensemble,
                              save_ensemble, train_ensemble)
-from ecoinfer.pipeline import (ExperimentPlan, StageError,
+from ecoinfer.pipeline import (SWEEPABLE, ExperimentPlan, StageError,
                                run_controlled_sweep, run_experiment,
                                run_undersampling_sweep)
 from ecoinfer.reconstruct import (generate_candidates, load_candidates,
                                   save_candidates)
 from ecoinfer.similarity import GREEDY_RANK, match_rows
-from ecoinfer.synth import (builtin_configs, configs_from_json,
-                            configs_to_json, generate_ground_truth,
-                            with_overrides)
+from ecoinfer.synth import (GroundTruthConfig, builtin_configs,
+                            configs_from_json, configs_to_json,
+                            generate_ground_truth, with_overrides)
 from ecoinfer.tabular import Dataset, SchemaError, sidecar_path
 
 from conftest import dataset_from_rows, small_schema
@@ -209,6 +210,17 @@ class TestSweeps:
         assert [r.config["n"] for r in reports] == [500, 500]
         assert (out / "controlled_doa_fraction.csv").exists()
         assert (out / "doa_fraction_0.1" / "report.json").exists()
+
+    def test_sweepable_are_the_config_statistics(self):
+        # the nine arguments a GroundTruthConfig cannot be made without,
+        # in order, so `sweep --parameter` keeps its choices
+        required = [p.name for p in inspect.signature(
+            GroundTruthConfig).parameters.values()
+            if p.default is inspect.Parameter.empty]
+        assert list(SWEEPABLE) == required == [
+            "gender_or", "gender_fraction", "pt_or", "pt_fraction",
+            "ptt_or", "ptt_fraction", "plate_or", "plate_fraction",
+            "doa_fraction"]
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):

@@ -562,3 +562,69 @@ class TestGenerateCandidates:
         with pytest.raises(ValueError,
                            match=f"^{re.escape(f'{manifest}: {says}')}$"):
             load_candidates(tmp_path / "cands")
+
+    @pytest.mark.parametrize("key, value, says", [
+        ("seeds", None, "missing key 'seeds' in the manifest"),
+        ("seeds", 7, "seeds in the manifest is not a list"),
+        ("seeds", [], "seeds in the manifest holds 0 seeds for 1 candidates"),
+        ("seeds", [-1], "seeds[0] must be >= 0, got -1"),
+        ("or_deviations", "oops", "or_deviations in the manifest is not a "
+                                  "dict"),
+        ("or_deviations", {"Age": 0.1}, "or_deviations in the manifest "
+                                        "names 'Age', not a binary feature "
+                                        "of the spec"),
+        ("or_deviations", {"PT": "x"},
+         "or_deviations[PT] must be a real number, got 'x'"),
+        ("or_deviations", {"PT": -0.5},
+         "or_deviations[PT] must be in [0, inf], got -0.5")])
+    def test_manifest_seeds_and_deviations_follow_the_rules(
+            self, tmp_path, key, value, says):
+        cs = generate_candidates(trio_spec(n=200), 1, 0.0, base_seed=8)
+        save_candidates(cs, tmp_path / "cands")
+        manifest = tmp_path / "cands" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{manifest}: {says}')}$"):
+            load_candidates(tmp_path / "cands")
+
+    def test_infinite_deviations_load(self, tmp_path):
+        # solve_cells reports inf when a cell of the 2x2 table is zero
+        cs = generate_candidates(trio_spec(n=200), 1, 0.0, base_seed=8)
+        cs.or_deviations = dict.fromkeys(cs.or_deviations, float("inf"))
+        save_candidates(cs, tmp_path / "cands")
+        back = load_candidates(tmp_path / "cands")
+        assert back.or_deviations == cs.or_deviations
+
+    def test_candidate_seed_must_be_its_manifest_seed(self, tmp_path):
+        cs = generate_candidates(trio_spec(n=200), 2, 0.0, base_seed=8)
+        save_candidates(cs, tmp_path / "cands")
+        manifest = tmp_path / "cands" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["seeds"][1] += 1
+        manifest.write_text(json.dumps(doc))
+        csv = tmp_path / "cands" / "candidate_1.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(csv))}: "
+                           f"candidate 1 has seed {cs.candidates[1].seed}, "
+                           f"but seeds\\[1\\] in {re.escape(str(manifest))} "
+                           f"is {doc['seeds'][1]}$"):
+            load_candidates(tmp_path / "cands")
+
+    def test_candidate_schema_must_be_the_spec_schema(self, tmp_path):
+        cs = generate_candidates(trio_spec(n=200), 2, 0.0, base_seed=8)
+        save_candidates(cs, tmp_path / "cands")
+        # the same columns under other labels still read as a CSV
+        sidecar = tmp_path / "cands" / "candidate_0.csv.schema.json"
+        doc = json.loads(sidecar.read_text())
+        doc["schema"]["outcome"]["positive_label"] = "deceased"
+        sidecar.write_text(json.dumps(doc))
+        csv, spec = (tmp_path / "cands" / name
+                     for name in ("candidate_0.csv", "spec.json"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(csv))}: the "
+                           "schema of candidate 0 is not the schema of "
+                           f"{re.escape(str(spec))}$"):
+            load_candidates(tmp_path / "cands")

@@ -469,6 +469,36 @@ class TestExactOnZeroOneRows:
             == (transport.total_distance, transport.exact_match)
         assert sorted(m.permutation) == list(range(2000))
 
+    @pytest.mark.parametrize("n_rows, patterns, solver", [
+        (300, 12, "transport"), (2000, 1024, "linear_sum_assignment")],
+        ids=["transport", "linear_sum_assignment"])
+    def test_permutation_does_not_depend_on_column_layout(
+            self, monkeypatch, n_rows, patterns, solver):
+        # 10 0/1 columns as int8 columns, float64 copies and the strided
+        # columns of a C-order float64 matrix, as the normalised path has
+        rng = np.random.default_rng(89)
+        ma, mb = (rng.integers(0, 2, (patterns, 10), dtype=np.int8)[
+            rng.integers(0, patterns, n_rows)] for _ in range(2))
+        layouts = [([c.copy() for c in m.T] for m in (ma, mb)),
+                   ([c.astype(np.float64) for c in m.T] for m in (ma, mb)),
+                   (list(m.astype(np.float64).T) for m in (ma, mb))]
+        solved = []  # the solver each call reached
+        transport = similarity_module._transport
+        exact_cost = similarity_module._exact_cost
+        monkeypatch.setattr(similarity_module, "_transport",
+                            lambda *args: solved.append("transport")
+                            or transport(*args))
+        monkeypatch.setattr(similarity_module, "_exact_cost",
+                            lambda *args: solved.append(
+                                "linear_sum_assignment") or exact_cost(*args))
+        perms = [similarity_module._exact_permutation(*sides)
+                 for sides in layouts]
+        assert solved == [solver] * 3
+        assert all(p.dtype == np.int64 for p in perms)
+        assert np.array_equal(perms[0], perms[1])
+        assert np.array_equal(perms[0], perms[2])
+        assert sorted(perms[0]) == list(range(n_rows))
+
 
 class TestZeroOneCells:
     """A subset of binary columns is matched on its int8 cells, to the
@@ -689,7 +719,7 @@ def dense_oracle(a, b, method, names=None):
         perm[np.argsort(na.sum(axis=1), kind="stable")] = \
             np.argsort(nb.sum(axis=1), kind="stable")
     else:
-        perm = similarity_module._exact_permutation(na, nb)
+        perm = similarity_module._exact_permutation(list(na.T), list(nb.T))
     diff = np.abs(na - nb[perm])
     total = float(diff.sum() / m)
     zero = np.count_nonzero(diff.sum(axis=1) <= 1e-12 * m)
