@@ -225,7 +225,7 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"{args.dataset}: dataset has no rows")
     labels = ensemble_predict(forests, ds)
     if args.out:
-        write_columns(args.out, ["prediction"], [labels], ["%d"])
+        write_columns(args.out, ["prediction"], [labels])
     else:
         print(",".join(str(int(v)) for v in labels))
     if args.truth:
@@ -235,6 +235,8 @@ def _cmd_predict(args) -> int:
 
 def _experiment_plan(args, base_seed: int, out: Path) -> ExperimentPlan:
     """The plan of one `experiment` run or `sweep`, writing under out."""
+    # checked here, not as the forest seed base_seed + 1 it becomes
+    check_integer("--seed", args.seed, least=0)
     spec, truth = getattr(args, "spec", None), getattr(args, "truth", None)
     if spec and args.n is not None:
         raise ValueError("--n goes with --builtin or --config; a --spec "

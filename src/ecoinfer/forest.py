@@ -60,8 +60,9 @@ _NODE_FIELDS = operator.itemgetter(*NODE_DTYPE.names)
 
 
 class DecisionTree:
-    """One CART tree: a record array of nodes in depth-first, left-first
-    order, the root first."""
+    """One CART tree: a record array of nodes, the root first. A trained
+    tree keeps them as the grower made them: the two children of a split
+    node side by side (right = left + 1), after it."""
 
     def __init__(self, nodes: np.ndarray):
         self.nodes = nodes
@@ -180,14 +181,15 @@ class _Lockstep:
     most _STEP_BLOCK (pattern, feature) entries unless one node has more.
     Counts are integers, exact in float64, and each node scores, breaks ties
     and settles features as grown alone, so every tree is node for node the
-    tree grown alone. At the end the nodes are renumbered into preorder.
+    tree grown alone. A split's two children are made side by side, so each
+    tree's nodes, in the order made, are its node table.
     """
 
     def __init__(self, datasets: Iterable[Dataset], params: ForestParams,
                  first: int, names: list[str] | None):
         self.params, self.forests = params, []  # each forest's params
         self.names = names  # every dataset's features; None: the first's
-        # an empty first part lets an ensemble of no datasets concatenate
+        # an empty first part lets a schema with no features concatenate
         slots, bins = [np.zeros(0, np.int32)], [np.zeros(0)]
         # per tree: its generator, and its root's patterns and weights
         self.rngs, roots, weights = [], [], []
@@ -218,21 +220,22 @@ class _Lockstep:
                 self.rngs.append(rng)
                 roots.append(np.column_stack([pats, w[pats]]).astype(np.int32))
                 weights.append((w.sum(), w[~negative].sum()))
+        if not self.forests:
+            raise ValueError("an ensemble needs at least one forest")
         self.n_bins = np.array([len(part) for part in bins[1:]], np.intp)
         self.col_slot = _starts(np.array([len(part) for part in slots[1:]]))
         self.col_bin = _starts(self.n_bins)
         self.slots, self.bins = np.concatenate(slots), np.concatenate(bins)
         # a pattern's id and weight, packed into one int64 to move as one
-        self.pool = np.concatenate([np.zeros((0, 2), np.int32), *roots]).view(
-            np.int64).ravel()
-        trees, self.d = len(roots), len(self.names or ())
+        self.pool = np.concatenate(roots).view(np.int64).ravel()
+        trees, self.d = len(roots), len(self.names)
         self.k = math.ceil(math.sqrt(self.d))  # features per subset
         m = np.array([len(root) for root in roots], dtype=np.int64)
         self.rec = np.full((9, trees), -1)  # the roots are nodes 0, 1, ...
         self.rec[:6] = [np.arange(trees), np.zeros(trees),
                         *np.reshape(weights, (trees, 2)).T, _starts(m), m]
         self.thr, self.n_records = np.zeros(trees), trees
-        width = min(params.max_depth, m.max(initial=0)) + 1
+        width = min(params.max_depth, m.max()) + 1
         self.stack = np.zeros((trees, width), np.int64)
         self.stack[:, 0], (n, n_pos) = np.arange(trees), self.rec[2:4]
         self.height = ((n_pos > 0) & (n_pos < n)).astype(np.int64)
@@ -380,7 +383,8 @@ class _Lockstep:
         for start, count, side in zip(kid_off, kid_m, (~right, right)):
             self.pool[_ranges(start, count)] = moved[side]
 
-        # new nodes, the left children then the right; a full table doubles
+        # new nodes, each split's left child then its right; a full table
+        # doubles
         first, self.n_records = self.n_records, self.n_records + 2 * s
         if self.n_records > self.rec.shape[1]:
             more = max(2 * s, self.rec.shape[1])
@@ -388,42 +392,35 @@ class _Lockstep:
             self.thr = np.concatenate([self.thr, np.zeros(more)])
         depth = depth[split] + 1
         kids = self.rec[:6, first:first + 2 * s]  # a view
-        kids[:, :s] = t, depth, n_l[win], pos_l[win], kid_off[0], kid_m[0]
-        kids[:, s:] = (t, depth, n[split] - n_l[win], n_pos[split] - pos_l[win],
-                       kid_off[1], kid_m[1])
-        parents, lefts = recs[split], first + np.arange(s)
-        self.rec[6:, parents] = lefts, lefts + s, feature
+        kids[:, 0::2] = t, depth, n_l[win], pos_l[win], kid_off[0], kid_m[0]
+        kids[:, 1::2] = (t, depth, n[split] - n_l[win],
+                         n_pos[split] - pos_l[win], kid_off[1], kid_m[1])
+        parents, lefts = recs[split], first + 2 * np.arange(s)
+        self.rec[6:, parents] = lefts, lefts + 1, feature
         self.thr[parents] = mid[win]
         # push the children that can split, the right first to pop last
-        kid_n, kid_pos = self.rec[2:4, first:first + 2 * s]
-        deep = depth < self.params.max_depth
-        can = np.concatenate([deep, deep]) & (kid_pos > 0) & (kid_pos < kid_n)
+        kid_n, kid_pos = kids[2:4]
+        can = ((kid_pos > 0) & (kid_pos < kid_n)).reshape(s, 2) \
+            & (depth < self.params.max_depth)[:, None]
         h = self.height[t]
-        for side in (s, 0):
-            push = can[side:side + s]
+        for side in (1, 0):
+            push = can[:, side]
             self.stack[t[push], h[push]] = lefts[push] + side
             self.settled[t[push], h[push]] = settled[push]
             h = h + push
         self.height[t] = h
 
     def _trees(self) -> list[DecisionTree]:
-        """Each tree's node table, filled column by column, its nodes
-        renumbered into depth-first preorder from their subtree sizes."""
+        """Each tree's node table, filled column by column: its records in
+        the order they were made, so the root first and a split node's two
+        children side by side, after it."""
         count = self.n_records
-        tree, depth, n, n_pos, _, _, left, right, feature = self.rec[:, :count]
-        inner = np.flatnonzero(left >= 0)
-        inner = inner[np.argsort(depth[inner], kind="stable")]
-        levels = np.split(inner, np.flatnonzero(np.diff(depth[inner])) + 1)
-        size = np.ones(count, np.int64)
-        for ids in reversed(levels):  # subtree sizes, the deepest first
-            size[ids] += size[left[ids]] + size[right[ids]]
-        at = np.zeros(count, np.int64)  # each node's row in its tree
-        for ids in levels:
-            at[left[ids]] = at[ids] + 1
-            at[right[ids]] = at[ids] + 1 + size[left[ids]]
+        tree, _, n, n_pos, _, _, left, right, feature = self.rec[:, :count]
+        sizes = np.bincount(tree, minlength=len(self.stack))
+        row = np.empty(count, np.int64)  # each node's row in one table
+        row[np.argsort(tree, kind="stable")] = np.arange(count)
+        at = row - _starts(sizes)[tree]  # and in its tree's
         leaf, negative = left < 0, n - n_pos
-        roots = size[:len(self.stack)]
-        row = at + _starts(roots)[tree]  # and in one table of every tree
         table = np.empty(count, dtype=NODE_DTYPE)
         # a leaf keeps its bootstrap counts and predicts, ties toward the
         # positive class; an internal node keeps (0, 0) and 1
@@ -435,7 +432,7 @@ class _Lockstep:
                                         1 - POSITIVE_CLASS), 1))):
             table[name][row] = column
         return [DecisionTree(nodes)
-                for nodes in np.split(table, np.cumsum(roots)[:-1])]
+                for nodes in np.split(table, np.cumsum(sizes)[:-1])]
 
 
 def _feature_subsets(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
@@ -596,11 +593,8 @@ def train_ensemble(datasets: Iterable[Dataset], params: ForestParams,
             parts = list(pool.map(
                 _train_chunk, [datasets[a:b] for a, b in zip(ends, ends[1:])],
                 [params] * chunks, ends[:-1], [names] * chunks))
-        forests = [forest for part in parts for forest in part]
-    else:
-        forests = _train_chunk(datasets, params, 0, None)
-    _check_ensemble(forests)
-    return forests
+        return [forest for part in parts for forest in part]
+    return _train_chunk(datasets, params, 0, None)
 
 
 def _train_chunk(datasets: Iterable[Dataset], params: ForestParams,
@@ -611,16 +605,12 @@ def _train_chunk(datasets: Iterable[Dataset], params: ForestParams,
     return _Lockstep(datasets, params, first, names).grow()
 
 
-def _check_ensemble(forests: list) -> None:
-    if not forests:
-        raise ValueError("an ensemble needs at least one forest")
-
-
 def ensemble_labels(forests: list[RandomForest], data: Dataset) -> np.ndarray:
     """The (forests, rows) label matrix of an ensemble on a dataset. A
     forest labels a row by its values alone, so each distinct row is
     predicted once and its labels are scattered back."""
-    _check_ensemble(forests)
+    if not forests:
+        raise ValueError("an ensemble needs at least one forest")
     names = data.schema.feature_names
     for forest in forests:
         if forest.feature_names != names:
@@ -725,8 +715,9 @@ def _walk_problem(nodes: np.ndarray, sizes: np.ndarray,
     to labels, or None. Every tree needs a node. Each internal node i
     (feature >= 0) of a tree of n nodes must name a feature, have a
     threshold that is not NaN (every row would go right) and have both
-    children in (i, n), as depth-first preorder gives them, so no walk can
-    cycle; each leaf must predict 0 or 1."""
+    children in (i, n), so no walk can cycle: the grower's layout and
+    depth-first preorder both put them there. Each leaf must predict 0 or
+    1."""
     if not sizes.all():
         return f"tree {np.argmin(sizes)}: has no nodes"
     f, left, right = nodes["feature"], nodes["left"], nodes["right"]

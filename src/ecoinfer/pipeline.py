@@ -196,11 +196,10 @@ def _evaluate(plan: ExperimentPlan, truth: Dataset | None,
             models.append(("ensemble", report.ensemble_metrics))
         _write_metrics_csv(out_dir / "fig5_metrics.csv", "model", models)
         if predictions is not None:
-            columns = [*predictions, ens_pred, truth.outcome]
             write_columns(out_dir / "predictions.csv",
                           [f"candidate_{k}" for k in range(len(predictions))]
                           + ["ensemble", "truth"],
-                          columns, ["%d"] * len(columns))
+                          [*predictions, ens_pred, truth.outcome])
         write_json(timings, out_dir / "timings.json")
     return report
 

@@ -43,6 +43,12 @@ _COST_BLOCK = 1 << 20
 # instead of 16-18 ms.
 _TRANSPORT_ROWS = 128
 
+# Most rows left over that exact matching hands to linear_sum_assignment:
+# their r x r float64 cost table is then at most 2 GiB. Config 1 at N=10**6
+# on all columns would leave 21,029 (a 3.5 GB table, before an O(r^3)
+# solve); at N=10,000 it leaves 1,886, and all-distinct rows leave n.
+_ASSIGNMENT_ROWS = 16_384
+
 
 @dataclass(frozen=True)
 class RowMatching:
@@ -140,7 +146,8 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
     rows, that is a transportation problem between the distinct rows, solved
     in numpy (config 1 at N=10,000 leaves r = 167 rows of 16 and 15 distinct
     ones on its binary columns); otherwise linear_sum_assignment solves it
-    (O(r^3) time, r x r floats; r = 1,886 on all of config 1's columns).
+    (O(r^3) time, r x r floats; r = 1,886 on all of config 1's columns),
+    and more than _ASSIGNMENT_ROWS rows left over raise ValueError.
     On 0/1 rows every optimum has the same total and zero count, bit for
     bit, so either solver reports the same. identity pairs row i with row i.
     A subset whose every column is binary by the schema is matched on the
@@ -284,6 +291,12 @@ def _exact_permutation(ca: list[np.ndarray],
         target = np.repeat(np.tile(np.arange(len(fb)), len(fa)), flow.ravel())
         perm[ra[np.argsort(target, kind="stable")]] = rb
         return perm
+    if len(ra) > _ASSIGNMENT_ROWS:
+        raise ValueError(
+            f"exact matching leaves {len(ra):,} rows to assign, more than "
+            f"{_ASSIGNMENT_ROWS:,}: their cost table would take "
+            f"{len(ra) ** 2 * 8 / 2 ** 30:.1f} GiB; match on the 0/1 "
+            "columns (similarity --features) to solve without one")
     # Local: importing scipy.optimize costs 0.22-0.27 s, +49 MB RSS.
     from scipy.optimize import linear_sum_assignment
     ra, rb = np.sort(ra), np.sort(rb)

@@ -190,8 +190,7 @@ class Dataset:
         path = Path(path)
         specs = (*self.schema.features, self.schema.outcome)
         write_columns(path, [spec.name for spec in specs],
-                      [self.columns[spec.name] for spec in specs],
-                      ["%d" if spec.kind == BINARY else "%r" for spec in specs])
+                      [self.columns[spec.name] for spec in specs])
         write_json({"schema": self.schema.to_dict(), "seed": self.seed},
                    sidecar_path(path))
 
@@ -423,10 +422,10 @@ _WRITE_BLOCK = 1 << 16
 
 
 def write_columns(path: str | Path, header: list[str],
-                  columns: list[np.ndarray], formats: list[str]) -> None:
-    """CSV of whole int or float columns, one %-format per column: %d
-    prints an int as str() does, %r a float as repr() does. Each distinct
-    row is formatted once; rows are told apart by their bits (a float
+                  columns: list[np.ndarray]) -> None:
+    """CSV of whole int or float columns: a float column is written %r,
+    as repr() prints a float, any other %d, as str() prints an int. Each
+    distinct row is formatted once; rows are told apart by their bits (a float
     column is read as the unsigned integers of its own width), so -0.0 and
     0.0 keep their own spellings. The body is written as joined strings of
     at most _WRITE_BLOCK rows each."""
@@ -434,7 +433,8 @@ def write_columns(path: str | Path, header: list[str],
     rep, inverse = distinct_rows(
         [c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
          for c in columns])
-    row = ",".join(formats) + "\n"
+    row = ",".join("%r" if c.dtype.kind == "f" else "%d"
+                   for c in columns) + "\n"
     lines = [row % cells for cells in zip(*(c[rep].tolist() for c in columns))]
     line = lines.__getitem__
     body = ("".join(map(line, inverse[s:s + _WRITE_BLOCK].tolist()))

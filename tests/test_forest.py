@@ -145,6 +145,17 @@ class TestTrainForest:
             forest = train_forest(ds, ForestParams(n_trees=4, seed=0))
         assert all(len(t.nodes) == 1 for t in forest.trees)
 
+    def test_children_are_made_side_by_side_after_their_parent(self):
+        rng = np.random.default_rng(8)
+        forest = train_forest(random_rows(rng, 300),
+                              ForestParams(n_trees=6, seed=2))
+        for tree in forest.trees:
+            left, right = tree.nodes["left"], tree.nodes["right"]
+            inner = np.flatnonzero(tree.nodes["feature"] >= 0)
+            assert len(inner) > 3
+            assert (left[inner] > inner).all()
+            assert (right[inner] == left[inner] + 1).all()
+
     def test_two_valued_split_feature_is_not_scored_below(self, monkeypatch):
         # each child of a split on a feature with two values keeps one of
         # them, so no node below scores that feature again
@@ -231,39 +242,39 @@ def test_threshold_picks_are_linspace(n_mids):
 
 def reference_trees(X, y, params):
     """Node lists of a forest grown row by row on each bootstrap, as the
-    trainer did before it worked on weighted distinct rows."""
+    trainer did before it worked on weighted distinct rows. A node that
+    splits gives its two children the next two slots, then grows the left
+    one and then the right."""
     k = math.ceil(math.sqrt(X.shape[1]))
     trees = []
     for ss in np.random.SeedSequence(params.seed).spawn(params.n_trees):
         rng = np.random.default_rng(ss)
         idx = rng.integers(0, len(y), size=len(y))
         Xb, yb = X[idx], y[idx]
-        nodes = []
+        nodes = [None]
 
-        def leaf(yn):
+        def build(at, rows, depth):
+            """Grow the node in slot at on these bootstrap rows."""
+            yn = yb[rows]
             n_pos = int(np.count_nonzero(yn == 0))
             n_neg = len(yn) - n_pos
-            nodes.append(leaf_node((n_pos, n_neg), 0 if n_pos >= n_neg else 1))
-            return len(nodes) - 1
-
-        def build(rows, depth):
-            yn = yb[rows]
+            nodes[at] = leaf_node((n_pos, n_neg), 0 if n_pos >= n_neg else 1)
             if depth >= params.max_depth or (yn == yn[0]).all():
-                return leaf(yn)
+                return
             feats = rng.choice(X.shape[1], size=k, replace=False)
             split = reference_best_split(Xb[rows], yn, feats)
             if split is None:
-                return leaf(yn)
+                return
             f, t = split
             go_left = Xb[rows, f] <= t
-            node = len(nodes)
-            nodes.append({"feature": f, "threshold": t, "left": -1,
-                          "right": -1, "counts": [0, 0], "pred": 1})
-            nodes[node]["left"] = build(rows[go_left], depth + 1)
-            nodes[node]["right"] = build(rows[~go_left], depth + 1)
-            return node
+            left = len(nodes)
+            nodes.extend([None, None])
+            nodes[at] = {"feature": f, "threshold": t, "left": left,
+                         "right": left + 1, "counts": [0, 0], "pred": 1}
+            build(left, rows[go_left], depth + 1)
+            build(left + 1, rows[~go_left], depth + 1)
 
-        build(np.arange(len(y)), 0)
+        build(0, np.arange(len(y)), 0)
         trees.append({"nodes": nodes})
     return trees
 
@@ -805,6 +816,23 @@ class TestSerialization:
         assert (tmp_path / "int.json").read_bytes() == \
             (tmp_path / "numpy.json").read_bytes()
 
+    def test_grown_and_preorder_layouts_predict_alike(self, tmp_path):
+        rng = np.random.default_rng(14)
+        ens = trained_ensemble(rng)
+        save_ensemble(ens, tmp_path / "grown.json")
+        save_ensemble([RandomForest(f.params, [preorder(t) for t in f.trees],
+                                    f.feature_names) for f in ens],
+                      tmp_path / "preorder.json")
+        assert (tmp_path / "grown.json").read_bytes() != \
+            (tmp_path / "preorder.json").read_bytes()
+        rows = random_rows(rng, 200)
+        grown, pre = (load_ensemble(tmp_path / name)
+                      for name in ("grown.json", "preorder.json"))
+        assert np.array_equal(ensemble_predict(pre, rows),
+                              ensemble_predict(grown, rows))
+        assert np.array_equal(ensemble_predict(grown, rows),
+                              ensemble_predict(ens, rows))
+
     def test_loads_older_format(self, tmp_path):
         # Older model files carry a "task" key and four more training
         # settings per forest; both are ignored on load.
@@ -824,6 +852,23 @@ class TestSerialization:
         rows = random_rows(rng)
         assert np.array_equal(ensemble_labels(back, rows),
                               ensemble_labels(ens, rows))
+
+
+def preorder(tree):
+    """The tree with its nodes renumbered into depth-first, left-first
+    preorder, the layout model files had before trees kept their nodes in
+    the order the grower made them."""
+    nodes, order, todo = tree.nodes, [], [0]
+    while todo:
+        order.append(todo.pop())
+        if nodes["feature"][order[-1]] >= 0:
+            todo += [nodes["right"][order[-1]], nodes["left"][order[-1]]]
+    at = np.empty(len(nodes), np.int64)
+    at[order] = np.arange(len(order))
+    out = nodes[order]
+    for side in ("left", "right"):
+        out[side] = np.where(out["feature"] >= 0, at[out[side]], -1)
+    return DecisionTree(out)
 
 
 def node(feature, left, right):

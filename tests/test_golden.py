@@ -46,7 +46,7 @@ GOLDEN = {
             "fig5_metrics.csv": "4a231bb8b737ac3e56fdf28a98edf96e3cdeefcef614d85feca611a0e0f3a969",
             "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
             "candidates/spec.json": "f38fd085fc82101effa09fd9f38ebd32c8781c2d4da3c4fe420e1760a58eb043",
-            "model.json": "e33e2e90b33cd321f067e98914a93f7229afda7e7b4bfbe4c57996a0edc69fa3",
+            "model.json": "d2089719c36b302b67113e0a7bcfbeecbd5d0d16aa91d2a5aeae4431de323fcb",
             "cli_predictions.csv": "6316d9221dc5d3c3135a61140fae6bd28bfdc6a698656becc8423d0d094a531b",
         },
         "config10": {
@@ -56,7 +56,7 @@ GOLDEN = {
             "fig5_metrics.csv": "942df1dbe35ec7b329c971522c1974937aed44f3ad1984bb7b9ad2a695f417ab",
             "candidates/manifest.json": "56757b8d8b9b4151ef1cd70352c836291c207fe2ac250cb4396e95f342164cb8",
             "candidates/spec.json": "fcc8b0ea525710653620c83921117de635a7c806195d769bf10c8f2d8e6822d6",
-            "model.json": "1f5a4e1e7013a6790b51499dc99e362b99db58ba7fe8095b6409d81fe7476b09",
+            "model.json": "278c350208743c9d798006e41b84700bbeec44e53db8b998e6f0edadc5b9a02b",
             "cli_predictions.csv": "a0b3a2b70def3abc76f875bbba87a8f8521ce7722a4930d46b44f475b1d06da6",
         },
         "config1-undersample0.5": {

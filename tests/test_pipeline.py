@@ -492,21 +492,29 @@ class TestCli:
         assert json.loads(sidecar_path(out).read_text())["seed"] == 7
 
     def test_experiment_seed_checked_before_writing(self, tmp_path, capsys):
-        # the forests are seeded --seed + 1, and numpy refuses seeds < 0
+        # named as given, not as the forest seed --seed + 1 it becomes
         out = tmp_path / "x"
         code = main(["experiment", "--builtin", "1", *SMALL_RUN,
-                     "--seed", "-2", "--out", str(out)])
+                     "--seed", "-5", "--out", str(out)])
         assert code == 1
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "--seed must be >= 0, got -5" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_experiment_seed_minus_one_runs(self, tmp_path):
+    def test_sweep_seed_checked_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["sweep", "--builtin", "1", *SMALL_RUN, "--rates", "1.0",
+                     "--seed", "-5", "--out", str(out)])
+        assert code == 1
+        assert "--seed must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_seed_minus_one_is_refused(self, tmp_path, capsys):
+        # its forest seed would be 0, but --seed itself must be >= 0
         out = tmp_path / "x"
         assert main(["experiment", "--builtin", "1", *SMALL_RUN,
-                     "--seed", "-1", "--out", str(out)]) == 0
-        seeds = json.loads((out / "report.json").read_text())["seeds"]
-        assert seeds["base_seed"] == -1
-        assert seeds["forest_seeds"] == [0, 1]
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_seed_checked_before_reading(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

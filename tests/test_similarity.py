@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from ecoinfer import cli
 from ecoinfer.aggregate import summarize
 from ecoinfer.reconstruct import reconstruct
 from ecoinfer.similarity import (EXACT_ASSIGNMENT, GREEDY_RANK, IDENTITY,
@@ -368,6 +369,28 @@ class TestExactFromRowsLeftOver:
             shared = sum(min(k, cb[row]) for row, k in ca.items())
             m = match_rows(a, b, EXACT_ASSIGNMENT)
             assert m.exact_match == shared / n_rows
+
+    def test_refuses_more_rows_than_it_can_assign(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # near-continuous rows leave r rows over: at most _ASSIGNMENT_ROWS
+        # are solved, one more is refused before any cost table is built
+        a, b = mixed_pair(np.random.default_rng(47), 40, 1, 2)
+        m = match_rows(a, b, EXACT_ASSIGNMENT)
+        r = 40 - round(m.exact_match * 40)
+        assert r > 30
+        monkeypatch.setattr(similarity_module, "_ASSIGNMENT_ROWS", r)
+        assert np.array_equal(match_rows(a, b, EXACT_ASSIGNMENT).permutation,
+                              m.permutation)
+        monkeypatch.setattr(similarity_module, "_ASSIGNMENT_ROWS", r - 1)
+        monkeypatch.setattr(similarity_module, "_exact_cost", None)
+        with pytest.raises(ValueError, match=rf"leaves {r} rows to assign, "
+                           rf"more than {r - 1}: .* GiB; .*--features"):
+            match_rows(a, b, EXACT_ASSIGNMENT)
+        a.to_csv(tmp_path / "a.csv")
+        b.to_csv(tmp_path / "b.csv")
+        assert cli.main(["similarity", str(tmp_path / "a.csv"),
+                         str(tmp_path / "b.csv"), "--method", "exact"]) == 1
+        assert f"leaves {r} rows to assign" in capsys.readouterr().err
 
     @pytest.mark.parametrize("binary_only, limit_mb", [(True, 8),
                                                        (False, 64)],

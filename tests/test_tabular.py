@@ -245,7 +245,7 @@ class TestWriteColumns:
         columns, formats = next((c, f) for name, c, f in self.tables()
                                 if name == case)
         header = [f"c{j}" for j in range(len(columns))]
-        write_columns(tmp_path / "got.csv", header, columns, formats)
+        write_columns(tmp_path / "got.csv", header, columns)
         reference_write_columns(tmp_path / "want.csv", header, columns,
                                 formats)
         assert (tmp_path / "got.csv").read_bytes() == \
@@ -260,7 +260,7 @@ class TestWriteColumns:
         monkeypatch.setattr(tabular, "_WRITE_BLOCK", 7)
         rng = np.random.default_rng(29)
         columns = [rng.choice([-0.0, 0.0, 2.5], 50), rng.integers(0, 3, 50)]
-        write_columns(tmp_path / "got.csv", ["x", "k"], columns, ["%r", "%d"])
+        write_columns(tmp_path / "got.csv", ["x", "k"], columns)
         reference_write_columns(tmp_path / "want.csv", ["x", "k"], columns,
                                 ["%r", "%d"])
         assert (tmp_path / "got.csv").read_bytes() == \
