@@ -7,12 +7,13 @@ class is the dead outcome (encoded 0) and all prediction ties resolve
 toward it: in the trauma setting a false negative is worse than a false
 positive.
 
-Every tree of an ensemble grows in lockstep (_Lockstep), one node per tree
-per step, a step costing a fixed number of numpy calls. Each tree draws its
-feature subsets a block at a time, as per-node ``Generator.choice`` calls
-would, so it is node for node the tree grown alone, depth-first. A forest
-predicts by walking all its trees together (RandomForest.predict), in
-blocks of at most _WALK_BLOCK (tree, row) entries.
+Every tree of an ensemble grows in lockstep (_Lockstep), a node or a few
+per tree per step, a step costing a fixed number of numpy calls. Each tree
+draws its feature subsets a block at a time, as per-node
+``Generator.choice`` calls would, so it is node for node the tree grown
+alone, depth-first. A forest predicts by walking all its trees together
+(RandomForest.predict), in blocks of at most _WALK_BLOCK (tree, row)
+entries.
 """
 
 from __future__ import annotations
@@ -78,20 +79,13 @@ class DecisionTree:
             level = np.concatenate([left[inner], right[inner]])
             depth += 1
 
-    def to_dict(self) -> dict:
-        nodes = self.nodes
-        return {"nodes": [
-            {"feature": None if f < 0 else f, "threshold": t, "left": l,
-             "right": r, "counts": c, "pred": p}
-            for f, t, l, r, c, p in zip(
-                *(nodes[k].tolist() for k in NODE_DTYPE.names))]}
-
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        """Nodes in to_dict's layout. A node that is not an object or lacks
-        a key, a feature (None on a leaf), child or pred that is not an
-        integer, a threshold check_real refuses, or counts that are not two
-        integers raise ValueError naming the node, not cast or broadcast."""
+        """Nodes in the layout save_ensemble writes. A node that is not an
+        object or lacks a key, a feature (None on a leaf) that is not an
+        integer >= 0, a child or pred that is not an integer, a threshold
+        check_real refuses, or counts that are not two integers >= 0 raise
+        ValueError naming the node, not cast or broadcast."""
         rows = []
         for i, nd in enumerate(require(d, "nodes", kind=list)):
             try:
@@ -110,12 +104,20 @@ class DecisionTree:
                                                    and v is None):
                         raise ValueError(
                             f"node {i}: {key} {v!r} is not an integer")
+            # a leaf's feature is null; a -1 would load as a leaf and save
+            # again as null
+            if feature is not None and feature < 0:
+                raise ValueError(f"node {i}: feature {feature} is below 0; "
+                                 "a leaf's is null")
             if type(threshold) is not float:
                 check_real(f"node {i}: threshold", threshold, -np.inf, np.inf)
             if type(counts) is not list or len(counts) != 2 \
                     or type(counts[0]) is not int or type(counts[1]) is not int:
                 raise ValueError(
                     f"node {i}: counts {counts!r} is not two integers")
+            if counts[0] < 0 or counts[1] < 0:
+                raise ValueError(f"node {i}: counts {counts!r} has a count "
+                                 "below 0")
             rows.append((-1 if feature is None else feature, threshold, left,
                          right, tuple(counts), pred))
         return cls(np.array(rows, dtype=NODE_DTYPE))
@@ -176,13 +178,14 @@ class _Lockstep:
     tree's block of feature subsets, read through ``cursor``.
 
     A step pops the top node of every tree with one pending, and again
-    where every feature of its subset is settled. It scores the step's
-    (node, feature) pairs with one weighted ``bincount``, in blocks of at
-    most _STEP_BLOCK (pattern, feature) entries unless one node has more.
-    Counts are integers, exact in float64, and each node scores, breaks ties
-    and settles features as grown alone, so every tree is node for node the
-    tree grown alone. A split's two children are made side by side, so each
-    tree's nodes, in the order made, are its node table.
+    where every feature of its subset is settled or the node is on the
+    level above the last: neither pushes a child (see _pop). It scores the
+    step's (node, feature) pairs with one weighted ``bincount``, in blocks
+    of at most _STEP_BLOCK (pattern, feature) entries unless one node has
+    more. Counts are integers, exact in float64, and each node scores,
+    breaks ties and settles features as grown alone, so every tree is node
+    for node the tree grown alone. A split's two children are made side by
+    side, so each tree's nodes, in the order made, are its node table.
     """
 
     def __init__(self, datasets: Iterable[Dataset], params: ForestParams,
@@ -249,7 +252,7 @@ class _Lockstep:
         # leaves one side empty and so scores inf, like any such threshold.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while (live := np.flatnonzero(self.height)).size:
-                _, recs, _, free = step = self._pop(live)
+                _, recs, _, free, _ = step = self._pop(live)
                 entries = (self.rec[5, recs] * free.sum(axis=1)).cumsum()
                 start = 0
                 while start < len(entries):
@@ -264,10 +267,14 @@ class _Lockstep:
                 for k, member in enumerate(self.forests)]
 
     def _pop(self, trees: np.ndarray) -> list[np.ndarray]:
-        """Pop, and read a subset, in each of these trees, again where all of
-        it is settled (read all the same, so each tree draws as if it scored
-        every node): the trees, nodes, subsets and free features to score."""
-        taken = []
+        """Pop, and read a subset, in each of these trees; again where all
+        of it is settled, or where the node is on the level above the last,
+        whose children are leaves: either way the node pushes nothing, so
+        the node below it takes the tree's next subset. Subsets are read
+        all the same, so each tree draws as if it scored every node. The
+        trees, nodes, subsets, free features and settled features of the
+        nodes to score, in each tree's pop order."""
+        taken, last = [], self.params.max_depth - 1
         while trees.size:
             self.height[trees] -= 1
             height = self.height[trees]
@@ -277,16 +284,20 @@ class _Lockstep:
                 self.cursor[t] = 0
             subsets = self.subsets[trees, self.cursor[trees]]
             self.cursor[trees] += 1
-            free = ~self.settled[trees[:, None], height[:, None], subsets]
+            recs = self.stack[trees, height]
+            settled = self.settled[trees, height]
+            free = ~np.take_along_axis(settled, subsets, axis=1)
             scored = free.any(axis=1)
-            taken.append([a[scored] for a in (
-                trees, self.stack[trees, height], subsets, free)])
-            trees = trees[~scored & (height > 0)]
+            taken.append([a[scored]
+                          for a in (trees, recs, subsets, free, settled)])
+            trees = trees[(~scored | (self.rec[1, recs] == last))
+                          & (height > 0)]
         return [np.concatenate(parts) for parts in zip(*taken)]
 
-    def _split(self, trees, recs, subsets, free) -> None:
+    def _split(self, trees, recs, subsets, free, settled) -> None:
         """Score these nodes on their free subset features; split each that
-        gains into two new nodes, and push each of them that can split."""
+        gains into two new nodes, and push each of them that can split.
+        settled holds each node's settled features, and is written."""
         _, depth, n, n_pos, off, size = self.rec[:6, recs]
         n, n_pos = n.astype(float), n_pos.astype(float)
         # one (node, feature) pair per free feature, in subset order; a
@@ -368,7 +379,6 @@ class _Lockstep:
         s, t, m = len(split), trees[split], size[split]
         win_pair = cand_pair[win]
         feature = pair_feat[win_pair]
-        settled = self.settled[trees, self.height[trees]]
         settled[pair_node, pair_feat] |= n_present < 2
         settled = settled[split]
         settled[np.arange(s), feature] |= n_present[win_pair] == 2
@@ -398,10 +408,12 @@ class _Lockstep:
         parents, lefts = recs[split], first + 2 * np.arange(s)
         self.rec[6:, parents] = lefts, lefts + 1, feature
         self.thr[parents] = mid[win]
-        # push the children that can split, the right first to pop last
+        # push the children that can split, the right first to pop last;
+        # only a node above the last level pushes, at most one a tree
         kid_n, kid_pos = kids[2:4]
-        can = ((kid_pos > 0) & (kid_pos < kid_n)).reshape(s, 2) \
-            & (depth < self.params.max_depth)[:, None]
+        up = depth < self.params.max_depth
+        can = ((kid_pos > 0) & (kid_pos < kid_n)).reshape(s, 2)[up]
+        t, lefts, settled = t[up], lefts[up], settled[up]
         h = self.height[t]
         for side in (1, 0):
             push = can[:, side]
@@ -525,11 +537,6 @@ class RandomForest:
             labels[a:a + step] = majority_vote(
                 nodes["pred"][cur].reshape(len(sizes), -1))
         return labels
-
-    def to_dict(self) -> dict:
-        return {"params": asdict(self.params),
-                "feature_names": self.feature_names,
-                "trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForest":
@@ -664,9 +671,46 @@ def evaluate(predicted, truth) -> Metrics:
 
 
 def save_ensemble(forests: list[RandomForest], path: str | Path) -> None:
-    payload = {"models": [forest.to_dict() for forest in forests]}
-    # json.dumps runs the C encoder; json.dump streams through Python.
-    write_new(path, [json.dumps(payload, default=plain_number), "\n"])
+    """Write the text json.dumps gives {"models": [...]}, and a newline.
+    Each model is {"params", "feature_names", "trees"}, each tree
+    {"nodes": [...]}, and each node holds NODE_DTYPE's fields, a leaf's
+    feature null. The node tables are formatted column by column
+    (_forest_text), not built as dicts for json, and written a forest at a
+    time; every forest is formatted before the file is opened, so a value
+    json refuses leaves the old file."""
+    parts = ['{"models": [']
+    for k, forest in enumerate(forests):
+        parts += [", "] if k else []
+        parts.append(_forest_text(forest))
+    write_new(path, [*parts, "]}\n"])
+
+
+# One node as json.dumps writes it: %s prints a float as repr() does, and
+# a non-finite threshold comes already spelled as json spells it
+_NODE_TEXT = ('{"feature": %s, "threshold": %s, "left": %d, "right": %d, '
+              '"counts": [%d, %d], "pred": %d}')
+
+
+def _forest_text(forest: RandomForest) -> str:
+    """json.dumps of one model of a saved ensemble."""
+    nodes = np.concatenate([np.zeros(0, NODE_DTYPE),
+                            *(t.nodes for t in forest.trees)])
+    threshold = nodes["threshold"].tolist()
+    # NaN, Infinity or -Infinity, which a loaded leaf may hold
+    for i in np.flatnonzero(~np.isfinite(nodes["threshold"])).tolist():
+        threshold[i] = json.dumps(threshold[i])
+    counts = nodes["counts"]
+    text = list(map(_NODE_TEXT.__mod__, zip(
+        ["null" if f < 0 else str(f) for f in nodes["feature"].tolist()],
+        threshold, nodes["left"].tolist(), nodes["right"].tolist(),
+        counts[:, 0].tolist(), counts[:, 1].tolist(),
+        nodes["pred"].tolist())))
+    ends = np.cumsum([len(t.nodes) for t in forest.trees]).tolist()
+    trees = ", ".join('{"nodes": [%s]}' % ", ".join(text[a:b])
+                      for a, b in zip([0, *ends], ends))
+    return '{"params": %s, "feature_names": %s, "trees": [%s]}' % (
+        json.dumps(asdict(forest.params), default=plain_number),
+        json.dumps(forest.feature_names, default=plain_number), trees)
 
 
 def load_ensemble(path: str | Path) -> list[RandomForest]:

@@ -423,23 +423,48 @@ _WRITE_BLOCK = 1 << 16
 
 def write_columns(path: str | Path, header: list[str],
                   columns: list[np.ndarray]) -> None:
-    """CSV of whole int or float columns: a float column is written %r,
-    as repr() prints a float, any other %d, as str() prints an int. Each
+    """CSV of whole int or float columns: a float column is written as
+    repr() prints a float, any other %d, as str() prints an int. Each
     distinct row is formatted once; rows are told apart by their bits (a float
     column is read as the unsigned integers of its own width), so -0.0 and
-    0.0 keep their own spellings. The body is written as joined strings of
-    at most _WRITE_BLOCK rows each."""
+    0.0 keep their own spellings. A float column whose distinct values are
+    all whole (see _whole) is printed %d.0 from int64: the same text, and
+    cheaper to format than %r. The body is written as joined strings of at
+    most _WRITE_BLOCK rows each."""
     columns = [np.asarray(c) for c in columns]
     rep, inverse = distinct_rows(
         [c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
          for c in columns])
-    row = ",".join("%r" if c.dtype.kind == "f" else "%d"
-                   for c in columns) + "\n"
-    lines = [row % cells for cells in zip(*(c[rep].tolist() for c in columns))]
+    cells, formats = [], []
+    for column in columns:
+        values = column[rep]
+        if column.dtype.kind != "f":
+            formats.append("%d")
+        elif (whole := _whole(values)) is not None:
+            values = whole
+            formats.append("%d.0")
+        else:
+            formats.append("%r")
+        cells.append(values.tolist())
+    row = ",".join(formats) + "\n"
+    lines = [row % cells for cells in zip(*cells)]
     line = lines.__getitem__
     body = ("".join(map(line, inverse[s:s + _WRITE_BLOCK].tolist()))
             for s in range(0, len(inverse), _WRITE_BLOCK))
     write_new(path, itertools.chain([",".join(header) + "\n"], body))
+
+
+def _whole(values: np.ndarray) -> np.ndarray | None:
+    """The float values as int64, if every one is whole, below 1e16 in
+    size and not -0.0: those are the floats repr() prints as an integer and
+    ".0" (from 1e16 on it prints an exponent). Else None."""
+    values = values.astype(np.float64)  # 1e16 is no float16
+    if not (np.abs(values) < 1e16).all():  # NaN and inf fail here too
+        return None
+    whole = values.astype(np.int64)
+    if (whole != values).any() or np.signbit(values[whole == 0]).any():
+        return None
+    return whole
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:

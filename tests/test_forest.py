@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from ecoinfer.forest import (MAX_THRESHOLDS, NODE_DTYPE, DecisionTree,
                              member_params, save_ensemble, train_ensemble,
                              train_forest)
 from ecoinfer.tabular import (BINARY, CONTINUOUS, Dataset, FeatureSpec,
-                              Schema, SchemaError)
+                              Schema, SchemaError, plain_number)
 
 from conftest import small_schema
 
@@ -46,6 +47,23 @@ def continuous_dataset(columns, y):
 def leaf_node(counts, pred):
     return {"feature": None, "threshold": 0.0, "left": -1, "right": -1,
             "counts": list(counts), "pred": pred}
+
+
+def tree_dict(tree):
+    """The tree as its model file entry decodes: its node table row by row,
+    a leaf's feature None."""
+    return {"nodes": [
+        {"feature": None if f < 0 else f, "threshold": t, "left": l,
+         "right": r, "counts": c, "pred": p}
+        for f, t, l, r, c, p in zip(
+            *(tree.nodes[k].tolist() for k in NODE_DTYPE.names))]}
+
+
+def forest_dict(forest):
+    """The forest as its model file entry decodes."""
+    return {"params": asdict(forest.params),
+            "feature_names": forest.feature_names,
+            "trees": [tree_dict(t) for t in forest.trees]}
 
 
 def constant_tree(label):
@@ -166,11 +184,11 @@ class TestTrainForest:
         scored, grown = [], []
         split = forest_module._Lockstep._split
 
-        def spy(self, trees, recs, subsets, free):
+        def spy(self, trees, recs, subsets, free, settled):
             grown[:] = [self]
             scored.extend((r, set(sub[f].tolist()))
                           for r, sub, f in zip(recs.tolist(), subsets, free))
-            return split(self, trees, recs, subsets, free)
+            return split(self, trees, recs, subsets, free, settled)
 
         monkeypatch.setattr(forest_module._Lockstep, "_split", spy)
         train_forest(ds, ForestParams(n_trees=4, max_depth=12, seed=2))
@@ -186,6 +204,46 @@ class TestTrainForest:
                 above.add(int(feature[j]))
                 j = parent[j]
             assert not above & feats, r
+
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 12])
+    def test_same_trees_as_row_by_row_at_any_depth(self, max_depth):
+        # at depth 1 the root is on the last level, at 2 its children are,
+        # and at 12 most nodes of a tree are above it
+        rng = np.random.default_rng(19)
+        cols = {f"b{j}": rng.integers(0, 2, 400) for j in range(5)}
+        cols["r"] = np.round(rng.normal(0, 2, 400))
+        cols["u"] = rng.normal(0, 1, 400)
+        ds = continuous_dataset(cols, (cols["b0"] ^ cols["b1"]
+                                       ^ (rng.random(400) < 0.3)).astype(int))
+        params = ForestParams(n_trees=8, max_depth=max_depth, seed=3)
+        forest = train_forest(ds, params)
+        assert max(t.depth() for t in forest.trees) == max_depth
+        expected = reference_trees(ds.to_matrix(ds.schema.feature_names),
+                                   ds.outcome, params)
+        assert [tree_dict(t) for t in forest.trees] == expected
+
+    def test_last_level_nodes_pop_together(self, monkeypatch):
+        # a node one level above the depth limit pushes nothing, so the
+        # node below it pops in the same step. One node a tree a step took
+        # at least as many steps as the largest tree scores nodes.
+        rng = np.random.default_rng(31)
+        ds = random_rows(rng, 2000)
+        scored = []  # per step, the nodes each tree scores
+        pop = forest_module._Lockstep._pop
+
+        def spy(self, trees):
+            step = pop(self, trees)
+            scored.append(np.bincount(step[0], minlength=len(self.stack)))
+            return step
+
+        monkeypatch.setattr(forest_module._Lockstep, "_pop", spy)
+        forest = train_forest(ds, ForestParams(n_trees=4, max_depth=8,
+                                               seed=5))
+        assert max(t.depth() for t in forest.trees) == 8
+        per_tree = np.sum(scored, axis=0)
+        assert (np.max(scored, axis=0) > 1).all()  # some step took two
+        assert len(scored) < 0.8 * per_tree.max()
 
 
 def reference_depth(nodes, i=0):
@@ -344,7 +402,7 @@ class TestSameTreesAsRowByRow:
             ds = self.two_valued(rng, n, a, b)
         params = ForestParams(n_trees=6, max_depth=max_depth, seed=5)
         X = ds.to_matrix(ds.schema.feature_names)
-        got = [t.to_dict() for t in train_forest(ds, params).trees]
+        got = [tree_dict(t) for t in train_forest(ds, params).trees]
         with np.errstate(over="ignore"):
             expected = reference_trees(X, ds.outcome, params)
         assert json.dumps(got) == json.dumps(expected)
@@ -399,7 +457,7 @@ def test_ensemble_is_row_by_row_forest_by_forest(datasets, n_trees, max_depth,
         with np.errstate(over="ignore"):
             expected = reference_trees(X, data.outcome,
                                        member_params(params, k))
-        assert json.dumps([t.to_dict() for t in model.trees]) == \
+        assert json.dumps([tree_dict(t) for t in model.trees]) == \
             json.dumps(expected), k
 
 
@@ -418,7 +476,7 @@ class TestEdgesAgainstRowByRow:
                             for f in t.nodes["feature"]}
         expected = reference_trees(ds.to_matrix(ds.schema.feature_names),
                                    ds.outcome, params)
-        assert json.dumps([t.to_dict() for t in forest.trees]) == \
+        assert json.dumps([tree_dict(t) for t in forest.trees]) == \
             json.dumps(expected)
 
     def test_stack_is_as_wide_as_trees_can_grow(self):
@@ -439,7 +497,7 @@ class TestEdgesAgainstRowByRow:
         assert max(t.depth() for t in forest.trees) > 12
         expected = reference_trees(ds.to_matrix(ds.schema.feature_names),
                                    ds.outcome, params)
-        assert json.dumps([t.to_dict() for t in forest.trees]) == \
+        assert json.dumps([tree_dict(t) for t in forest.trees]) == \
             json.dumps(expected)
 
 
@@ -644,16 +702,16 @@ class TestTrainEnsemble:
         for k, (model, data) in enumerate(zip(ens, datasets)):
             alone = train_forest(data, ForestParams(n_trees=3, max_depth=4,
                                                     seed=40 + k))
-            assert model.to_dict() == alone.to_dict()
+            assert forest_dict(model) == forest_dict(alone)
 
     def test_same_forests_at_any_worker_count(self):
         # 5 datasets in chunks of 2 + 3 and of 1 + 2 + 2
         datasets = self.datasets(np.random.default_rng(14), count=5)
         params = ForestParams(n_trees=4, max_depth=5, seed=7)
-        serial = [m.to_dict() for m in train_ensemble(datasets, params)]
+        serial = [forest_dict(m) for m in train_ensemble(datasets, params)]
         for workers in (2, 3):
             pooled = train_ensemble(datasets, params, workers=workers)
-            assert [m.to_dict() for m in pooled] == serial
+            assert [forest_dict(m) for m in pooled] == serial
 
     def test_same_trees_as_row_by_row_forest_by_forest(self):
         """Grown in lockstep, each forest is the row-by-row one: datasets
@@ -689,7 +747,7 @@ class TestTrainEnsemble:
             with np.errstate(over="ignore"):
                 expected = reference_trees(X, data.outcome,
                                            member_params(params, k))
-            assert json.dumps([t.to_dict() for t in model.trees]) == \
+            assert json.dumps([tree_dict(t) for t in model.trees]) == \
                 json.dumps(expected), k
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -832,6 +890,55 @@ class TestSerialization:
                               ensemble_predict(grown, rows))
         assert np.array_equal(ensemble_predict(grown, rows),
                               ensemble_predict(ens, rows))
+
+    @staticmethod
+    def assert_json_dumps_text(forests, path):
+        """save_ensemble writes the text json.dumps gives the payload the
+        node tables hold, and a newline."""
+        save_ensemble(forests, path)
+        payload = {"models": [forest_dict(f) for f in forests]}
+        assert path.read_text(encoding="utf-8") == \
+            json.dumps(payload, default=plain_number) + "\n"
+
+    def test_file_is_json_dumps_of_the_node_tables(self, tmp_path):
+        self.assert_json_dumps_text(
+            trained_ensemble(np.random.default_rng(15)), tmp_path / "m.json")
+
+    def test_loaded_preorder_file_saves_as_json_dumps(self, tmp_path):
+        # a file as older versions wrote it: trees in preorder, by json
+        ens = trained_ensemble(np.random.default_rng(16))
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"models": [
+            {**forest_dict(f), "trees": [tree_dict(preorder(t))
+                                         for t in f.trees]}
+            for f in ens]}) + "\n")
+        self.assert_json_dumps_text(load_ensemble(old), tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == old.read_bytes()
+
+    def test_feature_names_are_escaped_as_json_escapes_them(self, tmp_path):
+        names = ['say "hi"', "back\\slash", "Ålder µmol/L", "日本"]
+        rng = np.random.default_rng(17)
+        ds = continuous_dataset({name: rng.normal(0, 1, 80) for name in names},
+                                rng.integers(0, 2, 80))
+        forests = train_ensemble([ds], ForestParams(n_trees=2, seed=1))
+        self.assert_json_dumps_text(forests, tmp_path / "m.json")
+        assert load_ensemble(tmp_path / "m.json")[0].feature_names == names
+
+    def test_thresholds_print_as_json_prints_them(self, tmp_path):
+        # exponents, the least subnormal, -0.0, and the non-finite values a
+        # loaded leaf can hold, which json spells NaN and Infinity
+        thresholds = [1e-05, -2.5e+20, 5e-324, -0.0, 1e16, 0.1]
+        inner = [{**node(0, 2 * k + 1, 2 * k + 2), "threshold": t}
+                 for k, t in enumerate(thresholds)]
+        leaves = [{**leaf_node((1, 0), 0), "threshold": t}
+                  for t in (math.nan, math.inf, -math.inf, 2.5, 0.0)]
+        tree = DecisionTree.from_dict({"nodes": [*inner, *leaves, *LEAVES]})
+        assert forest_module._walk_problem(tree.nodes, np.array([13]), 1) \
+            is None
+        forests = [RandomForest(ForestParams(n_trees=1), [tree], ["x"]),
+                   RandomForest(ForestParams(n_trees=1, seed=np.int64(4)),
+                                [], ["x"])]
+        self.assert_json_dumps_text(forests, tmp_path / "m.json")
 
     def test_loads_older_format(self, tmp_path):
         # Older model files carry a "task" key and four more training
@@ -1024,6 +1131,26 @@ class TestModelFileChecks:
             load_ensemble(path)
         assert str(err.value) == (f"{path}: model 2, feature_names ['z'] "
                                   "are not model 0's ['x']")
+
+    @pytest.mark.parametrize("nodes, at", [
+        ([node(0, 1, 2), LEAVES[0], {**LEAVES[1], "feature": -1}],
+         "node 2: feature -1 is below 0; a leaf's is null"),
+        ([node(-3, 1, 2), *LEAVES],
+         "node 0: feature -3 is below 0; a leaf's is null"),
+        ([node(0, 1, 2), LEAVES[0], leaf_node((-1, 4), 1)],
+         "node 2: counts [-1, 4] has a count below 0"),
+        ([{**node(0, 1, 2), "counts": [0, -2]}, *LEAVES],
+         "node 0: counts [0, -2] has a count below 0"),
+    ], ids=["leaf-feature--1", "inner-feature--3", "negative-leaf-count",
+            "negative-inner-count"])
+    def test_negative_feature_and_counts_are_refused(self, tmp_path, nodes,
+                                                     at):
+        # a -1 feature loaded as a leaf and saved again as null, and a
+        # negative count loaded as it was
+        path = model_file(tmp_path / "m.json", [LEAVES[1]], nodes)
+        with pytest.raises(ValueError) as err:
+            load_ensemble(path)
+        assert str(err.value) == f"{path}: model 0, tree 1: {at}"
 
     @pytest.mark.parametrize("nodes, at", [
         ([node(0, 1, 2), LEAVES[0], leaf_node((0, 1, 2), 1)],

@@ -239,6 +239,29 @@ class TestWriteColumns:
         yield "float16", [rng.choice(np.array([-0.0, 0.0, 0.1, 6e4],
                                               np.float16), 50),
                           rng.integers(0, 2, 50, dtype=np.int8)], ["%r", "%d"]
+        # whole-number columns print as int64 and ".0", which is repr()'s
+        # text only for whole values below 1e16 that are not -0.0
+        yield "whole", [np.round(rng.normal(40, 15, 200)),
+                        rng.choice([-3.0, 0.0, 7.0, 2.0 ** 53], 200)], \
+            ["%r", "%r"]
+        yield "whole-with-negative-zero", [
+            rng.choice([-0.0, 0.0, 3.0], 60), rng.choice([0.0, 3.0], 60)], \
+            ["%r", "%r"]
+        yield "whole-at-1e16", [
+            rng.choice([1e16, 9999999999999998.0, 2.0], 40),
+            rng.choice([-9999999999999998.0, 9999999999999998.0], 40),
+            rng.choice([-1e16, 1.0], 40)], ["%r", "%r", "%r"]
+        yield "whole-and-half", [rng.choice([2.0, 2.5, 3.0], 40),
+                                 rng.choice([2.0, 4.0], 40)], ["%r", "%r"]
+        yield "nan-and-inf", [
+            rng.choice([np.nan, 1.0, 2.0], 40),
+            rng.choice([np.inf, -np.inf, 5.0], 40)], ["%r", "%r"]
+        yield "whole-float32", [
+            rng.choice(np.array([-2.0, 0.0, 16777216.0, 3e9], np.float32), 50),
+            rng.choice(np.array([1.0, 2.5], np.float32), 50)], ["%r", "%r"]
+        yield "whole-float16", [
+            rng.choice(np.array([-2.0, 0.0, 2048.0, 65504.0], np.float16),
+                       50)], ["%r"]
 
     @pytest.mark.parametrize("case", [name for name, *_ in tables()])
     def test_same_bytes_as_row_by_row(self, tmp_path, case):
