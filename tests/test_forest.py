@@ -206,23 +206,6 @@ class TestTrainForest:
             assert not above & feats, r
 
 
-    @pytest.mark.parametrize("max_depth", [1, 2, 12])
-    def test_same_trees_as_row_by_row_at_any_depth(self, max_depth):
-        # at depth 1 the root is on the last level, at 2 its children are,
-        # and at 12 most nodes of a tree are above it
-        rng = np.random.default_rng(19)
-        cols = {f"b{j}": rng.integers(0, 2, 400) for j in range(5)}
-        cols["r"] = np.round(rng.normal(0, 2, 400))
-        cols["u"] = rng.normal(0, 1, 400)
-        ds = continuous_dataset(cols, (cols["b0"] ^ cols["b1"]
-                                       ^ (rng.random(400) < 0.3)).astype(int))
-        params = ForestParams(n_trees=8, max_depth=max_depth, seed=3)
-        forest = train_forest(ds, params)
-        assert max(t.depth() for t in forest.trees) == max_depth
-        expected = reference_trees(ds.to_matrix(ds.schema.feature_names),
-                                   ds.outcome, params)
-        assert [tree_dict(t) for t in forest.trees] == expected
-
     def test_last_level_nodes_pop_together(self, monkeypatch):
         # a node one level above the depth limit pushes nothing, so the
         # node below it pops in the same step. One node a tree a step took
@@ -359,9 +342,12 @@ class TestSameTreesAsRowByRow:
         y = ((z == a) ^ (rng.random(n) < 0.3)).astype(int)
         return continuous_dataset({"z": z, "u": u}, y)
 
+    # at depth 1 the root is on the level above the last, at 2 its
+    # children are, and at 12 most nodes are above it
     @pytest.mark.parametrize("case, max_depth", [
         ("repeated", 7), ("many-values", 7), ("awkward", 7),
         ("binary-columns", 12), ("binary-and-round", 12),
+        ("binary-and-round", 1), ("binary-and-round", 2), ("many-values", 2),
         ("two-valued", 12), ("overflow-up", 12), ("overflow-down", 12),
         ("rounds-onto-upper", 12), ("wide", 12)])
     def test_same_trees(self, case, max_depth):
