@@ -68,8 +68,9 @@ def joint_normalize(a: Dataset, b: Dataset,
     """Min-max normalize both datasets with shared per-attribute min/max.
 
     Constant attributes (over the concatenation) map to 0. Each column is
-    read whole from the dataset and written into a C-order matrix, so the
-    result has the bytes, and its row sums the order, of the matrix form
+    read whole from the dataset and written into a column-major (Fortran
+    order) matrix, so every column of the result is contiguous, and its
+    values and tobytes() are those of the matrix form
     ``(to_matrix(names) - lo) / span``. A feature_subset must be a list
     that names at least one column, and none twice.
     """
@@ -101,12 +102,43 @@ def _extremes(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaled(columns: list[np.ndarray], lo: np.ndarray, span: np.ndarray,
             n: int) -> np.ndarray:
-    """The n x m C-order matrix of (column - lo) / span."""
-    out, shifted = np.empty((n, len(columns))), np.empty(n)
+    """The n x m column-major matrix of (column - lo) / span."""
+    out = np.empty((n, len(columns)), order="F")
     for j, c in enumerate(columns):
-        np.subtract(c, lo[j], out=shifted)
-        np.divide(shifted, span[j], out=out[:, j])
+        np.subtract(c, lo[j], out=out[:, j])
+        np.divide(out[:, j], span[j], out=out[:, j])
     return out
+
+
+def _row_sums(columns: list[np.ndarray]) -> np.ndarray:
+    """np.column_stack(columns).sum(axis=1) of float64 columns, bit for
+    bit, taken column by column. numpy sums each row of a C-order matrix
+    pairwise: fewer than 8 values left to right; up to 128 in eight
+    accumulators, value 8i + k into accumulator k, joined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the values
+    past the last multiple of 8 in order; more than 128 split at half,
+    rounded down to a multiple of 8, each half summed so. It adds that sum
+    to the identity 0.0, which turns a -0.0 sum into 0.0: starting each
+    accumulator at its column + 0.0 gives the same bits, since it changes
+    only the sign of zeros and leaves no partial sum at -0.0."""
+    m = len(columns)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _row_sums(columns[:half]) + _row_sums(columns[half:])
+    if m < 8:
+        sums = columns[0] + 0.0
+        for column in columns[1:]:
+            sums += column
+        return sums
+    acc = [column + 0.0 for column in columns[:8]]
+    whole = m - m % 8
+    for i in range(8, whole):
+        acc[i % 8] += columns[i]
+    sums = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    sums += (acc[4] + acc[5]) + (acc[6] + acc[7])
+    for column in columns[whole:]:
+        sums += column
+    return sums
 
 
 def _subset_names(a: Dataset, b: Dataset,
@@ -152,7 +184,11 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
     bit, so either solver reports the same. identity pairs row i with row i.
     A subset whose every column is binary by the schema is matched on the
     int8 cells (_match_binary), without joint_normalize; any other is
-    normalised first.
+    normalised first. The float path reads the normalised matrices column
+    by column and takes each row sum (greedy_rank's, and exact_match's over
+    the absolute differences) in _row_sums, bit for bit numpy's sum of the
+    C-order rows. The absolute differences are one C-order n x m matrix,
+    filled column by column, whose flattened sum over m is the total.
     """
     if method not in METHODS:
         raise ValueError(f"unknown matching method {method!r}")
@@ -166,13 +202,19 @@ def match_rows(a: Dataset, b: Dataset, method: str = GREEDY_RANK,
         perm = np.arange(n)
     elif method == GREEDY_RANK:
         perm = np.empty(n, dtype=np.int64)
-        perm[_sum_order(na.sum(axis=1))] = _sum_order(nb.sum(axis=1))
+        perm[_sum_order(_row_sums(list(na.T)))] = \
+            _sum_order(_row_sums(list(nb.T)))
     else:
         perm = _exact_permutation(list(na.T), list(nb.T))
-    diff = _abs_diff(na, nb, perm)
+    # C order: the flattened sum is the reported total, bit for bit
+    diff = np.empty((n, m))
+    for j in range(m):
+        np.subtract(na[:, j], nb[:, j][perm], out=diff[:, j])
+    np.abs(diff, out=diff)
     total = float(diff.sum() / m)
     return RowMatching(permutation=perm, total_distance=total,
-                       average_distance=total / n, exact_match=_zero_share(diff))
+                       average_distance=total / n,
+                       exact_match=_zero_share(list(diff.T)))
 
 
 def _match_binary(ca: list[np.ndarray], cb: list[np.ndarray],
@@ -367,10 +409,10 @@ def _exact_cost(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
     It is formed in blocks of rows of ua so the temporary stays bounded.
     Every entry is the same expression over the same m values as the
-    dense len(ua) x len(ub) x m form, so it is bitwise equal to it; summing
-    one column at a time would round differently once m >= 8 (numpy sums
-    pairwise). On int8 0/1 rows each sum is a whole count, so the entries
-    are those of the normalized rows.
+    dense len(ua) x len(ub) x m form, so it is bitwise equal to it; adding
+    the columns left to right would round differently once m >= 8 (numpy
+    sums pairwise, see _row_sums). On int8 0/1 rows each sum is a whole
+    count, so the entries are those of the normalized rows.
     """
     m = ua.shape[1]
     cost = np.empty((len(ua), len(ub)))
@@ -391,7 +433,9 @@ def exact_match_fraction(a: Dataset, b: Dataset, matching: RowMatching,
                          feature_subset: list[str] | None = None) -> float:
     """Fraction of matched row pairs at distance zero under any matching
     of a's rows to b's; match_rows reports it for its own as exact_match.
-    A permutation that is not one of range(n) is refused."""
+    A permutation that is not one of range(n) is refused. Past the two
+    normalised matrices it forms no n x m matrix: it sums each row's
+    absolute differences column by column, in _row_sums."""
     na, nb = joint_normalize(a, b, feature_subset)
     perm, n = np.asarray(matching.permutation), na.shape[0]
     if len(perm) != n:
@@ -406,19 +450,16 @@ def exact_match_fraction(a: Dataset, b: Dataset, matching: RowMatching,
     if not np.bincount(perm.astype(np.intp, copy=False), minlength=n).all():
         raise SchemaError("matching permutation repeats a row of the second "
                           "dataset, so it is not a permutation")
-    return _zero_share(_abs_diff(na, nb, perm))
+    columns = [y[perm] for y in nb.T]
+    for x, d in zip(na.T, columns):
+        np.subtract(x, d, out=d)
+        np.abs(d, out=d)
+    return _zero_share(columns)
 
 
-def _abs_diff(na: np.ndarray, nb: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """np.abs(na - nb[perm]), bit for bit, formed in one n x m array."""
-    diff = nb[perm]
-    np.subtract(na, diff, out=diff)
-    return np.abs(diff, out=diff)
-
-
-def _zero_share(diff: np.ndarray) -> float:
-    """Share of rows of an n x m matrix of normalized absolute differences
+def _zero_share(columns: list[np.ndarray]) -> float:
+    """Share of rows, over m columns of normalized absolute differences,
     whose sum is zero up to rounding."""
-    n, m = diff.shape
-    d = diff.sum(axis=1)
-    return float(np.count_nonzero(d <= _ZERO_TOL * m)) / n
+    sums = _row_sums(columns)
+    zero = np.count_nonzero(sums <= _ZERO_TOL * len(columns))
+    return float(zero) / len(sums)

@@ -109,6 +109,29 @@ class TestGreedyOrder:
                               np.argsort(sums, kind="stable"))
 
 
+class TestRowSums:
+    """_row_sums, the one row sum of the float path, takes its columns one
+    at a time to the bits numpy's pairwise sum of the C-order rows gives."""
+
+    @pytest.mark.parametrize("m", [*range(1, 21), 127, 128, 129, 300])
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]))
+    @example(n=1, seed=0, zeros=1.0)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_same_bits_as_numpy(self, m, n, seed, zeros):
+        # magnitudes from 1e-300 to 1e300 of either sign; a share of the
+        # cells, or all of them, are -0.0 and 0.0 mixed in each column
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice([-1.0, 1.0], (n, m)) \
+            * 10.0 ** rng.uniform(-300, 300, (n, m))
+        zero = rng.random((n, m)) < zeros
+        matrix[zero] = rng.choice([-0.0, 0.0], np.count_nonzero(zero))
+        want = matrix.sum(axis=1).view(np.uint64)
+        for layout in (np.asfortranarray(matrix), matrix):
+            got = similarity_module._row_sums(list(layout.T))
+            assert np.array_equal(got.view(np.uint64), want)
+
+
 class TestSimilarity:
     def test_example_pair(self, table_s1, table_s2):
         assert similarity(table_s1, table_s2, EXACT_ASSIGNMENT) == \
@@ -237,6 +260,16 @@ def mixed_pair(rng, n_rows, n_binary, n_continuous, levels=None):
     return make(), make()
 
 
+def copy_rows(rng, a, b, share):
+    """b with about a share of its rows replaced by rows of a, drawn
+    without repeats."""
+    copied = rng.random(b.n_rows) < share
+    source = rng.permutation(b.n_rows)
+    return Dataset(b.schema, {
+        name: np.where(copied, a.column(name)[source], b.column(name))
+        for name in b.schema.column_names})
+
+
 class TestExactAssignmentFromDistinctRows:
     """Exact matching must build, bit for bit, the cost matrix of the dense
     n x n x m tensor it no longer builds, reach the total that
@@ -287,11 +320,7 @@ class TestExactAssignmentFromDistinctRows:
         rng = np.random.default_rng(23)
         for n_rows in (2, 17, 150):
             a, b = mixed_pair(rng, n_rows, n_binary, n_continuous, levels)
-            copied = rng.random(n_rows) < 0.5
-            source = rng.permutation(n_rows)
-            b = Dataset(b.schema, {
-                name: np.where(copied, a.column(name)[source], b.column(name))
-                for name in b.schema.column_names})
+            b = copy_rows(rng, a, b, 0.5)
             na, nb = joint_normalize(a, b)
             pairs = in_place_pairs(na, nb)
             ra = np.setdiff1d(np.arange(n_rows), list(pairs))
@@ -575,6 +604,29 @@ class TestZeroOneCells:
         # one normalisation per mixed or continuous subset, none for 0/1
         assert len(calls) == 3 * 3
 
+    @pytest.mark.parametrize("method", [GREEDY_RANK, EXACT_ASSIGNMENT,
+                                        IDENTITY])
+    @pytest.mark.parametrize("n_binary, n_continuous", [
+        (4, 3), (4, 4), (8, 7), (8, 8), (100, 30)],
+        ids=["m=8", "m=9", "m=16", "m=17", "m=131"])
+    def test_wide_float_path_same_as_dense_oracle(self, method, n_binary,
+                                                  n_continuous):
+        # from 8 columns numpy sums each row in eight accumulators, and
+        # above 128 in halves. Levels 0-3 normalise to thirds, so rows
+        # whose sums tie exactly round apart by that order, and the greedy
+        # ranks follow it; a third of b's rows copy rows of a, so some
+        # matched rows sum to zero
+        rng = np.random.default_rng(89)
+        for n_rows in (1, 9, 60):
+            a, b = mixed_pair(rng, n_rows, n_binary, n_continuous, levels=4)
+            b = copy_rows(rng, a, b, 0.3)
+            got = match_rows(a, b, method)
+            perm, total, average, exact = dense_oracle(a, b, method)
+            assert np.array_equal(got.permutation, perm)
+            assert (got.total_distance, got.average_distance,
+                    got.exact_match) == (total, average, exact)
+            assert exact_match_fraction(a, b, got) == exact
+
     @pytest.mark.parametrize("subset", ["xy", "Gender"])
     def test_string_subset_refused(self, subset):
         # "xy" used to match columns x and y; "Gender" failed naming the
@@ -672,7 +724,7 @@ class TestJointNormalization:
             got = joint_normalize(a, b, names)
             expected = matrix_normalize(a, b, names)
             for g, e in zip(got, expected):
-                assert g.flags.c_contiguous
+                assert g.flags.f_contiguous
                 assert (g.shape, g.dtype) == (e.shape, e.dtype)
                 assert g.tobytes() == e.tobytes()
 
